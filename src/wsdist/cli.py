@@ -138,10 +138,8 @@ def cmd_pair(args):
 def cmd_oracle(args):
     orders = OrderPair(args.mu, args.nu)
     tol = _default_tol(args, 1e-4)
-    if args.prop == 1:
-        report = pairing_oracle(orders, args.bump, args.eps_schedule, tol)
-    else:
-        report = jj_pairing_oracle(orders, args.bump, args.eps_schedule, tol)
+    oracle = pairing_oracle if args.prop == 1 else jj_pairing_oracle
+    report = oracle(orders, args.bump, args.eps_schedule)
     doc = {
         "command": "oracle",
         "proposition": args.prop,

@@ -11,9 +11,12 @@ pairings
 
     P(eps) = int I(s + i eps) g(s) ds      (over supp g)
 
-are computed by an economical composite rule (the direct integrand is
-expensive), Richardson-extrapolated to eps = 0, and compared with the
-closed-form pairing of the limit distribution.
+are computed by a composite Gauss rule in s, Richardson-extrapolated
+to eps = 0, and compared with the closed-form pairing of the limit
+distribution.  The direct integrals I(s + i eps) of all the s-nodes of
+one step of that rule (the initial panels, then each bisection) run as
+one row-batched semi-infinite quadrature, so every Bessel evaluation
+covers the k-panels of all those nodes at once.
 """
 
 import math
@@ -71,50 +74,54 @@ def I_direct(orders, pt, tol=1e-7):
     """Direct oscillatory quadrature of int_0^inf k H1_mu((s+i eps)k)
     J_nu(k) dk; the order constraint makes the integrand integrable at
     k = 0 and the i eps damps it like e^{-eps k} at infinity."""
-    orders.require_hankel_bessel()
     if not isinstance(pt, RegularizedPoint):
         pt = RegularizedPoint(*pt)
-    z = complex(pt.s, pt.eps)
+    return complex(_direct_rows(orders, np.array([pt.s]), pt.eps, tol)[0])
+
+
+def _direct_rows(orders, s, eps, tol):
+    """I_direct at every point s + i eps of the array s, as one
+    row-batched semi-infinite quadrature (one row per point)."""
+    orders.require_hankel_bessel()
+    z = s + 1j * eps
     mu, nu = orders.mu, orders.nu
 
-    def f(k):
-        k = np.asarray(k, dtype=float)
-        return k * hankel1_complex(mu, z * k) * bessel_j(nu, k)
+    def f(k, rows):
+        return k * hankel1_complex(mu, z[rows, None] * k) * bessel_j(nu, k)
 
-    spacing = math.pi / max(pt.s, 1.0)
-    res = integrate_semiinfinite_damped(f, pt.eps, spacing, tol)
+    res = integrate_semiinfinite_damped(f, eps, math.pi / np.maximum(s, 1.0), tol)
     if not res.converged:
         raise NonConvergenceError(
-            f"direct quadrature stalled at orders={orders}, pt={pt} "
-            f"(estimate {res.error_estimate:.3e})"
+            f"direct quadrature stalled at orders={orders}, eps={eps}, "
+            f"s in [{s.min()}, {s.max()}] "
+            f"(largest estimate {np.max(res.error_estimate):.3e})"
         )
-    return complex(res.value)
+    return res.value
 
 
 def _pairing_at_eps(orders, g, eps, inner_tol, outer_tol):
     """int I(s + i eps) g(s) ds over supp g by a 64-panel composite
     Gauss rule; panels with the worst embedded error estimates are
     bisected until the summed estimate passes outer_tol (deterministic,
-    bounded refinement budget)."""
+    bounded refinement budget).  The direct integrals of all the nodes
+    of one step (the initial panels, then each bisection) are one
+    batched quadrature."""
     lo, hi = g.support
     n4, w4 = gauss_legendre(4)
     n2, w2 = gauss_legendre(2)
+    nodes = np.concatenate((n4, n2))
 
-    def eval_panel(a, b):
+    def eval_panels(a, b):
+        """(estimate, a, b, value) of each panel [a_i, b_i]."""
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        v4 = 0.0j
-        for x, w in zip(mid + half * n4, w4):
-            v4 += w * I_direct(orders, RegularizedPoint(float(x), eps), inner_tol) * g(float(x))
-        v2 = 0.0j
-        for x, w in zip(mid + half * n2, w2):
-            v2 += w * I_direct(orders, RegularizedPoint(float(x), eps), inner_tol) * g(float(x))
-        return half * v4, abs(half * (v4 - v2))
+        x = (mid[:, None] + half[:, None] * nodes).ravel()
+        gi = (_direct_rows(orders, x, eps, inner_tol) * g(x)).reshape(len(a), 6)
+        v4 = half * (gi[:, :4] @ w4)
+        v2 = half * (gi[:, 4:] @ w2)
+        return list(zip(np.abs(v4 - v2).tolist(), a.tolist(), b.tolist(), v4.tolist()))
 
-    panels = []
     edges = np.linspace(lo, hi, _OUTER_PANELS + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, est = eval_panel(a, b)
-        panels.append((est, a, b, val))
+    panels = eval_panels(edges[:-1], edges[1:])
 
     splits = 0
     while splits < _OUTER_REFINE_BUDGET:
@@ -124,19 +131,15 @@ def _pairing_at_eps(orders, g, eps, inner_tol, outer_tol):
         panels.sort(key=lambda p: (-p[0], p[1]))
         _, a, b, _ = panels.pop(0)
         mid = 0.5 * (a + b)
-        val_l, est_l = eval_panel(a, mid)
-        val_r, est_r = eval_panel(mid, b)
-        panels.append((est_l, a, mid, val_l))
-        panels.append((est_r, mid, b, val_r))
+        panels += eval_panels(np.array([a, mid]), np.array([mid, b]))
         splits += 1
     return sum(p[3] for p in panels)
 
 
-def pairing_oracle(orders, g, schedule=DEFAULT_EPS_SCHEDULE, tol=1e-4):
-    """Extrapolated direct pairings against the closed-form limit
-    distribution of the Hankel-kernel integral."""
-    orders.require_hankel_bessel()
-    closed = pair(prop1_distribution(orders, 0.0), g, Measure.LEBESGUE, tol=1e-9)
+def _oracle_report(orders, g, schedule, closed, part):
+    """Pairings along the eps schedule, Richardson-extrapolated to 0 and
+    compared with the closed-form pairing; `part` maps both values to
+    the compared quantity."""
     scale = max(1.0, abs(closed))
     trace = []
     for eps in schedule.values:
@@ -148,39 +151,32 @@ def pairing_oracle(orders, g, schedule=DEFAULT_EPS_SCHEDULE, tol=1e-4):
         warnings.warn(
             "pairing residuals are not monotone along the eps schedule; "
             "the s-quadrature may be under-resolved",
-            stacklevel=2,
+            stacklevel=3,
         )
-    abs_dev = abs(closed - limit)
+    closed, oracle_value = part(closed), part(limit)
+    abs_dev = abs(closed - oracle_value)
     return OracleReport(
         closed_form=closed,
-        oracle_value=limit,
+        oracle_value=oracle_value,
         abs_deviation=abs_dev,
-        rel_deviation=abs_dev / scale,
+        rel_deviation=abs_dev / max(1.0, abs(closed)),
         eps_trace=tuple(trace),
         extrapolation_error=extrap_err,
     )
 
 
-def jj_pairing_oracle(orders, g, schedule=DEFAULT_EPS_SCHEDULE, tol=1e-4):
+def pairing_oracle(orders, g, schedule=DEFAULT_EPS_SCHEDULE):
+    """Extrapolated direct pairings against the closed-form limit
+    distribution of the Hankel-kernel integral."""
+    orders.require_hankel_bessel()
+    closed = pair(prop1_distribution(orders, 0.0), g, Measure.LEBESGUE, tol=1e-9)
+    return _oracle_report(orders, g, schedule, closed, complex)
+
+
+def jj_pairing_oracle(orders, g, schedule=DEFAULT_EPS_SCHEDULE):
     """Same as pairing_oracle but for the J-kernel result: the real
     part of the extrapolated pairing against the closed-form pairing of
     the cos/sin distribution."""
     orders.require_bessel_bessel()
     closed = pair(prop2_distribution(orders), g, Measure.LEBESGUE, tol=1e-9)
-    scale = max(1.0, abs(closed))
-    trace = []
-    for eps in schedule.values:
-        val = _pairing_at_eps(orders, g, eps, 1e-7, 1e-6 * scale)
-        trace.append((eps, val))
-    limit, extrap_err = richardson(trace)
-    oracle_value = complex(limit).real
-    closed_real = complex(closed).real
-    abs_dev = abs(closed_real - oracle_value)
-    return OracleReport(
-        closed_form=closed_real,
-        oracle_value=oracle_value,
-        abs_deviation=abs_dev,
-        rel_deviation=abs_dev / max(1.0, abs(closed_real)),
-        eps_trace=tuple(trace),
-        extrapolation_error=extrap_err,
-    )
+    return _oracle_report(orders, g, schedule, closed, lambda v: complex(v).real)

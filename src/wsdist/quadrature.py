@@ -178,71 +178,98 @@ def tanh_sinh(f, a, b, tol, max_level=12):
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     fv = _vectorized(f)
+    values, errors, evaluations, converged = _tanh_sinh_rows(
+        lambda x, rows: fv(x.ravel()).reshape(x.shape),
+        np.array([a], dtype=float),
+        np.array([b], dtype=float),
+        tol,
+        max_level,
+    )
+    return QuadratureResult(
+        complex(values[0]), float(errors[0]), evaluations, bool(converged[0])
+    )
+
+
+def _tanh_sinh_rows(f, a, b, tol, max_level):
+    """tanh_sinh over (a[r], b[r]) for every row r at once.
+
+    f(x, rows) gets a (len(rows), n) array of abscissae for the rows
+    still refining; a row leaves at the first level that agrees with
+    its previous one to tol.  Returns per-row values, errors and
+    converged flags, and the total evaluation count.
+    """
     width = b - a
     t_max = 4.0
     evaluations = 0
 
-    def batch(ts):
+    def level_sum(ts, rows):
         nonlocal evaluations
         u = 0.5 * math.pi * np.sinh(ts)
         e2u = np.exp(-2.0 * u)
-        delta = width * e2u / (1.0 + e2u)  # distance to nearest endpoint
+        wr = width[rows, None]
+        delta = wr * e2u / (1.0 + e2u)  # distance to nearest endpoint
         sech2 = 4.0 * e2u / (1.0 + e2u) ** 2
-        w = 0.5 * width * 0.5 * math.pi * np.cosh(ts) * sech2
-        lo = fv(a + delta)
-        hi = fv(b - delta)
-        evaluations += 2 * len(ts)
-        return np.sum(w * (lo + hi))
+        w = 0.5 * wr * 0.5 * math.pi * np.cosh(ts) * sech2
+        lo = f(a[rows, None] + delta, rows)
+        hi = f(b[rows, None] - delta, rows)
+        evaluations += 2 * delta.size
+        return np.sum(w * (lo + hi), axis=1)
 
     h = 1.0
     ts = np.arange(1, int(t_max / h) + 1) * h
+    live = np.arange(len(a))
     center_weight = 0.5 * width * 0.5 * math.pi
-    mid_val = fv(np.array([0.5 * (a + b)]))[0]
-    evaluations += 1
-    total = center_weight * mid_val + batch(ts)
+    mid_val = f((0.5 * (a + b))[:, None], live)[:, 0]
+    evaluations += len(a)
+    total = center_weight * mid_val + level_sum(ts, live)
     prev = h * total
-    result = prev
-    err = abs(prev)
-    converged = False
+    result = prev.copy()
+    err = np.abs(prev)
+    converged = np.zeros(len(a), dtype=bool)
     for level in range(1, max_level + 1):
         h *= 0.5
         ts = np.arange(1, int(t_max / h) + 1, 2) * h  # odd multiples only
-        total += batch(ts)
-        result = h * total
-        err = abs(result - prev)
-        prev = result
-        if err <= tol:
-            converged = True
+        total[live] += level_sum(ts, live)
+        res = h * total[live]
+        err[live] = np.abs(res - prev[live])
+        result[live] = res
+        prev[live] = res
+        converged[live] = err[live] <= tol
+        live = live[~converged[live]]
+        if not live.size:
             break
-    return QuadratureResult(complex(result), err, evaluations, converged)
+    return result, err, evaluations, converged
 
 
-def _wynn_epsilon(partial):
-    """Wynn epsilon table on a window of partial sums.
+def _wynn_rows(partial):
+    """Wynn epsilon table on a window of partial sums, one row each.
 
-    Returns the last entry of the highest even column that stays
-    numerically sane, together with the change from the previous even
-    column (used as the acceleration error estimate).
+    Returns, per row, the last entry of the highest even column that
+    stays numerically sane, together with the change from the previous
+    even column (used as the acceleration error estimate).  A row whose
+    column meets a zero difference keeps its last even column with
+    change 0; its later columns hold inf/nan and are not read.
     """
-    cur = list(partial)
+    cur = partial
     prev_col = None  # odd predecessor
-    best = cur[-1]
-    change = abs(cur[-1] - cur[-2]) if len(cur) > 1 else abs(cur[-1])
+    best = cur[:, -1]
+    change = np.abs(cur[:, -1] - cur[:, -2])
+    sane = np.ones(len(cur), dtype=bool)
     col = 0
-    while len(cur) >= 3:
-        nxt = []
-        for i in range(len(cur) - 1):
-            diff = cur[i + 1] - cur[i]
-            if abs(diff) < 1e-300:
-                return best, 0.0
-            aux = prev_col[i + 1] if prev_col is not None else 0.0
-            nxt.append(aux + 1.0 / diff)
-        prev_col = cur
-        cur = nxt
-        col += 1
-        if col % 2 == 0:
-            change = abs(cur[-1] - best)
-            best = cur[-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while cur.shape[1] >= 3:
+            diff = cur[:, 1:] - cur[:, :-1]
+            broken = sane & (np.abs(diff) < 1e-300).any(axis=1)
+            change = np.where(broken, 0.0, change)
+            sane &= ~broken
+            inv = 1.0 / diff
+            nxt = inv if prev_col is None else prev_col[:, 1:-1] + inv
+            prev_col = cur
+            cur = nxt
+            col += 1
+            if col % 2 == 0:
+                change = np.where(sane, np.abs(cur[:, -1] - best), change)
+                best = np.where(sane, cur[:, -1], best)
     return best, change
 
 
@@ -257,68 +284,122 @@ def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
     panel uses tanh-sinh since the integrand may have an integrable
     singularity at 0.
 
-    Raises NonConvergenceError when the panel magnitudes fail to decay
-    (wrong damping / spacing hints).
+    A 1-D array zero_spacing makes one independent integral per row, all
+    sharing damping and tol.  f is then called as f(k, rows): k is a
+    (len(rows), n) array of abscissae for the rows still running, rows
+    their indices into zero_spacing.  A row leaves the batch when it
+    stops; value and error_estimate are per-row arrays, evaluations
+    the total and converged whether every row converged.  A scalar
+    zero_spacing is the one-row case, with f(k) on 1-D arrays and
+    scalar value and error_estimate.
+
+    Raises NonConvergenceError when the panel magnitudes of a row fail
+    to decay (wrong damping / spacing hints).
     """
-    if damping <= 0.0 or zero_spacing <= 0.0 or tol <= 0.0:
+    scalar = np.ndim(zero_spacing) == 0
+    spacing = np.atleast_1d(np.asarray(zero_spacing, dtype=float))
+    if damping <= 0.0 or tol <= 0.0 or spacing.ndim != 1 or not np.all(spacing > 0.0):
         raise ValueError("damping, zero_spacing and tol must be positive")
-    fv = _vectorized(f)
+    if scalar:
+        fv = _vectorized(f)
+
+        def f_rows(k, rows):
+            return fv(k.ravel()).reshape(k.shape)
+    else:
+        f_rows = f
+    n_rows = len(spacing)
     k_max = max(50.0, 40.0 / damping)
-    n_panels = min(int(math.ceil(k_max / zero_spacing)), _MAX_OSC_PANELS)
+    n_panels = np.minimum(np.ceil(k_max / spacing).astype(int), _MAX_OSC_PANELS)
 
     n15, w15 = gauss_legendre(15)
     n7, w7 = gauss_legendre(7)
-    half = 0.5 * zero_spacing
-    first = tanh_sinh(fv, 0.0, zero_spacing, tol * 1e-2)
-    evaluations = first.evaluations
-    panel_err = first.error_estimate
+    first, first_err, evaluations, _ = _tanh_sinh_rows(
+        f_rows, np.zeros(n_rows), spacing, tol * 1e-2, 12
+    )
 
-    partial = [first.value]
-    panel_mags = [abs(first.value)]
-    best = first.value
-    best_change = abs(first.value)
-    stable = 0
+    value = np.empty(n_rows, dtype=complex)
+    error = np.empty(n_rows)
+    converged = np.zeros(n_rows, dtype=bool)
+    # state of the running rows; `rows` maps them to their input index
+    rows = np.arange(n_rows)
+    panel_err = first_err.copy()
+    partial = first[:, None]  # the last 16 partial sums
+    mags = np.abs(first)[:, None]  # the last 4 panel magnitudes
+    head = np.zeros(n_rows)  # largest magnitude of panels 1-4
+    best = first.copy()
+    best_change = np.abs(first)
+    stable = np.zeros(n_rows, dtype=int)
     block = 8  # panels per integrand call; specfun batches amortize
-    j = 1
-    while j < n_panels:
-        jend = min(j + block, n_panels)
-        nb = jend - j
-        mids = (np.arange(j, jend) + 0.5) * zero_spacing
-        xs = np.concatenate(
-            ((mids[:, None] + half * n15[None, :]).ravel(),
-             (mids[:, None] + half * n7[None, :]).ravel())
-        )
-        vals = fv(xs)
-        evaluations += len(xs)
-        v15 = half * (vals[: nb * 15].reshape(nb, 15) @ w15)
-        v7 = half * (vals[nb * 15:].reshape(nb, 7) @ w7)
-        for i in range(nb):
-            jj = j + i
-            panel_err += abs(v15[i] - v7[i]) * 0.1
-            partial.append(partial[-1] + v15[i])
-            panel_mags.append(abs(v15[i]))
-            if jj >= 6:
-                est, change = _wynn_epsilon(partial[-16:])
-                scale = max(abs(est), 1e-300)
-                if abs(est - best) <= 0.5 * tol * scale and change <= tol * scale:
-                    stable += 1
-                else:
-                    stable = 0
-                best, best_change = est, change
-                if stable >= 2 and panel_mags[-1] <= math.sqrt(tol) * scale:
-                    err = best_change + panel_err + panel_mags[-1] * tol
-                    return QuadratureResult(complex(best), err, evaluations, True)
-            if jj >= 12 and jj % 12 == 0:
-                head = max(panel_mags[1:5])
-                tail = max(panel_mags[-4:])
-                if tail > 4.0 * head + 1e-300 and tail > 1e-12:
-                    raise NonConvergenceError(
-                        "panel magnitudes are growing; check damping/zero_spacing"
-                    )
-        j = jend
 
-    err = best_change + panel_err + panel_mags[-1]
-    return QuadratureResult(complex(best), err, evaluations, False)
+    def finish(sel, err, ok):
+        value[rows[sel]] = best[sel]
+        error[rows[sel]] = err[sel]
+        converged[rows[sel]] = ok
+
+    j = 1
+    while rows.size:
+        # a row out of panels ends unconverged, with its last estimate
+        spent = n_panels[rows] <= j
+        finish(spent, best_change + panel_err + mags[:, -1], False)
+        running = ~spent
+        if running.any():
+            nb = min(block, int(n_panels[rows].max()) - j)
+            half = 0.5 * spacing[rows, None]
+            mids = (np.arange(j, j + nb) + 0.5) * spacing[rows, None]
+            xs = np.concatenate(
+                ((mids[:, :, None] + half[:, :, None] * n15).reshape(rows.size, -1),
+                 (mids[:, :, None] + half[:, :, None] * n7).reshape(rows.size, -1)),
+                axis=1,
+            )
+            vals = f_rows(xs, rows)
+            evaluations += xs.size
+            v15 = half * (vals[:, : nb * 15].reshape(rows.size, nb, 15) @ w15)
+            v7 = half * (vals[:, nb * 15:].reshape(rows.size, nb, 7) @ w7)
+            for i in range(nb):
+                jj = j + i
+                spent = running & (n_panels[rows] <= jj)
+                finish(spent, best_change + panel_err + mags[:, -1], False)
+                running &= ~spent
+                panel_err = panel_err + np.abs(v15[:, i] - v7[:, i]) * 0.1
+                partial = np.column_stack((partial[:, -15:], partial[:, -1] + v15[:, i]))
+                mags = np.column_stack((mags[:, -3:], np.abs(v15[:, i])))
+                if jj == 4:
+                    head = mags.max(axis=1)
+                if jj >= 6:
+                    est, change = _wynn_rows(partial)
+                    scale = np.maximum(np.abs(est), 1e-300)
+                    steady = (np.abs(est - best) <= 0.5 * tol * scale) & (
+                        change <= tol * scale
+                    )
+                    stable = np.where(steady, stable + 1, 0)
+                    best, best_change = est, change
+                    done = (
+                        running
+                        & (stable >= 2)
+                        & (mags[:, -1] <= math.sqrt(tol) * scale)
+                    )
+                    finish(done, best_change + panel_err + mags[:, -1] * tol, True)
+                    running &= ~done
+                if jj >= 12 and jj % 12 == 0:
+                    tail = mags.max(axis=1)
+                    if np.any(running & (tail > 4.0 * head + 1e-300) & (tail > 1e-12)):
+                        raise NonConvergenceError(
+                            "panel magnitudes are growing; check damping/zero_spacing"
+                        )
+                if not running.any():
+                    break
+            j += nb
+        rows = rows[running]
+        panel_err, partial, mags, head = (
+            panel_err[running], partial[running], mags[running], head[running]
+        )
+        best, best_change, stable = best[running], best_change[running], stable[running]
+
+    if scalar:
+        return QuadratureResult(
+            complex(value[0]), float(error[0]), evaluations, bool(converged[0])
+        )
+    return QuadratureResult(value, error, evaluations, bool(np.all(converged)))
 
 
 def integrate_pv(density, g, pole, tol):

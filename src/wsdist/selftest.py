@@ -35,6 +35,7 @@ from .oracle import I_direct
 from .weber_schafheitlin import (
     OrderPair,
     RegularizedPoint,
+    _regularized_watson,
     prop1_distribution,
     prop2_distribution,
     reflection_check,
@@ -146,8 +147,6 @@ def _check_route_equality():
         for s in (0.3, 0.7, 1.0, 1.5, 3.0):
             for eps in (0.05, 0.2, 1.0):
                 pt = RegularizedPoint(s, eps)
-                from .weber_schafheitlin import _regularized_watson
-
                 v1 = regularized_I(orders, pt)
                 v2 = _regularized_watson(orders, s, eps)
                 worst = max(worst, abs(v1 - v2) / max(1.0, abs(v1)))

@@ -12,9 +12,10 @@ whichever of three methods is reliable where w sits:
   which is exactly where the other methods degrade and where the
   cancellation stays bounded.
 * the real-line integral representation int_0^inf e^{-w cosh t}
-  cosh(q t) dt on a shared composite Gauss grid, for the interior
-  sector of 2 < |w| <= 14 (positive kernel, no cancellation; node
-  count follows the oscillation budget |Im w| / Re w).
+  cosh(q t) dt on composite Gauss grids, each shared by a run of
+  similar points, for the interior sector of 2 < |w| <= 14 (positive
+  kernel, no cancellation; node count follows the oscillation budget
+  |Im w| / Re w).
 * the e^{-w} asymptotic series truncated at its smallest term for
   |w| > 14, any argument in range.
 
@@ -33,6 +34,7 @@ from .gammafn import EULER_GAMMA, gamma
 _K_SERIES_ALL = 2.0
 _K_SERIES_MAX = 14.0
 _K_SECTOR = 0.22  # narrower for near-integer orders, see _k_core
+_K_GROUP = 64  # points per grid of the integral representation
 _MAX_ORDER_K = 10.0
 
 _CLD = np.clongdouble
@@ -42,6 +44,13 @@ _LD = np.longdouble
 def _as_carray(w):
     arr = np.asarray(w, dtype=complex)
     return arr, (arr.ndim == 0)
+
+
+def _max_abs(x):
+    """Largest modulus in a clongdouble array, taken in double: the
+    80-bit complex hypot costs more than a whole series step, and a
+    stopping test needs no more."""
+    return float(np.max(np.abs(x.astype(complex))))
 
 
 def _i_series_cld(q, w):
@@ -56,9 +65,7 @@ def _i_series_cld(q, w):
         term = term * z / _CLD((k + 1.0) * (q + k + 1.0))
         acc += term
         k += 1
-        if float(np.max(np.abs(term))) < 1e-26 * max(
-            float(np.max(np.abs(acc))), 1e-280
-        ):
+        if _max_abs(term) < 1e-26 * max(_max_abs(acc), 1e-280):
             break
     pref = np.exp(_CLD(q) * np.log(0.5 * wl))
     return pref * acc
@@ -103,7 +110,7 @@ def _k_pair_series_integer(w):
         psi_a += _LD(1.0) / _LD(k)
         psi_b += _LD(1.0) / _LD(k + 1)
         s1 += t1 * (psi_a + psi_b)
-        if float(np.max(np.abs(t0))) < 1e-26 and float(np.max(np.abs(t1))) < 1e-26:
+        if _max_abs(t0) < 1e-26 and _max_abs(t1) < 1e-26:
             break
     k0 = -(lw + gam) * i0 + s0
     i1 = 0.5 * wl * i1sum
@@ -112,25 +119,40 @@ def _k_pair_series_integer(w):
 
 
 def _k_pair_integral(mu0, w):
-    """(K_mu0, K_mu0+1) by quadrature of e^{-w cosh t} cosh(q t) on a
-    shared composite Gauss grid; requires Re(w) comfortably positive
-    (interior sector)."""
-    re_min = float(np.min(w.real))
-    t_max = math.acosh(1.0 + 48.0 / re_min)
-    phase = float(np.max(np.abs(w.imag))) * (math.cosh(t_max) - 1.0)
-    n_panels = max(14, int(0.8 * phase / math.pi) + 14)
+    """(K_mu0, K_mu0+1) by quadrature of e^{-w cosh t} cosh(q t) on
+    composite Gauss grids; requires Re(w) comfortably positive
+    (interior sector).
+
+    A grid reaches t_max where Re(w) (cosh t - 1) = 48 and spends its
+    panels on the phase |Im w| (cosh t_max - 1) = 48 |Im w| / Re(w).
+    Each run of at most _K_GROUP points shares the grid of its smallest
+    Re(w) and largest |Im w|, so a point's grid follows its neighbours,
+    not the whole batch, and the kernel matrix stays _K_GROUP rows
+    tall.  Neighbours are points whose own panel counts lie in the same
+    octave, sorted by Re(w): the group's phase then exceeds a member's
+    own by at most a factor 2 and the spread of Re(w) within the run.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(30)
-    edges = np.linspace(0.0, t_max, n_panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    ts = (mids[:, None] + half * nodes[None, :]).ravel()
-    ws_q = np.tile(weights, n_panels) * half
-    kernel = np.exp(-w[:, None] * np.cosh(ts)[None, :])
-    out = []
-    for q in (mu0, mu0 + 1.0):
-        vals = kernel * np.cosh(q * ts)[None, :]
-        out.append(vals @ ws_q)
-    return out[0], out[1]
+    re, im = w.real, np.abs(w.imag)
+    own_panels = np.maximum(14, (0.8 * 48.0 / math.pi * im / re).astype(int) + 14)
+    order = np.lexsort((re, np.frexp(own_panels)[1]))
+    out = np.empty((w.size, 2), dtype=complex)
+    for start in range(0, w.size, _K_GROUP):
+        group = order[start:start + _K_GROUP]
+        t_max = math.acosh(1.0 + 48.0 / float(np.min(re[group])))
+        phase = float(np.max(im[group])) * (math.cosh(t_max) - 1.0)
+        n_panels = max(14, int(0.8 * phase / math.pi) + 14)
+        edges = np.linspace(0.0, t_max, n_panels + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1] - edges[0])
+        ts = (mids[:, None] + half * nodes[None, :]).ravel()
+        ws_q = np.tile(weights, n_panels) * half
+        # both orders in one contraction: columns cosh(q t) dt, q = mu0, mu0+1
+        wq = np.stack((ws_q * np.cosh(mu0 * ts), ws_q * np.cosh((mu0 + 1.0) * ts)), axis=1)
+        kernel = np.exp(-w[group, None] * np.cosh(ts)[None, :])
+        # real products: numpy's complex-by-real matmul is ~10x slower
+        out[group] = kernel.real @ wq + 1j * (kernel.imag @ wq)
+    return out[:, 0], out[:, 1]
 
 
 def _k_asymptotic(q, w):
@@ -239,5 +261,9 @@ def hankel1_complex(mu, z):
     pref = (2.0 / (1j * math.pi)) * complex(
         math.cos(0.5 * math.pi * mu), -math.sin(0.5 * math.pi * mu)
     )
-    out = pref * _k_core(mu, w)
+    # a named operand keeps numpy from reusing a large temporary in
+    # place, whose loop rounds differently: values must not depend on
+    # how many points share the call
+    k = _k_core(mu, w)
+    out = pref * k
     return complex(out[()]) if scalar else out

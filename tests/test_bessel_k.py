@@ -67,6 +67,30 @@ def test_k_against_mpmath(mu):
         assert abs(got - ref) <= 5e-11 * max(abs(ref), 1e-300), f"w={w}"
 
 
+# interior sector of the integral representation: 2 < |w| <= 14 and
+# Re w >= 0.22 |w| (every point below, and both batch mates)
+_INTERIOR = [5.0 + 3.0j, 9.0 - 6.0j, 12.0 + 1.0j, 3.1 - 2.4j, 2.6 + 11.0j]
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 1.5, 4.0])
+def test_interior_k_independent_of_batch_mates(mu):
+    # mates with a much smaller Re w need a finer grid than the point's own
+    mates = [2.6 + 11.0j, 2.2 - 9.5j]
+    for w in _INTERIOR[:4]:
+        alone = bessel_k_complex(mu, np.array([w]))[0]
+        batched = bessel_k_complex(mu, np.array([w] + mates))[0]
+        assert abs(alone - batched) <= 1e-14 * abs(alone), f"w={w}"
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 1.5, 4.0])
+def test_interior_k_against_mpmath(mu):
+    mp.mp.dps = 30
+    got = bessel_k_complex(mu, np.array(_INTERIOR))
+    for w, g in zip(_INTERIOR, got):
+        ref = complex(mp.besselk(mu, mp.mpc(w)))
+        assert abs(g - ref) <= 1e-12 * abs(ref), f"w={w}"
+
+
 def test_k_domain_errors():
     with pytest.raises(DomainError):
         bessel_k_complex(0.0, -1.0 + 0j)
@@ -106,6 +130,15 @@ def test_hankel_upper_half_plane_and_negative_axis():
             got = hankel1_complex(mu, z)
             ref = complex(mp.hankel1(mu, mp.mpc(z)))
             assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), f"z={z}"
+
+
+def test_hankel_value_does_not_depend_on_call_size():
+    # |z| > 14 takes the elementwise asymptotic path, so a point's value
+    # must be the same bit for bit however many points share its call;
+    # a large temporary scaled in place by numpy rounds differently
+    z = (1.0 + 0.1j) * np.linspace(20.0, 400.0, 40000)
+    for mu in (1.0, 0.5):
+        assert np.array_equal(hankel1_complex(mu, z)[:100], hankel1_complex(mu, z[:100]))
 
 
 def test_hankel_sector_errors():

@@ -1,11 +1,18 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from wsdist.distributions import TestFunction
-from wsdist.oracle import I_direct, OracleReport, jj_pairing_oracle, pairing_oracle
+from wsdist.oracle import (
+    I_direct,
+    OracleReport,
+    _direct_rows,
+    jj_pairing_oracle,
+    pairing_oracle,
+)
 from wsdist.quadrature import EpsSchedule
 from wsdist.weber_schafheitlin import (
     OrderPair,
@@ -33,6 +40,18 @@ def test_direct_matches_closed_form(mu, nu, s, eps):
     vd = I_direct(orders, pt, 1e-7)
     vc = regularized_I(orders, pt)
     assert abs(vd - vc) / max(1.0, abs(vc)) <= 1e-6
+
+
+@pytest.mark.parametrize("mu,nu", [(0.0, 1.0), (1.0, 1.0)])
+def test_batched_direct_matches_per_node_loop(mu, nu):
+    # the per-node I_direct loop is the reference for the batched rows
+    orders = OrderPair(mu, nu)
+    s = np.linspace(0.55, 1.45, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batched = _direct_rows(orders, s, 0.05, 1e-7)
+        loop = np.array([I_direct(orders, RegularizedPoint(float(x), 0.05), 1e-7) for x in s])
+    assert np.all(np.abs(batched - loop) <= 1e-12 * np.abs(loop))
 
 
 def test_uniform_convergence_surrogate():

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from wsdist import quadrature
 from wsdist.distributions import TestFunction
 from wsdist.errors import (
     InsufficientDataError,
@@ -83,6 +85,56 @@ def test_decay_check_raises():
         integrate_semiinfinite_damped(
             lambda k: np.exp(0.05 * k) * np.sin(k), 0.05, math.pi, 1e-9
         )
+
+
+# rows of e^{-eps k} sin(c k) k^p, each with spacing pi/c (half a period)
+_ROW_EPS = 0.2
+_ROW_C = np.array([1.0, 1.5, 1.0, 1.5, 3.0])
+_ROW_P = np.array([0.0, 0.0, 1.0, 0.5, 0.0])
+
+
+def _row_integrand(k, rows):
+    rows = np.asarray(rows)
+    return np.exp(-_ROW_EPS * k) * np.sin(_ROW_C[rows, None] * k) * k ** _ROW_P[rows, None]
+
+
+def test_row_batch_matches_one_row_calls(monkeypatch):
+    spacing = math.pi / _ROW_C
+    wynn = quadrature._wynn_rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = integrate_semiinfinite_damped(_row_integrand, _ROW_EPS, spacing, 1e-9)
+        ones, stops = [], []
+        for r in range(len(spacing)):
+            # a one-row call runs Wynn once per panel, from panel 6 to its stop
+            calls = []
+            monkeypatch.setattr(
+                quadrature, "_wynn_rows", lambda p, calls=calls: calls.append(1) or wynn(p)
+            )
+            ones.append(integrate_semiinfinite_damped(
+                lambda k, r=r: _row_integrand(k[None, :], [r])[0], _ROW_EPS, spacing[r], 1e-9
+            ))
+            stops.append(5 + len(calls))
+    # blocks hold panels 1-8, 9-16, ...: rows leave at different panels,
+    # and some inside a block
+    assert len(set(stops)) > 1 and any(stop % 8 for stop in stops)
+    assert batch.converged == all(o.converged for o in ones)
+    assert batch.evaluations == sum(o.evaluations for o in ones)
+    ref = np.array([o.value for o in ones])
+    assert np.all(np.abs(batch.value - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_row_batch_growing_row_raises():
+    growth = np.array([-0.2, -0.2, 0.05])
+    c = np.array([1.0, 1.5, 1.0])
+
+    def f(k, rows):
+        return np.exp(growth[rows, None] * k) * np.sin(c[rows, None] * k)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonConvergenceError):
+            integrate_semiinfinite_damped(f, 0.2, math.pi / c, 1e-9)
 
 
 def test_cross_module_hankel_kernel():
