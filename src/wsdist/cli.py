@@ -9,7 +9,9 @@ round-trip through text is exact in double precision; complex numbers
 are {re, im} objects in JSON and paired columns in CSV.
 
 Exit codes: 0 success, 2 order-constraint violation, 3 quadrature
-non-convergence, 4 oracle deviation beyond tolerance.  The WS_TOL
+non-convergence, 4 oracle deviation beyond tolerance, 5 any other typed
+error (a DomainError, SupportError, PoleError, ParamError, ...), reported
+as one line on stderr.  The WS_TOL
 environment variable overrides each command's default tolerance; an
 explicit --tol beats both.
 """
@@ -20,7 +22,13 @@ import os
 import sys
 
 from .distributions import Measure, TestFunction, pair
-from .errors import NonConvergenceError, OrderError, ToleranceError
+from .errors import (
+    DomainError,
+    NonConvergenceError,
+    OrderError,
+    ToleranceError,
+    WsdistError,
+)
 from .oracle import jj_pairing_oracle, pairing_oracle
 from .quadrature import EpsSchedule
 from .selftest import run_selftest
@@ -30,6 +38,7 @@ EXIT_OK = 0
 EXIT_ORDER = 2
 EXIT_NONCONV = 3
 EXIT_DEVIATION = 4
+EXIT_ERROR = 5
 
 
 def _fmt(x):
@@ -87,7 +96,7 @@ def cmd_density(args):
         header = "s,m0,h"
     n = args.s_steps
     if n < 1:
-        raise ValueError("--s-steps must be at least 1")
+        raise DomainError("--s-steps must be at least 1")
     if n == 1:
         grid = [args.s_min]
     else:
@@ -212,8 +221,9 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        # argument parsing is inside: --bump builds a TestFunction
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except OrderError as exc:
         print(f"order constraint violated: {exc}", file=sys.stderr)
@@ -221,6 +231,9 @@ def main(argv=None):
     except (ToleranceError, NonConvergenceError) as exc:
         print(f"quadrature did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONV
+    except WsdistError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -25,10 +25,28 @@ Non-integer c-a-b or a-b closer than ~1e-6 to an integer loses digits
 in the non-degenerate connection formulas (the usual near-degeneracy of
 the 1-z / 1/z transforms); the parameter families this package feeds in
 are exactly integral there and take the logarithmic forms.
+
+Per-parameter tables: everything in the two logarithmic series that
+does not depend on the argument -- the digamma values and term-ratio
+factors of each term, the Gamma constants in front -- is computed once
+per parameter set, keyed on (a, b, m) for the 1-z series and (a, c, ell)
+for the 1/z series, and kept for the _TABLE_SETS most recently used
+sets of each kind.  A table grows one term at a time, only as far as
+some series has reached, so a term's digamma raises exactly where the
+per-point loop would (and at no term it never reaches).  Bit-identity
+rule: every
+output equals the per-point loop's to the last bit.  The loops keep
+their left-to-right expressions (`logw - d1 - d2 + d3 + d4`,
+`term * num / den * w`) and only their operands come from the tables:
+folding the four digammas into one sum, num/den into one ratio, or
+stepping psi by psi(x+1) = psi(x) + 1/x would each move last bits.
 """
 
 import cmath
+import functools
 import math
+import threading
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -38,6 +56,7 @@ from .gammafn import digamma, gamma
 _SERIES_RADIUS = 0.75
 _BOUNDARY_SPLIT = 1.6
 _INT_SNAP = 1e-10
+_TABLE_SETS = 8  # parameter sets whose log-series tables stay cached
 
 
 class BranchSide(Enum):
@@ -134,6 +153,58 @@ def _one_minus_z_nondegenerate(a, b, c, w, logw):
     return t1 + t2
 
 
+class _SeriesTable:
+    """The argument-independent operands of one logarithmic series.
+
+    The factories below set the header constants as attributes.  The
+    per-term operands are array('d') columns that `extend` grows one row
+    (term) at a time, only as far as a series reaches, computing each
+    row as `row(k)` and hence in the order the series would.  Rows are
+    appended under a lock and published by bumping `rows` last, so a
+    reader never indexes a half-written row.
+    """
+
+    def __init__(self, columns, row):
+        self.columns = tuple(array("d") for _ in range(columns))
+        self.rows = 0
+        self._row = row
+        self._lock = threading.Lock()
+
+    def extend(self, k):
+        with self._lock:
+            while self.rows <= k:
+                values = self._row(self.rows)
+                for col, v in zip(self.columns, values):
+                    col.append(v)
+                self.rows += 1
+
+
+@functools.lru_cache(maxsize=_TABLE_SETS)
+def _one_minus_z_table(a, b, m):
+    """Table of the degenerate 1-z series at (a, b, m): the header gc,
+    coef (m > 0), pref, the first term, and per term k the columns
+    psi(k+1), psi(k+m+1), psi(a+m+k), psi(b+m+k), (a+m+k)(b+m+k) and
+    (k+1)(k+m+1)."""
+
+    def row(k):
+        return (
+            digamma(k + 1.0),
+            digamma(k + m + 1.0),
+            digamma(a + m + k),
+            digamma(b + m + k),
+            (a + m + k) * (b + m + k),
+            (k + 1.0) * (k + m + 1.0),
+        )
+
+    tab = _SeriesTable(6, row)
+    gc = gamma(a + b + m)
+    tab.coef = gc * _rgamma(a + m) * _rgamma(b + m) if m > 0 else None
+    sign = -1.0 if m % 2 == 0 else 1.0  # (-1)^(m+1)
+    tab.pref = sign * gc * _rgamma(a) * _rgamma(b)
+    tab.term0 = (1.0 + 0.0j) / math.factorial(m)
+    return tab
+
+
 def _one_minus_z_log_parts(a, b, m, w, logw):
     """Degenerate 1-z connection, c = a + b + m with integer m >= 0:
 
@@ -143,36 +214,29 @@ def _one_minus_z_log_parts(a, b, m, w, logw):
     logarithmic series including all its prefactors.  Returned as the
     pair (FIN, TAIL) so callers can form F - F(1) without cancellation.
     """
-    c = a + b + m
-    gc = gamma(c)
+    tab = _one_minus_z_table(a, b, m)
     fin = 0.0 + 0.0j
     if m > 0:
-        coef = gc * _rgamma(a + m) * _rgamma(b + m)
         term = 1.0 + 0.0j
         acc = 0.0 + 0.0j
         for k in range(m):
             acc += term * math.factorial(m - k - 1)
             if k < m - 1:
                 term = term * ((a + k) * (b + k)) / (k + 1.0) * (-w)
-        fin = coef * acc
+        fin = tab.coef * acc
 
-    sign = -1.0 if m % 2 == 0 else 1.0  # (-1)^(m+1)
-    pref = sign * gc * _rgamma(a) * _rgamma(b)
-    term = (1.0 + 0.0j) / math.factorial(m)
+    psi_k, psi_km, psi_a, psi_b, num, den = tab.columns
+    term = tab.term0
     acc = 0.0 + 0.0j
     for k in range(500):
-        bracket = (
-            logw
-            - digamma(k + 1.0)
-            - digamma(k + m + 1.0)
-            + digamma(a + m + k)
-            + digamma(b + m + k)
-        )
+        if k == tab.rows:
+            tab.extend(k)
+        bracket = logw - psi_k[k] - psi_km[k] + psi_a[k] + psi_b[k]
         acc += term * bracket
         if abs(term) * (abs(bracket) + k + 10.0) < 1e-18 * max(abs(acc), 1e-280):
             break
-        term = term * ((a + m + k) * (b + m + k)) / ((k + 1.0) * (k + m + 1.0)) * w
-    return fin, pref * acc
+        term = term * num[k] / den[k] * w
+    return fin, tab.pref * acc
 
 
 def _one_minus_z(a, b, c, z, logw=None):
@@ -213,32 +277,65 @@ def _inv_z_nondegenerate(a, b, c, t, lognegz):
     return t1 + t2
 
 
+@functools.lru_cache(maxsize=_TABLE_SETS)
+def _inv_z_table(a, c, ell):
+    """Table of the degenerate 1/z series at (a, c, ell): the header
+    1/Gamma(c-a-k) for k < ell, Gamma(a+ell) (ell > 0), Gamma(a),
+    Gamma(c), the first term, and per term k the columns psi(k+1),
+    psi(k+ell+1), psi(a+k+ell), 1/Gamma(q), psi(q)/Gamma(q) at
+    q = c-a-ell-k, a+ell+k and (k+1)(k+ell+1)."""
+
+    def row(k):
+        q = c - a - ell - k
+        return (
+            digamma(k + 1.0),
+            digamma(k + ell + 1.0),
+            digamma(a + k + ell),
+            _rgamma(q),
+            _psi_over_gamma(q),
+            a + ell + k,
+            (k + 1.0) * (k + ell + 1.0),
+        )
+
+    tab = _SeriesTable(7, row)
+    tab.fin_rgamma = array("d", (_rgamma(c - a - k) for k in range(ell)))
+    tab.gamma_a_ell = gamma(a + ell) if ell > 0 else None
+    tab.gamma_a = gamma(a)
+    tab.gamma_c = gamma(c)
+    tab.term0 = (1.0 + 0.0j) / math.factorial(ell)
+    return tab
+
+
 def _inv_z_log(a, c, ell, t, lognegz):
     """Degenerate 1/z connection for F(a, a+ell; c; z), integer ell >= 0;
     t = 1/z.  Poles of psi(c-a-ell-k) are cancelled by 1/Gamma via the
     finite psi/Gamma limit."""
+    tab = _inv_z_table(a, c, ell)
     out = 0.0 + 0.0j
     if ell > 0:
+        fin_rgamma = tab.fin_rgamma
         acc = 0.0 + 0.0j
         term = 1.0 + 0.0j
         for k in range(ell):
-            acc += term * math.factorial(ell - k - 1) * _rgamma(c - a - k)
+            acc += term * math.factorial(ell - k - 1) * fin_rgamma[k]
             if k < ell - 1:
                 term = term * (a + k) / (k + 1.0) * t
-        out += acc / gamma(a + ell)
+        out += acc / tab.gamma_a_ell
+    psi_k, psi_kl, psi_a, rgamma_q, psi_over_gamma_q, num, den = tab.columns
     acc = 0.0 + 0.0j
-    term = (1.0 + 0.0j) / math.factorial(ell)
+    term = tab.term0
     for k in range(500):
-        q = c - a - ell - k
+        if k == tab.rows:
+            tab.extend(k)
         bracket = (
-            lognegz + digamma(k + 1.0) + digamma(k + ell + 1.0) - digamma(a + k + ell)
-        ) * _rgamma(q) - _psi_over_gamma(q)
+            lognegz + psi_k[k] + psi_kl[k] - psi_a[k]
+        ) * rgamma_q[k] - psi_over_gamma_q[k]
         acc += term * bracket
         if abs(term) * (abs(bracket) + k + 10.0) < 1e-18 * max(abs(acc), 1e-280):
             break
-        term = term * (a + ell + k) / ((k + 1.0) * (k + ell + 1.0)) * (-t)
-    out += acc * (t**ell) / gamma(a)
-    return gamma(c) * cmath.exp(-a * lognegz) * out
+        term = term * num[k] / den[k] * (-t)
+    out += acc * (t**ell) / tab.gamma_a
+    return tab.gamma_c * cmath.exp(-a * lognegz) * out
 
 
 def _inv_z(a, b, c, z, lognegz=None):

@@ -35,6 +35,7 @@ and pairings integrate across s = 1 with singularity-aware panels.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,7 +103,11 @@ class RegularizedPoint:
             raise DomainError(f"eps={self.eps} must be positive")
 
 
+@functools.lru_cache(maxsize=8)
 def _gamma_prefactor(mu, nu):
+    """G(nu, mu); cached per order pair because every density point
+    needs it.  With the orders swapped it is the prefactor of the
+    J-kernel density's s <= 1 branch."""
     return (
         gamma((nu + mu) / 2.0 + 1.0)
         * gamma((nu - mu) / 2.0 + 1.0)
@@ -233,12 +238,7 @@ def _m0_tail_below(mu, nu, s):
     a, b = (mu + nu) / 2.0, (mu - nu) / 2.0
     w = 1.0 - s * s
     _, tail = _one_minus_z_log_parts(a, b, 1, complex(w), complex(math.log(w)))
-    pre = (
-        gamma((mu + nu) / 2.0 + 1.0)
-        * gamma((mu - nu) / 2.0 + 1.0)
-        / gamma(mu + 1.0)
-    )
-    return w, pre * tail
+    return w, _gamma_prefactor(nu, mu) * tail
 
 
 def _prop2_m0(mu, nu, s):
@@ -252,7 +252,7 @@ def _prop2_m0(mu, nu, s):
         w, ptail = _m0_tail_below(mu, nu, s)
         return s ** (mu - 1.0) * (1.0 + w * ptail.real)
     a, b, c = (mu + nu) / 2.0, (mu - nu) / 2.0, mu + 1.0
-    pre = gamma(a + 1.0) * gamma(b + 1.0) / gamma(c)
+    pre = _gamma_prefactor(nu, mu)
     return s ** (mu - 1.0) * pre * hyp2f1(HypParams(a, b, c), complex(s * s)).real
 
 

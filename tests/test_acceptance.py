@@ -136,6 +136,7 @@ def test_criterion_05_closed_form_vs_direct_quadrature():
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_06_distributional_limit_hankel():
     t0 = time.perf_counter()
     worst = 0.0
@@ -148,6 +149,7 @@ def test_criterion_06_distributional_limit_hankel():
     assert elapsed < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_07_distributional_limit_bessel():
     t0 = time.perf_counter()
     worst = 0.0

@@ -3,7 +3,9 @@ import math
 import os
 from pathlib import Path
 
-from wsdist.cli import main
+import pytest
+
+from wsdist.cli import EXIT_ERROR, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -124,6 +126,25 @@ def test_pair_tolerance_exit_3(capsys):
     assert "converge" in err
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["pair", "--mu", "0", "--nu", "1", "--bump", "0.3,0.5"], "SupportError"),
+        (["density", "--mu", "0", "--nu", "1", "--s-min", "0"], "DomainError"),
+        (["density", "--mu", "0", "--nu", "1", "--s-steps", "0"], "DomainError"),
+        (["density", "--mu", "-1", "--nu", "0", "--prop", "2"], "PoleError"),
+        (["pair", "--mu", "0", "--nu", "-1"], "PoleError"),
+    ],
+)
+def test_typed_errors_exit_5_with_one_line(capsys, argv, error):
+    code, out, err = _run(capsys, argv)
+    assert code == EXIT_ERROR == 5
+    assert out == ""
+    assert err.startswith(error + ": ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.slow
 def test_oracle_exit_codes(capsys):
     # a three-point schedule leaves ~1e-3 extrapolation residue, so pin
     # tolerances on both sides of it to drive the two exit paths

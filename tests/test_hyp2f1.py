@@ -1,13 +1,19 @@
+import cmath
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
 
+from wsdist import weber_schafheitlin as ws
 from wsdist.errors import CutError, DomainError, ParamError
 from wsdist.specfun import (
     BranchPoint,
     BranchSide,
     HypParams,
+    digamma,
     gamma,
+    hyp,
     hyp2f1,
     hyp2f1_boundary,
 )
@@ -145,3 +151,165 @@ def test_euler_transform_identity():
 def test_branch_point_validation():
     with pytest.raises(DomainError):
         BranchPoint(0.8)
+
+
+# --- the tabled log series against the per-term digamma loops ---------------
+
+
+def _reference_one_minus_z_log_parts(a, b, m, w, logw):
+    """The degenerate 1-z series as it was before its operands were
+    tabled: every digamma and term ratio recomputed per point."""
+    c = a + b + m
+    gc = gamma(c)
+    fin = 0.0 + 0.0j
+    if m > 0:
+        coef = gc * hyp._rgamma(a + m) * hyp._rgamma(b + m)
+        term = 1.0 + 0.0j
+        acc = 0.0 + 0.0j
+        for k in range(m):
+            acc += term * math.factorial(m - k - 1)
+            if k < m - 1:
+                term = term * ((a + k) * (b + k)) / (k + 1.0) * (-w)
+        fin = coef * acc
+
+    sign = -1.0 if m % 2 == 0 else 1.0  # (-1)^(m+1)
+    pref = sign * gc * hyp._rgamma(a) * hyp._rgamma(b)
+    term = (1.0 + 0.0j) / math.factorial(m)
+    acc = 0.0 + 0.0j
+    for k in range(500):
+        bracket = (
+            logw
+            - digamma(k + 1.0)
+            - digamma(k + m + 1.0)
+            + digamma(a + m + k)
+            + digamma(b + m + k)
+        )
+        acc += term * bracket
+        if abs(term) * (abs(bracket) + k + 10.0) < 1e-18 * max(abs(acc), 1e-280):
+            break
+        term = term * ((a + m + k) * (b + m + k)) / ((k + 1.0) * (k + m + 1.0)) * w
+    return fin, pref * acc
+
+
+def _reference_inv_z_log(a, c, ell, t, lognegz):
+    """The degenerate 1/z series as it was before its operands were
+    tabled."""
+    out = 0.0 + 0.0j
+    if ell > 0:
+        acc = 0.0 + 0.0j
+        term = 1.0 + 0.0j
+        for k in range(ell):
+            acc += term * math.factorial(ell - k - 1) * hyp._rgamma(c - a - k)
+            if k < ell - 1:
+                term = term * (a + k) / (k + 1.0) * t
+        out += acc / gamma(a + ell)
+    acc = 0.0 + 0.0j
+    term = (1.0 + 0.0j) / math.factorial(ell)
+    for k in range(500):
+        q = c - a - ell - k
+        bracket = (
+            lognegz + digamma(k + 1.0) + digamma(k + ell + 1.0) - digamma(a + k + ell)
+        ) * hyp._rgamma(q) - hyp._psi_over_gamma(q)
+        acc += term * bracket
+        if abs(term) * (abs(bracket) + k + 10.0) < 1e-18 * max(abs(acc), 1e-280):
+            break
+        term = term * (a + ell + k) / ((k + 1.0) * (k + ell + 1.0)) * (-t)
+    out += acc * (t**ell) / gamma(a)
+    return gamma(c) * cmath.exp(-a * lognegz) * out
+
+
+def _clear_tables():
+    hyp._one_minus_z_table.cache_clear()
+    hyp._inv_z_table.cache_clear()
+    ws._gamma_prefactor.cache_clear()
+
+
+def _degenerate_sets():
+    """(a, b, m) of every 1-z log series and (a, c, ell) of every 1/z log
+    series that PARAM_SETS reaches, keyed the way the dispatch keys them
+    (Euler transform for m < 0, a and b swapped for ell < 0), plus
+    m = 0, m = 2 and ell = 3."""
+    one_minus_z, inv_z = {(0.7, 1.1, 0), (0.3, 0.45, 2)}, {(0.6, 4.1, 3)}
+    for a, b, c in PARAM_SETS:
+        if hyp._near_int(c - a - b):
+            m = round(c - a - b)
+            one_minus_z.add((a, b, m) if m >= 0 else (c - a, c - b, -m))
+        if hyp._near_int(b - a):
+            ell = round(b - a)
+            inv_z.add((a, c, ell) if ell >= 0 else (b, c, -ell))
+    return sorted(one_minus_z), sorted(inv_z)
+
+
+ONE_MINUS_Z_SETS, INV_Z_SETS = _degenerate_sets()
+# small arguments first; the last reaches farthest into its table.  Real
+# negative w and real t take the from-below logarithm of the cut.
+W_POINTS = [0.05, -0.1 + 0.02j, -0.3, 0.4 - 0.2j, -0.7 + 0.1j, -0.74]
+T_POINTS = [0.02, -0.1 + 0.05j, 0.3, 0.2 - 0.5j, 0.74]
+
+
+def _log_of(v):
+    if isinstance(v, float) and v < 0.0:
+        return complex(math.log(-v), math.pi)
+    return cmath.log(v)
+
+
+def test_degenerate_sets_cover_integer_mu():
+    assert any(m == 1 for _, _, m in ONE_MINUS_Z_SETS)
+    assert {1, 2} <= {ell for _, _, ell in INV_Z_SETS}
+
+
+@pytest.mark.parametrize("abm", ONE_MINUS_Z_SETS)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_one_minus_z_log_parts_bit_identical(abm, warm):
+    a, b, m = abm
+    for w in W_POINTS:
+        _clear_tables()
+        if warm:  # a farther point grows the table past what w needs
+            far = W_POINTS[-1]
+            hyp._one_minus_z_log_parts(a, b, m, complex(far), _log_of(far))
+        got = hyp._one_minus_z_log_parts(a, b, m, complex(w), _log_of(w))
+        ref = _reference_one_minus_z_log_parts(a, b, m, complex(w), _log_of(w))
+        assert got == ref, f"w={w}"
+
+
+@pytest.mark.parametrize("acl", INV_Z_SETS)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_inv_z_log_bit_identical(acl, warm):
+    a, c, ell = acl
+    for t in T_POINTS:
+        _clear_tables()
+        if warm:
+            far = T_POINTS[-1]
+            hyp._inv_z_log(a, c, ell, complex(far), _log_of(-1.0 / far))
+        got = hyp._inv_z_log(a, c, ell, complex(t), _log_of(-1.0 / t))
+        ref = _reference_inv_z_log(a, c, ell, complex(t), _log_of(-1.0 / t))
+        assert got == ref, f"t={t}"
+
+
+def test_tables_grow_only_as_far_as_a_series_reaches():
+    _clear_tables()
+    hyp._one_minus_z_log_parts(0.5, 0.5, 1, 0.05 + 0j, cmath.log(0.05))
+    near = hyp._one_minus_z_table(0.5, 0.5, 1).rows
+    hyp._one_minus_z_log_parts(0.5, 0.5, 1, 0.7 + 0j, cmath.log(0.7))
+    far = hyp._one_minus_z_table(0.5, 0.5, 1).rows
+    assert 0 < near < far < 500
+
+
+@pytest.mark.parametrize(
+    "make, mu, nu",
+    [
+        (ws.prop1_distribution, 0.0, 1.0),
+        (ws.prop1_distribution, 2.0, 1.0),
+        (ws.prop1_distribution, 0.5, 1.5),
+        (ws.prop2_distribution, 0.0, 1.0),
+        (ws.prop2_distribution, 1.0, 2.0),
+        (ws.prop2_distribution, 2.0, 1.0),
+    ],
+)
+def test_density_h_bit_identical_across_fresh_tables(make, mu, nu):
+    grid = np.linspace(0.3, 2.9, 64)
+    _clear_tables()
+    first = [make(ws.OrderPair(mu, nu)).h(s) for s in grid]
+    _clear_tables()  # the second pass grows its tables in the other order
+    second = [make(ws.OrderPair(mu, nu)).h(s) for s in grid[::-1]][::-1]
+    assert first == second

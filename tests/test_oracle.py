@@ -75,6 +75,7 @@ def test_uniform_convergence_surrogate():
         assert sups[0] > sups[1] > sups[2]
 
 
+@pytest.mark.slow
 def test_pairing_oracle_short_schedule():
     # smoke run at a truncated schedule; the acceptance suite drives the
     # full schedule at the pinned 1e-4
@@ -87,6 +88,7 @@ def test_pairing_oracle_short_schedule():
     assert report.abs_deviation == abs(report.closed_form - report.oracle_value)
 
 
+@pytest.mark.slow
 def test_jj_pairing_oracle_closure_short_schedule():
     g = TestFunction(1.0, 0.5, 1.0)
     report = jj_pairing_oracle(OrderPair(1.0, 1.0), g, SHORT_SCHEDULE)
@@ -114,6 +116,7 @@ def test_equal_orders_closed_form_reduction():
     assert abs(closed - pv_coeff * direct.value) <= 1e-10
 
 
+@pytest.mark.slow
 def test_jj_oracle_lower_branch():
     # bump well inside s < 1 exercises the s <= 1 branch of the density;
     # the epsilon-convergence is slower there, so this one needs the
