@@ -8,18 +8,22 @@ bundle.  All numeric output carries 17 significant digits so a
 round-trip through text is exact in double precision; complex numbers
 are {re, im} objects in JSON and paired columns in CSV.
 
+`density`, `pair` and `oracle` take --mu, --nu, --prop and --output;
+`pair` and `oracle` also take --bump and --tol (default 1e-9 for `pair`,
+the quadrature tolerance, and 1e-4 for `oracle`, the largest accepted
+relative deviation); only `pair` takes --alpha.  `selftest` takes
+--only and a --tol that overrides every check's tolerance.
+
 Exit codes: 0 success, 2 order-constraint violation, 3 quadrature
 non-convergence, 4 oracle deviation beyond tolerance, 5 any other typed
-error (a DomainError, SupportError, PoleError, ParamError, ...), reported
-as one line on stderr.  The WS_TOL
-environment variable overrides each command's default tolerance; an
-explicit --tol beats both.
+error (a DomainError, SupportError, PoleError, ParamError,
+InsufficientDataError, ...), reported as one line on stderr.
 """
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import replace
 
 from .distributions import Measure, TestFunction, pair
 from .errors import (
@@ -48,15 +52,6 @@ def _fmt(x):
     return f"{v:.17g}"
 
 
-def _default_tol(args, fallback):
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("WS_TOL")
-    if env:
-        return float(env)
-    return fallback
-
-
 def _emit(text, path):
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -83,7 +78,7 @@ def _parse_schedule(spec):
 def _distribution(args):
     orders = OrderPair(args.mu, args.nu)
     if args.prop == 1:
-        return prop1_distribution(orders, alpha=args.alpha)
+        return prop1_distribution(orders)
     return prop2_distribution(orders)
 
 
@@ -121,10 +116,10 @@ def cmd_density(args):
 
 
 def cmd_pair(args):
-    dist = _distribution(args)
+    # the alpha-split needs only F = 1 + (s-1) h, so it serves both propositions
+    dist = replace(_distribution(args), alpha=args.alpha)
     measure = Measure.LEBESGUE if args.measure == "lebesgue" else Measure.HAAR
-    tol = _default_tol(args, 1e-9)
-    value = pair(dist, args.bump, measure=measure, tol=tol)
+    value = pair(dist, args.bump, measure=measure, tol=args.tol)
     doc = {
         "command": "pair",
         "proposition": args.prop,
@@ -137,7 +132,7 @@ def cmd_pair(args):
             "halfwidth": args.bump.halfwidth,
             "amplitude": args.bump.amplitude,
         },
-        "tol": tol,
+        "tol": args.tol,
         "value": {"re": value.real, "im": value.imag},
     }
     _emit(json.dumps(doc, indent=1) + "\n", args.output)
@@ -146,7 +141,6 @@ def cmd_pair(args):
 
 def cmd_oracle(args):
     orders = OrderPair(args.mu, args.nu)
-    tol = _default_tol(args, 1e-4)
     oracle = pairing_oracle if args.prop == 1 else jj_pairing_oracle
     report = oracle(orders, args.bump, args.eps_schedule)
     doc = {
@@ -154,12 +148,12 @@ def cmd_oracle(args):
         "proposition": args.prop,
         "mu": args.mu,
         "nu": args.nu,
-        "tol": tol,
+        "tol": args.tol,
         "eps_schedule": list(args.eps_schedule.values),
         "report": report.to_json_dict(),
     }
     _emit(json.dumps(doc, indent=1) + "\n", args.output)
-    return EXIT_OK if report.rel_deviation <= tol else EXIT_DEVIATION
+    return EXIT_OK if report.rel_deviation <= args.tol else EXIT_DEVIATION
 
 
 def cmd_selftest(args):
@@ -182,10 +176,6 @@ def build_parser():
         p.add_argument("--nu", type=float, required=True, help="order of the unit-argument Bessel factor")
         p.add_argument("--prop", type=int, choices=(1, 2), default=1,
                        help="1: Hankel-Bessel result, 2: Bessel-Bessel result")
-        p.add_argument("--alpha", type=float, default=0.0,
-                       help="decomposition parameter of the PV split (prop 1)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance (default per command; WS_TOL env overrides)")
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
         if bump_default is not None:
             p.add_argument("--bump", type=_parse_bump, default=_parse_bump(bump_default),
@@ -201,11 +191,17 @@ def build_parser():
 
     p = sub.add_parser("pair", help="pair the distribution with a bump test function (JSON)")
     common(p, bump_default="1.0,0.5,1.0")
+    p.add_argument("--alpha", type=float, default=0.0,
+                   help="decomposition parameter of the PV split")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="quadrature tolerance of the pairing")
     p.add_argument("--measure", choices=("lebesgue", "haar"), default="lebesgue")
     p.set_defaults(fn=cmd_pair)
 
     p = sub.add_parser("oracle", help="epsilon-extrapolated direct quadrature vs closed form (JSON)")
     common(p, bump_default="1.0,0.5,1.0")
+    p.add_argument("--tol", type=float, default=1e-4,
+                   help="largest accepted relative deviation (exit 4 above it)")
     p.add_argument("--eps-schedule", type=_parse_schedule,
                    default=_parse_schedule("0.2,0.1,0.05,0.025"),
                    help="comma-separated decreasing regularization parameters")

@@ -238,7 +238,7 @@ def sokhotski_pair(g, eps, tol=1e-10):
 
 def validate_expansion(dist, tol=1e-6):
     """Cheap consistency checks of the F(1)=1 normalization and the
-    local integrability of h on [1/2, 2] (used by tests and selftest)."""
+    local integrability of h on [1/2, 2]."""
     for s in (1.0 - 1e-7, 1.0 + 1e-7):
         if abs(complex(dist.F(s)) - 1.0) > 1e-4:
             raise ValueError(f"density F({s}) = {dist.F(s)} is not near 1")

@@ -12,9 +12,8 @@ Four devices cover everything the closed forms and their oracles need:
 
 plus Richardson extrapolation of epsilon-indexed sequences to 0.
 
-Integrands are called with numpy arrays of abscissae and should return
-an array of values; plain scalar callables are detected and wrapped.
-Error estimates are absolute.
+Integrands take a numpy array of abscissae and return an array of
+values of the same shape.  Error estimates are absolute.
 """
 
 import heapq
@@ -44,7 +43,8 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class EpsSchedule:
-    """Strictly decreasing damping parameters, at least halving each step."""
+    """At least 3 strictly decreasing damping parameters, at least
+    halving each step (Richardson extrapolation needs 3)."""
 
     values: tuple
 
@@ -60,6 +60,11 @@ class EpsSchedule:
                 raise ValueError(
                     "epsilon schedule must decrease by at least a factor 2"
                 )
+        if len(vals) < 3:
+            # checked before any pairing is spent: richardson needs 3
+            raise InsufficientDataError(
+                f"epsilon schedule needs at least 3 values, got {len(vals)}"
+            )
 
 
 DEFAULT_EPS_SCHEDULE = EpsSchedule((0.2, 0.1, 0.05, 0.025))
@@ -70,28 +75,6 @@ def gauss_legendre(n):
     """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return nodes, weights
-
-
-def _vectorized(f):
-    """Wrap f so it accepts an ndarray; probe once on first call."""
-    state = {"mode": None}
-
-    def call(x):
-        if state["mode"] == "vector":
-            return np.asarray(f(x))
-        if state["mode"] == "scalar":
-            return np.asarray([f(float(xi)) for xi in x])
-        try:
-            y = np.asarray(f(x))
-            if y.shape == x.shape:
-                state["mode"] = "vector"
-                return y
-        except (TypeError, ValueError):
-            pass
-        state["mode"] = "scalar"
-        return np.asarray([f(float(xi)) for xi in x])
-
-    return call
 
 
 def _gauss_panel(f, a, b, nodes, weights):
@@ -116,11 +99,10 @@ def integrate_finite(f, a, b, tol, max_panels=_MAX_PANELS):
         raise ValueError(f"need a < b, got [{a}, {b}]")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    fv = _vectorized(f)
     nodes, weights = gauss_legendre(15)
 
     def single(pa, pb):
-        return _gauss_panel(fv, pa, pb, nodes, weights)
+        return _gauss_panel(f, pa, pb, nodes, weights)
 
     whole = single(a, b)
     evaluations = 15
@@ -177,9 +159,8 @@ def tanh_sinh(f, a, b, tol, max_level=12):
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    fv = _vectorized(f)
     values, errors, evaluations, converged = _tanh_sinh_rows(
-        lambda x, rows: fv(x.ravel()).reshape(x.shape),
+        lambda x, rows: f(x.ravel()).reshape(x.shape),
         np.array([a], dtype=float),
         np.array([b], dtype=float),
         tol,
@@ -301,10 +282,8 @@ def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
     if damping <= 0.0 or tol <= 0.0 or spacing.ndim != 1 or not np.all(spacing > 0.0):
         raise ValueError("damping, zero_spacing and tol must be positive")
     if scalar:
-        fv = _vectorized(f)
-
         def f_rows(k, rows):
-            return fv(k.ravel()).reshape(k.shape)
+            return f(k.ravel()).reshape(k.shape)
     else:
         f_rows = f
     n_rows = len(spacing)
@@ -420,10 +399,8 @@ def integrate_pv(density, g, pole, tol):
         raise PoleOnBoundaryError(
             f"pole {pole} coincides with a support endpoint of [{lo}, {hi}]"
         )
-    gv = _vectorized(g)
-    dv = _vectorized(density)
     if not lo < pole < hi:
-        return integrate_finite(lambda s: dv(s) * gv(s), lo, hi, tol)
+        return integrate_finite(lambda s: density(s) * g(s), lo, hi, tol)
 
     h = min(pole - lo, hi - pole, 0.5)
 
@@ -434,13 +411,13 @@ def integrate_pv(density, g, pole, tol):
         t = np.maximum(np.asarray(t, dtype=float), 1e-13 * max(1.0, abs(pole)))
         up = pole + t
         dn = pole - t
-        return (dv(up) * gv(up) * (up - pole) - dv(dn) * gv(dn) * (dn - pole)) / t
+        return (density(up) * g(up) * (up - pole) - density(dn) * g(dn) * (dn - pole)) / t
 
     parts = [integrate_finite(sym, 0.0, h, 0.5 * tol)]
     if lo < pole - h:
-        parts.append(integrate_finite(lambda s: dv(s) * gv(s), lo, pole - h, 0.25 * tol))
+        parts.append(integrate_finite(lambda s: density(s) * g(s), lo, pole - h, 0.25 * tol))
     if pole + h < hi:
-        parts.append(integrate_finite(lambda s: dv(s) * gv(s), pole + h, hi, 0.25 * tol))
+        parts.append(integrate_finite(lambda s: density(s) * g(s), pole + h, hi, 0.25 * tol))
     value = sum(p.value for p in parts)
     err = sum(p.error_estimate for p in parts)
     evals = sum(p.evaluations for p in parts)

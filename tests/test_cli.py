@@ -1,29 +1,17 @@
 import json
 import math
-import os
 from pathlib import Path
 
 import pytest
 
+from wsdist import oracle, selftest
 from wsdist.cli import EXIT_ERROR, main
 
 DATA = Path(__file__).parent / "data"
 
 
-def _run(capsys, argv, env=None):
-    old = {}
-    if env:
-        for k, v in env.items():
-            old[k] = os.environ.get(k)
-            os.environ[k] = v
-    try:
-        code = main(argv)
-    finally:
-        for k, v in old.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+def _run(capsys, argv):
+    code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -107,14 +95,34 @@ def test_pair_measures_related_by_substitution(capsys):
     assert abs(vh["re"]) < abs(vl["re"])  # 1/s < 1 on [2.1, 2.9]
 
 
-def test_pair_ws_tol_env(capsys):
-    code, out, _ = _run(
-        capsys,
-        ["pair", "--mu", "1", "--nu", "1", "--prop", "2"],
-        env={"WS_TOL": "1e-7"},
-    )
-    assert code == 0
-    assert json.loads(out)["tol"] == 1e-7
+def test_pair_prop2_alpha_invariance(capsys):
+    # criterion 11 for the J-kernel result: the alpha-split needs only
+    # F = 1 + (s-1) h, so --alpha reaches prop 2 and moves only rounding
+    argv = ["pair", "--mu", "0.5", "--nu", "1.5", "--prop", "2"]
+    docs = []
+    for alpha in ("0", "1"):
+        code, out, _ = _run(capsys, argv + ["--alpha", alpha])
+        assert code == 0
+        docs.append(json.loads(out))
+    assert [d["alpha"] for d in docs] == [0.0, 1.0]
+    v0, v1 = (complex(d["value"]["re"], d["value"]["im"]) for d in docs)
+    assert v1 != v0  # the split was applied, not ignored
+    assert abs(v1 - v0) <= 1e-8 * max(1.0, abs(v0))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--mu", "0", "--nu", "1", "--tol", "1e-30"],
+        ["density", "--mu", "0", "--nu", "1", "--alpha", "5"],
+        ["oracle", "--mu", "0", "--nu", "1", "--alpha", "5"],
+    ],
+)
+def test_flags_only_on_commands_that_read_them(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_pair_tolerance_exit_3(capsys):
@@ -142,6 +150,20 @@ def test_typed_errors_exit_5_with_one_line(capsys, argv, error):
     assert out == ""
     assert err.startswith(error + ": ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_oracle_short_schedule_exit_5_before_any_pairing(capsys, monkeypatch):
+    def spent(*args, **kwargs):
+        raise AssertionError("a pairing ran for a schedule that cannot extrapolate")
+
+    monkeypatch.setattr(oracle, "_pairing_at_eps", spent)
+    code, out, err = _run(
+        capsys,
+        ["oracle", "--mu", "1", "--nu", "1", "--prop", "2", "--eps-schedule", "0.2,0.1"],
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("InsufficientDataError: ")
 
 
 @pytest.mark.slow
@@ -177,3 +199,10 @@ def test_selftest_subset_and_forced_failure(capsys):
     )
     assert code != 0
     assert "FAIL" in out
+
+
+def test_selftest_check_fails_on_a_nan_sample(monkeypatch):
+    # the NaN comes after a finite sample, where max() would drop it
+    devs = iter([0.0, math.nan] + [0.0] * 10)
+    monkeypatch.setattr(selftest, "reflection_check", lambda orders, s: next(devs))
+    assert not selftest.reflection_identity() <= 1e-12

@@ -5,17 +5,15 @@ import pytest
 
 from wsdist.distributions import (
     DistributionExpansion,
-    Measure,
     TestFunction,
-    _Window,
-    _pair_weighted,
     pair,
     pair_alpha_invariance_check,
     sokhotski_pair,
     validate_expansion,
 )
 from wsdist.errors import SupportError, ToleranceError
-from wsdist.quadrature import integrate_finite, integrate_pv, richardson
+from wsdist.quadrature import integrate_finite
+from wsdist.selftest import alpha_invariance, measure_consistency, sokhotski_limit
 from wsdist.weber_schafheitlin import OrderPair, prop1_distribution
 
 
@@ -102,10 +100,7 @@ def test_alpha_invariance_trivial_cases():
 
 
 def test_alpha_invariance_prop1():
-    g = TestFunction(1.0, 0.5)
-    dist = prop1_distribution(OrderPair(0.0, 1.0))
-    dev = pair_alpha_invariance_check(dist, g, [0.0, 1.0, 2.0], tol=1e-10)
-    assert dev <= 1e-8
+    assert alpha_invariance(pairs=[(0.0, 1.0)], bumps=[TestFunction(1.0, 0.5)]) <= 1e-8
 
 
 def test_alpha_invariance_needs_two_values():
@@ -115,13 +110,7 @@ def test_alpha_invariance_needs_two_values():
 
 
 def test_measure_consistency():
-    g = TestFunction(1.0, 0.5)
-    dist = prop1_distribution(OrderPair(0.0, 1.0))
-    vh = pair(dist, g, Measure.HAAR, tol=1e-10)
-    vl = _pair_weighted(
-        dist, _Window(lambda s: g(s) / np.asarray(s, float), g.support), 1e-10
-    )
-    assert abs(vh - vl) <= 1e-10
+    assert measure_consistency() <= 1e-10
 
 
 def test_linearity_in_coefficients():
@@ -161,17 +150,10 @@ def test_sokhotski_small_eps_away_from_one():
 
 
 def test_sokhotski_plemelj_limit():
-    g = TestFunction(1.0, 0.5, 1.0)
-    pv = integrate_pv(
-        lambda s: 1.0 / (1.0 / np.asarray(s, float) - np.asarray(s, float)),
-        g,
-        1.0,
-        1e-11,
+    dev = sokhotski_limit(
+        bumps=[TestFunction(1.0, 0.5, 1.0)], epss=(0.2, 0.1, 0.05, 0.025, 0.0125)
     )
-    target = pv.value + 0.5j * math.pi * g(1.0)
-    seq = [(e, sokhotski_pair(g, e, tol=1e-11)) for e in (0.2, 0.1, 0.05, 0.025, 0.0125)]
-    lim, _ = richardson(seq)
-    assert abs(lim - target) <= 1e-5
+    assert dev <= 1e-5
 
 
 def test_pair_tolerance_error():

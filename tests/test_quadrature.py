@@ -225,3 +225,5 @@ def test_eps_schedule_validation():
         EpsSchedule((0.2, 0.15))
     with pytest.raises(ValueError):
         EpsSchedule((0.2, -0.1))
+    with pytest.raises(InsufficientDataError):
+        EpsSchedule((0.2, 0.1))

@@ -8,6 +8,7 @@ import pytest
 from wsdist.distributions import TestFunction, pair
 from wsdist.errors import DomainError, OrderError
 from wsdist.quadrature import integrate_semiinfinite_damped
+from wsdist.selftest import realpart_consistency, reflection_identity, route_equality
 from wsdist.specfun import bessel_j, bessel_k_complex
 from wsdist.weber_schafheitlin import (
     OrderPair,
@@ -85,15 +86,7 @@ class TestRegularizedI:
         assert abs(v1 - v2) <= 1e-10 * max(1.0, abs(v1))
 
     def test_route_equality_grid(self):
-        worst = 0.0
-        for mu, nu in VALID_PAIRS:
-            orders = OrderPair(mu, nu)
-            for s in (0.3, 0.7, 1.0, 1.5, 3.0):
-                for eps in (0.05, 0.2, 1.0):
-                    v1 = regularized_I(orders, RegularizedPoint(s, eps))
-                    v2 = _regularized_watson(orders, s, eps)
-                    worst = max(worst, abs(v1 - v2) / max(1.0, abs(v1)))
-        assert worst <= 1e-10
+        assert route_equality(pairs=VALID_PAIRS) <= 1e-10
 
 
 class TestProp1:
@@ -176,18 +169,14 @@ class TestProp2:
 
     def test_realpart_consistency_pairing(self):
         g = TestFunction(1.0, 0.5)
+        assert realpart_consistency(bumps=[g]) <= 1e-8
         for mu, nu in VALID_PAIRS:
-            p1 = pair(prop1_distribution(OrderPair(mu, nu)), g, tol=1e-10)
-            p2 = pair(prop2_distribution(OrderPair(mu, nu)), g, tol=1e-10)
-            assert abs(p1.real - p2.real) <= 1e-8
-            assert abs(p2.imag) <= 1e-12
+            assert abs(pair(prop2_distribution(OrderPair(mu, nu)), g, tol=1e-10).imag) <= 1e-12
 
 
 class TestReflection:
     def test_identity_at_roundoff(self):
-        for mu, nu in [(0.0, 1.0), (0.5, 1.5), (1.0, 2.0)]:
-            for s in (0.25, 0.5, 2.0, 4.0):
-                assert reflection_check(OrderPair(mu, nu), s) <= 1e-12
+        assert reflection_identity(pairs=[(0.0, 1.0), (0.5, 1.5), (1.0, 2.0)]) <= 1e-12
 
     def test_s_equal_one_rejected(self):
         with pytest.raises(DomainError):
