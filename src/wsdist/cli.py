@@ -14,16 +14,20 @@ the quadrature tolerance, and 1e-4 for `oracle`, the largest accepted
 relative deviation); only `pair` takes --alpha.  `selftest` takes
 --only and a --tol that overrides every check's tolerance.
 
-Exit codes: 0 success, 2 order-constraint violation, 3 quadrature
-non-convergence, 4 oracle deviation beyond tolerance, 5 any other typed
-error (a DomainError, SupportError, PoleError, ParamError,
-InsufficientDataError, ...), reported as one line on stderr.
+Exit codes: 0 success, 2 order-constraint violation or usage error (an
+unknown flag, or an --eps-schedule that does not at least halve, with
+the reason on the usage line), 3 quadrature non-convergence, 4 oracle
+deviation beyond tolerance, 5 any other typed error (a DomainError,
+SupportError, PoleError, ParamError, InsufficientDataError, ...),
+reported as one line on stderr.
 """
 
 import argparse
 import json
 import sys
 from dataclasses import replace
+
+import numpy as np
 
 from .distributions import Measure, TestFunction, pair
 from .errors import (
@@ -43,13 +47,6 @@ EXIT_ORDER = 2
 EXIT_NONCONV = 3
 EXIT_DEVIATION = 4
 EXIT_ERROR = 5
-
-
-def _fmt(x):
-    v = float(x)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return f"{v:.17g}"
 
 
 def _emit(text, path):
@@ -72,7 +69,10 @@ def _parse_bump(spec):
 
 
 def _parse_schedule(spec):
-    return EpsSchedule(tuple(float(p) for p in spec.split(",")))
+    try:
+        return EpsSchedule(tuple(float(p) for p in spec.split(",")))
+    except ValueError as exc:  # argparse would report only the type's name
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _distribution(args):
@@ -84,33 +84,25 @@ def _distribution(args):
 
 def cmd_density(args):
     dist = _distribution(args)
-    lines = []
-    if args.prop == 1:
-        header = "s,F_re,F_im,h_re,h_im"
-    else:
-        header = "s,m0,h"
     n = args.s_steps
     if n < 1:
         raise DomainError("--s-steps must be at least 1")
     if n == 1:
-        grid = [args.s_min]
+        grid = np.array([args.s_min])
     else:
-        grid = [args.s_min + (args.s_max - args.s_min) * i / (n - 1) for i in range(n)]
-    for s in grid:
-        if args.prop == 1:
-            F = complex(dist.F(s))
-            h = complex(dist.h(s))
-            lines.append(
-                ",".join(map(_fmt, (s, F.real, F.imag, h.real, h.imag)))
-            )
-        else:
-            lines.append(",".join(map(_fmt, (s, dist.F(s), dist.h(s)))))
+        grid = args.s_min + (args.s_max - args.s_min) * np.arange(n) / (n - 1)
+    F, h = dist.F(grid), dist.h(grid)
+    if args.prop == 1:
+        columns = {"s": grid, "F_re": F.real, "F_im": F.imag,
+                   "h_re": h.real, "h_im": h.imag}
+    else:
+        columns = {"s": grid, "m0": F, "h": h}
+    rows = (np.column_stack(list(columns.values())) + 0.0).tolist()  # -0.0 -> 0.0
     if args.format == "json":
-        rows = [[float(v) for v in ln.split(",")] for ln in lines]
-        text = json.dumps({"columns": header.split(","), "rows": rows}, indent=1)
-        text += "\n"
+        text = json.dumps({"columns": list(columns), "rows": rows}, indent=1) + "\n"
     else:
-        text = header + "\n" + "\n".join(lines) + "\n"
+        lines = [",".join(columns)] + [",".join(f"{v:.17g}" for v in r) for r in rows]
+        text = "\n".join(lines) + "\n"
     _emit(text, args.output)
     return EXIT_OK
 

@@ -92,12 +92,16 @@ class TestFunction:
 @dataclass(frozen=True)
 class DistributionExpansion:
     """delta_coeff * delta(s-1) + pv_coeff * Pv(1/(1/s-s)) * F(s), with
-    F(s) = 1 + (s-1) h(s) and the decomposition parameter alpha."""
+    F(s) = 1 + (s-1) h(s) and the decomposition parameter alpha.
+
+    F and h take an ndarray of s > 0 and return an array of its shape
+    (complex or real by the distribution), and a scalar for a scalar,
+    like every integrand the quadratures take."""
 
     delta_coeff: complex
     pv_coeff: complex
-    F: Callable[[float], complex]
-    h: Callable[[float], complex]
+    F: Callable[[np.ndarray], np.ndarray]
+    h: Callable[[np.ndarray], np.ndarray]
     alpha: float = 0.0
 
 
@@ -158,9 +162,7 @@ def _pair_weighted(dist, gt, tol):
 
     def remainder(s):
         s = np.asarray(s, dtype=float)
-        hvals = np.asarray([dist.h(float(x)) for x in np.atleast_1d(s)])
-        hvals = hvals.reshape(s.shape)
-        inner = np.power(s, -alpha) * hvals + _q_alpha(alpha, s)
+        inner = np.power(s, -alpha) * dist.h(s) + _q_alpha(alpha, s)
         return -(s ** (alpha + 1.0)) / (s + 1.0) * inner * gt(s)
 
     if lo < 1.0 < hi:
@@ -239,14 +241,12 @@ def sokhotski_pair(g, eps, tol=1e-10):
 def validate_expansion(dist, tol=1e-6):
     """Cheap consistency checks of the F(1)=1 normalization and the
     local integrability of h on [1/2, 2]."""
-    for s in (1.0 - 1e-7, 1.0 + 1e-7):
-        if abs(complex(dist.F(s)) - 1.0) > 1e-4:
-            raise ValueError(f"density F({s}) = {dist.F(s)} is not near 1")
+    F = dist.F(np.array([1.0 - 1e-7, 1.0 + 1e-7]))
+    if np.any(np.abs(F - 1.0) > 1e-4):
+        raise ValueError(f"density F(1 - 1e-7), F(1 + 1e-7) = {F} are not both near 1")
 
     def abs_h(s):
-        s = np.asarray(s, dtype=float)
-        vals = np.asarray([abs(dist.h(float(x))) for x in np.atleast_1d(s)])
-        return vals.reshape(s.shape)
+        return np.abs(dist.h(s))
 
     left = tanh_sinh(abs_h, 0.5, 1.0, tol)
     right = tanh_sinh(abs_h, 1.0, 2.0, tol)

@@ -30,6 +30,7 @@ from .errors import (
 )
 
 _MAX_PANELS = 4096
+_TANH_SINH_LEVELS = 12  # step halvings after the unit step
 _MAX_OSC_PANELS = 4000
 
 
@@ -84,7 +85,7 @@ def _gauss_panel(f, a, b, nodes, weights):
     return half * np.sum(weights * vals)
 
 
-def integrate_finite(f, a, b, tol, max_panels=_MAX_PANELS):
+def integrate_finite(f, a, b, tol):
     """Adaptive quadrature of f on [a, b] to absolute tolerance tol.
 
     Globally adaptive: the panel with the worst nested-rule error
@@ -125,7 +126,7 @@ def integrate_finite(f, a, b, tol, max_panels=_MAX_PANELS):
     # splitting cannot reach tol; stop early instead of burning budget
     while (
         heap
-        and n_panels < max_panels
+        and n_panels < _MAX_PANELS
         and err_in_heap + frozen_err > tol
         and err_in_heap > 0.25 * frozen_err
     ):
@@ -149,7 +150,7 @@ def integrate_finite(f, a, b, tol, max_panels=_MAX_PANELS):
     )
 
 
-def tanh_sinh(f, a, b, tol, max_level=12):
+def tanh_sinh(f, a, b, tol):
     """Double-exponential quadrature on (a, b), open at both ends.
 
     Node offsets from the endpoints are formed in exp space so the rule
@@ -164,14 +165,13 @@ def tanh_sinh(f, a, b, tol, max_level=12):
         np.array([a], dtype=float),
         np.array([b], dtype=float),
         tol,
-        max_level,
     )
     return QuadratureResult(
         complex(values[0]), float(errors[0]), evaluations, bool(converged[0])
     )
 
 
-def _tanh_sinh_rows(f, a, b, tol, max_level):
+def _tanh_sinh_rows(f, a, b, tol):
     """tanh_sinh over (a[r], b[r]) for every row r at once.
 
     f(x, rows) gets a (len(rows), n) array of abscissae for the rows
@@ -207,7 +207,7 @@ def _tanh_sinh_rows(f, a, b, tol, max_level):
     result = prev.copy()
     err = np.abs(prev)
     converged = np.zeros(len(a), dtype=bool)
-    for level in range(1, max_level + 1):
+    for level in range(1, _TANH_SINH_LEVELS + 1):
         h *= 0.5
         ts = np.arange(1, int(t_max / h) + 1, 2) * h  # odd multiples only
         total[live] += level_sum(ts, live)
@@ -293,7 +293,7 @@ def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
     n15, w15 = gauss_legendre(15)
     n7, w7 = gauss_legendre(7)
     first, first_err, evaluations, _ = _tanh_sinh_rows(
-        f_rows, np.zeros(n_rows), spacing, tol * 1e-2, 12
+        f_rows, np.zeros(n_rows), spacing, tol * 1e-2
     )
 
     value = np.empty(n_rows, dtype=complex)

@@ -63,10 +63,3 @@ def digamma(x):
         power *= inv2
     return acc + math.log(x) - 0.5 / x - tail
 
-
-def rising_factorial(a, n):
-    """Pochhammer symbol (a)_n for integer n >= 0."""
-    out = 1.0
-    for k in range(n):
-        out *= a + k
-    return out

@@ -56,6 +56,7 @@ from .gammafn import digamma, gamma
 _SERIES_RADIUS = 0.75
 _BOUNDARY_SPLIT = 1.6
 _INT_SNAP = 1e-10
+_MACLAURIN_TERMS = 500
 _TABLE_SETS = 8  # parameter sets whose log-series tables stay cached
 
 
@@ -122,10 +123,10 @@ def _polynomial(a, b, c, z):
     return acc
 
 
-def _maclaurin(a, b, c, z, max_terms=500):
+def _maclaurin(a, b, c, z):
     term = 1.0 + 0.0j
     acc = 1.0 + 0.0j
-    for k in range(max_terms):
+    for k in range(_MACLAURIN_TERMS):
         term = term * ((a + k) * (b + k)) / ((c + k) * (k + 1.0)) * z
         acc += term
         if abs(term) < 1e-18 * max(abs(acc), 1e-280):

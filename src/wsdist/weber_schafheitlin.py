@@ -39,6 +39,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import DistributionExpansion
 from .errors import DomainError, OrderError
 from .specfun import HypParams, gamma, hyp2f1
@@ -226,8 +228,8 @@ def prop1_distribution(orders, alpha=0.0):
     return DistributionExpansion(
         delta_coeff=phase,
         pv_coeff=(2.0 / (1j * math.pi)) * phase,
-        F=lambda s: _prop1_F(mu, nu, _check_pos(s)),
-        h=lambda s: _prop1_h(mu, nu, _check_pos(s)),
+        F=_pointwise(_prop1_F, mu, nu, complex),
+        h=_pointwise(_prop1_h, mu, nu, complex),
         alpha=float(alpha),
     )
 
@@ -283,8 +285,8 @@ def prop2_distribution(orders):
     return DistributionExpansion(
         delta_coeff=math.cos(half_angle),
         pv_coeff=(2.0 / math.pi) * math.sin(half_angle),
-        F=lambda s: _prop2_m0(mu, nu, _check_pos(s)),
-        h=lambda s: _prop2_h(mu, nu, _check_pos(s)),
+        F=_pointwise(_prop2_m0, mu, nu, float),
+        h=_pointwise(_prop2_h, mu, nu, float),
         alpha=0.0,
     )
 
@@ -308,8 +310,19 @@ def reflection_check(orders, s):
     return abs(density(mu, nu, s) - s**-2.0 * density(nu, mu, 1.0 / s))
 
 
-def _check_pos(s):
-    s = float(s)
-    if not s > 0.0:
-        raise DomainError(f"density argument s={s} must be positive")
-    return s
+def _pointwise(kernel, mu, nu, dtype):
+    """s -> kernel(mu, nu, s) over an array of s, as an array of its
+    shape (the kernel's scalar for a scalar).  The kernels stay scalar:
+    numpy does not reproduce the last bits of their math/cmath calls."""
+
+    def density(s):
+        s = np.asarray(s, dtype=float)
+        bad = ~(s > 0.0)
+        if bad.any():
+            raise DomainError(f"density argument s={float(s[bad][0])} must be positive")
+        if s.ndim == 0:
+            return kernel(mu, nu, float(s))
+        values = [kernel(mu, nu, x) for x in s.ravel().tolist()]
+        return np.array(values, dtype=dtype).reshape(s.shape)
+
+    return density

@@ -2,10 +2,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wsdist import oracle, selftest
 from wsdist.cli import EXIT_ERROR, main
+from wsdist.weber_schafheitlin import OrderPair, prop1_distribution
 
 DATA = Path(__file__).parent / "data"
 
@@ -29,6 +31,61 @@ def test_density_golden_regression(tmp_path, capsys):
     assert code == 0
     golden = (DATA / "density_prop1_mu0_nu1.csv").read_bytes()
     assert target.read_bytes() == golden
+
+
+GOLDEN_GRID = ["--s-min", "0.25", "--s-max", "3.0", "--s-steps", "12"]
+
+
+def _negative_zeros(rows):
+    return [v for row in rows for v in row if v == 0.0 and math.copysign(1.0, v) < 0]
+
+
+def test_density_json_rows_are_the_golden_csv_rows(capsys):
+    code, out, _ = _run(
+        capsys, ["density", "--mu", "0", "--nu", "1", "--format", "json"] + GOLDEN_GRID
+    )
+    assert code == 0
+    doc = json.loads(out)
+    lines = (DATA / "density_prop1_mu0_nu1.csv").read_text().splitlines()
+    assert doc["columns"] == lines[0].split(",")
+    assert doc["rows"] == [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+    assert not _negative_zeros(doc["rows"])
+
+
+def test_density_normalizes_negative_zero_in_csv_and_json(capsys):
+    # at mu = nu the imaginary part of h is -0.0 at some s > 1
+    argv = ["density", "--mu", "1", "--nu", "1"] + GOLDEN_GRID
+    grid = 0.25 + 2.75 * np.arange(12) / 11
+    assert _negative_zeros([prop1_distribution(OrderPair(1.0, 1.0)).h(grid).imag])
+    code, csv, _ = _run(capsys, argv)
+    assert code == 0
+    code, out, _ = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    csv_rows = [[float(v) for v in ln.split(",")] for ln in csv.splitlines()[1:]]
+    rows = json.loads(out)["rows"]
+    assert rows == csv_rows
+    assert not _negative_zeros(rows) and not _negative_zeros(csv_rows)
+
+
+def test_density_grid_is_s_min_plus_i_steps(capsys):
+    # part of the byte contract: np.linspace rounds 16 of these 56 points differently
+    code, out, _ = _run(capsys, ["density", "--mu", "0", "--nu", "1"])
+    assert code == 0
+    s = [float(ln.split(",")[0]) for ln in out.splitlines()[1:]]
+    assert s == [0.25 + (3.0 - 0.25) * i / 55 for i in range(56)]
+
+
+PAIR_GOLDEN = json.loads((DATA / "pair_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "case", PAIR_GOLDEN, ids=[" ".join(c["argv"][1:]) for c in PAIR_GOLDEN]
+)
+def test_pair_golden_regression(capsys, case):
+    # the 17-digit pairing output is a contract: byte-exact, like density
+    code, out, _ = _run(capsys, case["argv"])
+    assert code == 0
+    assert out == case["stdout"]
 
 
 def test_density_idempotent(capsys):
@@ -150,6 +207,13 @@ def test_typed_errors_exit_5_with_one_line(capsys, argv, error):
     assert out == ""
     assert err.startswith(error + ": ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_oracle_schedule_reason_on_the_usage_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--mu", "0", "--nu", "1", "--eps-schedule", "0.2,0.15,0.05"])
+    assert exc.value.code == 2
+    assert "must decrease by at least a factor 2" in capsys.readouterr().err
 
 
 def test_oracle_short_schedule_exit_5_before_any_pairing(capsys, monkeypatch):

@@ -174,6 +174,48 @@ class TestProp2:
             assert abs(pair(prop2_distribution(OrderPair(mu, nu)), g, tol=1e-10).imag) <= 1e-12
 
 
+# s = 1, the clipped sliver 1 -+ 1e-15, the edges 0.8 and 1.2 of the
+# split band, and points far from 1
+ARRAY_GRID = np.array([[1.0, 1.0 - 1e-15, 1.0 + 1e-15, 0.8],
+                       [1.2, 0.3, 2.7, 0.95]])
+
+
+@pytest.mark.parametrize(
+    "make, mu, nu, dtype",
+    [
+        (prop1_distribution, 0.0, 1.0, complex),  # integer mu: log series
+        (prop1_distribution, 0.3, 1.7, complex),
+        (prop2_distribution, 1.0, 2.0, float),
+        (prop2_distribution, 0.3, 0.8, float),
+    ],
+)
+class TestArrayDensities:
+    def test_array_equals_per_element_calls(self, make, mu, nu, dtype):
+        dist = make(OrderPair(mu, nu))
+        for density in (dist.F, dist.h):
+            values = density(ARRAY_GRID)
+            assert values.shape == ARRAY_GRID.shape
+            assert values.dtype == np.dtype(dtype)
+            expected = [density(s) for s in ARRAY_GRID.ravel().tolist()]
+            assert values.ravel().tolist() == expected
+
+    def test_zero_d_input_gives_a_scalar(self, make, mu, nu, dtype):
+        dist = make(OrderPair(mu, nu))
+        for density in (dist.F, dist.h):
+            value = density(np.array(1.2))
+            assert np.ndim(value) == 0 and isinstance(value, dtype)
+            assert value == density(1.2)
+
+    def test_non_positive_element_rejected(self, make, mu, nu, dtype):
+        dist = make(OrderPair(mu, nu))
+        for bad in (0.0, -0.5):
+            grid = ARRAY_GRID.copy()
+            grid[1, 2] = bad
+            for density in (dist.F, dist.h):
+                with pytest.raises(DomainError):
+                    density(grid)
+
+
 class TestReflection:
     def test_identity_at_roundoff(self):
         assert reflection_identity(pairs=[(0.0, 1.0), (0.5, 1.5), (1.0, 2.0)]) <= 1e-12
