@@ -15,15 +15,18 @@ relative deviation); only `pair` takes --alpha.  `selftest` takes
 --only and a --tol that overrides every check's tolerance.
 
 Exit codes: 0 success, 2 order-constraint violation or usage error (an
-unknown flag, or an --eps-schedule that does not at least halve, with
-the reason on the usage line), 3 quadrature non-convergence, 4 oracle
-deviation beyond tolerance, 5 any other typed error (a DomainError,
-SupportError, PoleError, ParamError, InsufficientDataError, ...),
-reported as one line on stderr.
+unknown flag, a --tol that is not finite and positive, a non-finite
+--alpha, or an --eps-schedule that is not finite and positive or does
+not at least halve, with the reason on the usage line), 3 quadrature
+non-convergence, 4 oracle deviation beyond tolerance, 5 any other typed
+error (a DomainError such as a non-finite --bump, SupportError,
+PoleError, ParamError, InsufficientDataError, ...), reported as one
+line on stderr.
 """
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -66,6 +69,20 @@ def _parse_bump(spec):
             "bump must be 'center,halfwidth[,amplitude]'"
         )
     return TestFunction(*parts)
+
+
+def _parse_finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _parse_tol(text):
+    value = _parse_finite(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _parse_schedule(spec):
@@ -183,16 +200,16 @@ def build_parser():
 
     p = sub.add_parser("pair", help="pair the distribution with a bump test function (JSON)")
     common(p, bump_default="1.0,0.5,1.0")
-    p.add_argument("--alpha", type=float, default=0.0,
+    p.add_argument("--alpha", type=_parse_finite, default=0.0,
                    help="decomposition parameter of the PV split")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_parse_tol, default=1e-9,
                    help="quadrature tolerance of the pairing")
     p.add_argument("--measure", choices=("lebesgue", "haar"), default="lebesgue")
     p.set_defaults(fn=cmd_pair)
 
     p = sub.add_parser("oracle", help="epsilon-extrapolated direct quadrature vs closed form (JSON)")
     common(p, bump_default="1.0,0.5,1.0")
-    p.add_argument("--tol", type=float, default=1e-4,
+    p.add_argument("--tol", type=_parse_tol, default=1e-4,
                    help="largest accepted relative deviation (exit 4 above it)")
     p.add_argument("--eps-schedule", type=_parse_schedule,
                    default=_parse_schedule("0.2,0.1,0.05,0.025"),

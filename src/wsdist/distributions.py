@@ -19,7 +19,7 @@ numerical cancellation at s = 1.
 
 Test functions are the classical mollifier bumps
 amplitude * exp(-1/(1 - t^2)), t = (s - center)/halfwidth: compactly
-supported inside (0, inf), smooth, with an analytic derivative.
+supported inside (0, inf) and smooth.
 """
 
 import math
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SupportError, ToleranceError
+from .errors import DomainError, SupportError, ToleranceError
 from .quadrature import integrate_finite, integrate_pv, tanh_sinh
 
 
@@ -49,6 +49,11 @@ class TestFunction:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.center, self.halfwidth, self.amplitude))):
+            raise DomainError(
+                f"bump center={self.center}, halfwidth={self.halfwidth} and "
+                f"amplitude={self.amplitude} must be finite"
+            )
         if not self.halfwidth > 0.0:
             raise SupportError(f"halfwidth={self.halfwidth} must be positive")
         if not self.center > self.halfwidth:
@@ -72,21 +77,6 @@ class TestFunction:
         inside = np.abs(t) < 1.0
         out[inside] = self.amplitude * np.exp(-1.0 / (1.0 - t[inside] ** 2))
         return out
-
-    def derivative(self, s):
-        """Analytic first derivative."""
-        arr = np.asarray(s, dtype=float)
-        t = (arr - self.center) / self.halfwidth
-        scalar = arr.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.zeros_like(t)
-        inside = np.abs(t) < 1.0
-        ti = t[inside]
-        u = 1.0 - ti**2
-        out[inside] = (
-            self.amplitude * np.exp(-1.0 / u) * (-2.0 * ti / u**2) / self.halfwidth
-        )
-        return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -119,7 +109,7 @@ class _Window:
 def _as_weighted(g, measure):
     """The effective test function: g for ds, g(s)/s for ds/s."""
     if measure is Measure.LEBESGUE:
-        return _Window(lambda s: g(s), g.support)
+        return g  # already a callable with a support
     if measure is Measure.HAAR:
         return _Window(lambda s: g(s) / np.asarray(s, dtype=float), g.support)
     raise ValueError(f"unknown measure {measure!r}")

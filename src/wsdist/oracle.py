@@ -169,7 +169,7 @@ def pairing_oracle(orders, g, schedule=DEFAULT_EPS_SCHEDULE):
     """Extrapolated direct pairings against the closed-form limit
     distribution of the Hankel-kernel integral."""
     orders.require_hankel_bessel()
-    closed = pair(prop1_distribution(orders, 0.0), g, Measure.LEBESGUE, tol=1e-9)
+    closed = pair(prop1_distribution(orders), g, Measure.LEBESGUE, tol=1e-9)
     return _oracle_report(orders, g, schedule, closed, complex)
 
 

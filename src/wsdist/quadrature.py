@@ -44,8 +44,8 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class EpsSchedule:
-    """At least 3 strictly decreasing damping parameters, at least
-    halving each step (Richardson extrapolation needs 3)."""
+    """At least 3 finite, strictly decreasing damping parameters, at
+    least halving each step (Richardson extrapolation needs 3)."""
 
     values: tuple
 
@@ -54,8 +54,8 @@ class EpsSchedule:
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValueError("empty epsilon schedule")
-        if any(v <= 0.0 for v in vals):
-            raise ValueError("epsilon values must be positive")
+        if not all(0.0 < v < math.inf for v in vals):  # NaN fails too
+            raise ValueError("epsilon values must be positive and finite")
         for prev, cur in zip(vals, vals[1:]):
             if cur > 0.5 * prev:
                 raise ValueError(

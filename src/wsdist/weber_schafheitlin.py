@@ -30,8 +30,13 @@ integrable.  h is assembled from the split of the degenerate
 (c-a-b = 1) connection formula so no F(s) - 1 subtraction happens
 numerically near s = 1.  h carries a logarithmic singularity at s = 1
 whenever the hypergeometric series does not terminate; the stored point
-value h(1) is a fixed-offset convention (the s < 1 branch at 1 - 1e-6)
-and pairings integrate across s = 1 with singularity-aware panels.
+value is the fixed-offset convention h(1) := h(1 - 1e-6), and pairings
+integrate across s = 1 with singularity-aware panels.
+
+Each proposition has one scalar kernel, _prop1 and _prop2, returning
+the pair (F, h) at one point: the s = 1 test, the clip away from 1 and
+the choice of series are made once, so F and h always come from the
+same evaluation.
 """
 
 import cmath
@@ -170,53 +175,41 @@ def regularized_I(orders, pt):
     return value
 
 
-def _density_tail_above(mu, nu, s):
-    """Split of G * 2F1 at argument x = s^-2 near x = 1:
-    F(s) = s^(-nu-1) (1 + w * ptail), w = 1 - s^-2 (from-below log on
-    s < 1, where w < 0)."""
-    a, b = (nu + mu) / 2.0, (nu - mu) / 2.0
-    w = (s * s - 1.0) / (s * s)
-    if s < 1.0:
-        logw = complex(math.log(-w), math.pi)
-    else:
-        logw = complex(math.log(w), 0.0)
-    _, tail = _one_minus_z_log_parts(a, b, 1, complex(w), logw)
-    return w, _gamma_prefactor(mu, nu) * tail
+def _prop1(mu, nu, s):
+    """(F(s), h(s)) of the Hankel-kernel result, F from below on s < 1.
 
-
-def _prop1_F(mu, nu, s):
-    """Density F(s) = s^(-nu-1) G 2F1(a, b; c; s^-2), from below on s < 1."""
+    F(s) = s^(-nu-1) G 2F1(a, b; c; s^-2) and h = (F - 1)/(s - 1), both
+    at one clipped point x (x = 1 - 1e-6 for s = 1, where F is the
+    exact 1 and h takes its fixed-offset value).  Inside the split band
+    both come from one tail of the degenerate 1 - z series,
+    F = x^(-nu-1) (1 + w * ptail), w = 1 - x^-2 (from-below log on
+    x < 1): the finite split part cancels exactly by the Gauss
+    normalization G * FIN = 1, so h needs no F - 1 subtraction there."""
     a, b, c = (nu + mu) / 2.0, (nu - mu) / 2.0, nu + 1.0
-    if s == 1.0:
-        return 1.0 + 0.0j
-    s = _clip_near_one(s)
-    if abs(s - 1.0) < _H_STABLE_BAND:
-        w, ptail = _density_tail_above(mu, nu, s)
-        return s ** (-nu - 1.0) * (1.0 + w * ptail)
-    x = s**-2.0
-    pre = _gamma_prefactor(mu, nu)
-    if s > 1.0:
-        val = hyp2f1(HypParams(a, b, c), complex(x))
+    x = _clip_near_one(1.0 - _H_POINT_OFFSET if s == 1.0 else s)
+    power = x ** (-nu - 1.0)
+    if abs(x - 1.0) < _H_STABLE_BAND:
+        w = (x * x - 1.0) / (x * x)
+        if x < 1.0:
+            logw = complex(math.log(-w), math.pi)
+        else:
+            logw = complex(math.log(w), 0.0)
+        _, tail = _one_minus_z_log_parts(a, b, 1, complex(w), logw)
+        ptail = _gamma_prefactor(mu, nu) * tail
+        F = power * (1.0 + w * ptail)
+        h = _expm1_ratio(-(nu + 1.0), x) + power * ((x + 1.0) / (x * x)) * ptail
     else:
-        val = _boundary_below(a, b, c, x)
-    return s ** (-nu - 1.0) * pre * val
+        pre = _gamma_prefactor(mu, nu)  # before the series: c = 0 reports the Gamma pole
+        if x > 1.0:
+            val = hyp2f1(HypParams(a, b, c), complex(x**-2.0))
+        else:
+            val = _boundary_below(a, b, c, x**-2.0)
+        F = power * pre * val
+        h = (F - 1.0) / (x - 1.0)
+    return (1.0 + 0.0j if s == 1.0 else F), h
 
 
-def _prop1_h(mu, nu, s):
-    """h(s) = (F(s) - 1)/(s - 1) free of numerical differencing near
-    s = 1 (the finite split part cancels exactly by the Gauss
-    normalization G * FIN = 1)."""
-    if s == 1.0:
-        s = 1.0 - _H_POINT_OFFSET
-    s = _clip_near_one(s)
-    if abs(s - 1.0) < _H_STABLE_BAND:
-        _, ptail = _density_tail_above(mu, nu, s)
-        lin = _expm1_ratio(-(nu + 1.0), s)
-        return lin + s ** (-nu - 1.0) * ((s + 1.0) / (s * s)) * ptail
-    return (_prop1_F(mu, nu, s) - 1.0) / (s - 1.0)
-
-
-def prop1_distribution(orders, alpha=0.0):
+def prop1_distribution(orders):
     """The Hankel-kernel integral as a boundary distribution:
 
         e^{i pi (nu-mu)/2} [ delta(s-1) + (2/(i pi)) Pv(1/(1/s-s)) F(s) ]
@@ -225,50 +218,37 @@ def prop1_distribution(orders, alpha=0.0):
     orders.require_hankel_bessel()
     mu, nu = orders.mu, orders.nu
     phase = cmath.exp(0.5j * math.pi * (nu - mu))
+    F, h = _pointwise(_prop1, mu, nu, complex)
     return DistributionExpansion(
         delta_coeff=phase,
         pv_coeff=(2.0 / (1j * math.pi)) * phase,
-        F=_pointwise(_prop1_F, mu, nu, complex),
-        h=_pointwise(_prop1_h, mu, nu, complex),
-        alpha=float(alpha),
+        F=F,
+        h=h,
     )
 
 
-def _m0_tail_below(mu, nu, s):
-    """Split of the s <= 1 branch of m0 at argument x = s^2:
-    m0(s) = s^(mu-1) (1 + w * ptail), w = 1 - s^2 >= 0."""
-    a, b = (mu + nu) / 2.0, (mu - nu) / 2.0
-    w = 1.0 - s * s
-    _, tail = _one_minus_z_log_parts(a, b, 1, complex(w), complex(math.log(w)))
-    return w, _gamma_prefactor(nu, mu) * tail
-
-
-def _prop2_m0(mu, nu, s):
-    """Two-branch real density of the J-kernel result; m0(1) = 1."""
-    if s == 1.0:
-        return 1.0
-    s = _clip_near_one(s)
-    if s > 1.0:
-        return _prop1_F(mu, nu, s).real
-    if s > 1.0 - _H_STABLE_BAND:
-        w, ptail = _m0_tail_below(mu, nu, s)
-        return s ** (mu - 1.0) * (1.0 + w * ptail.real)
+def _prop2(mu, nu, s):
+    """(m0(s), h(s)) of the J-kernel result, at one clipped point x as
+    in _prop1; m0(1) = 1.  On s > 1 the real parts of _prop1; on s < 1
+    s^(mu-1) G' 2F1(a', b'; mu+1; s^2), split in the band below 1 with
+    w = 1 - x^2 >= 0."""
+    x = _clip_near_one(1.0 - _H_POINT_OFFSET if s == 1.0 else s)
+    if x > 1.0:
+        F, h = _prop1(mu, nu, x)
+        return F.real, h.real
     a, b, c = (mu + nu) / 2.0, (mu - nu) / 2.0, mu + 1.0
-    pre = _gamma_prefactor(nu, mu)
-    return s ** (mu - 1.0) * pre * hyp2f1(HypParams(a, b, c), complex(s * s)).real
-
-
-def _prop2_h(mu, nu, s):
-    if s == 1.0:
-        s = 1.0 - _H_POINT_OFFSET
-    s = _clip_near_one(s)
-    if s > 1.0:
-        return _prop1_h(mu, nu, s).real
-    if s > 1.0 - _H_STABLE_BAND:
-        _, ptail = _m0_tail_below(mu, nu, s)
-        lin = _expm1_ratio(mu - 1.0, s)
-        return lin - s ** (mu - 1.0) * (s + 1.0) * ptail.real
-    return (_prop2_m0(mu, nu, s) - 1.0) / (s - 1.0)
+    power = x ** (mu - 1.0)
+    if x > 1.0 - _H_STABLE_BAND:
+        w = 1.0 - x * x
+        _, tail = _one_minus_z_log_parts(a, b, 1, complex(w), complex(math.log(w)))
+        ptail = (_gamma_prefactor(nu, mu) * tail).real
+        m0 = power * (1.0 + w * ptail)
+        h = _expm1_ratio(mu - 1.0, x) - power * (x + 1.0) * ptail
+    else:
+        pre = _gamma_prefactor(nu, mu)
+        m0 = power * pre * hyp2f1(HypParams(a, b, c), complex(x * x)).real
+        h = (m0 - 1.0) / (x - 1.0)
+    return (1.0 if s == 1.0 else m0), h
 
 
 def prop2_distribution(orders):
@@ -282,12 +262,12 @@ def prop2_distribution(orders):
     orders.require_bessel_bessel()
     mu, nu = orders.mu, orders.nu
     half_angle = 0.5 * math.pi * (nu - mu)
+    F, h = _pointwise(_prop2, mu, nu, float)
     return DistributionExpansion(
         delta_coeff=math.cos(half_angle),
         pv_coeff=(2.0 / math.pi) * math.sin(half_angle),
-        F=_pointwise(_prop2_m0, mu, nu, float),
-        h=_pointwise(_prop2_h, mu, nu, float),
-        alpha=0.0,
+        F=F,
+        h=h,
     )
 
 
@@ -305,24 +285,28 @@ def reflection_check(orders, s):
 
     def density(m, n, x):
         pv = (2.0 / math.pi) * math.sin(0.5 * math.pi * (n - m))
-        return pv * _prop2_m0(m, n, x) / (1.0 / x - x)
+        return pv * _prop2(m, n, x)[0] / (1.0 / x - x)
 
     return abs(density(mu, nu, s) - s**-2.0 * density(nu, mu, 1.0 / s))
 
 
 def _pointwise(kernel, mu, nu, dtype):
-    """s -> kernel(mu, nu, s) over an array of s, as an array of its
-    shape (the kernel's scalar for a scalar).  The kernels stay scalar:
-    numpy does not reproduce the last bits of their math/cmath calls."""
+    """The array functions s -> F(s) and s -> h(s) of one scalar kernel
+    s -> (F, h): arrays of the shape of s (the kernel's scalar for a
+    scalar).  The kernels stay scalar: numpy does not reproduce the
+    last bits of their math/cmath calls."""
 
-    def density(s):
-        s = np.asarray(s, dtype=float)
-        bad = ~(s > 0.0)
-        if bad.any():
-            raise DomainError(f"density argument s={float(s[bad][0])} must be positive")
-        if s.ndim == 0:
-            return kernel(mu, nu, float(s))
-        values = [kernel(mu, nu, x) for x in s.ravel().tolist()]
-        return np.array(values, dtype=dtype).reshape(s.shape)
+    def column(i):
+        def density(s):
+            s = np.asarray(s, dtype=float)
+            bad = ~(s > 0.0)
+            if bad.any():
+                raise DomainError(f"density argument s={float(s[bad][0])} must be positive")
+            if s.ndim == 0:
+                return kernel(mu, nu, float(s))[i]
+            values = [kernel(mu, nu, x)[i] for x in s.ravel().tolist()]
+            return np.array(values, dtype=dtype).reshape(s.shape)
 
-    return density
+        return density
+
+    return column(0), column(1)

@@ -88,6 +88,20 @@ def test_pair_golden_regression(capsys, case):
     assert out == case["stdout"]
 
 
+DENSITY_GOLDEN = json.loads((DATA / "density_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "case", DENSITY_GOLDEN, ids=[" ".join(c["argv"][1:]) for c in DENSITY_GOLDEN]
+)
+def test_density_golden_default_grid(capsys, case):
+    # both propositions on the default grid, which holds s = 1 and the
+    # edges 0.8 and 1.2 of the split band
+    code, out, _ = _run(capsys, case["argv"])
+    assert code == 0
+    assert out == case["stdout"]
+
+
 def test_density_idempotent(capsys):
     argv = ["density", "--mu", "0.5", "--nu", "1.5", "--s-steps", "9"]
     code1, out1, _ = _run(capsys, argv)
@@ -207,6 +221,38 @@ def test_typed_errors_exit_5_with_one_line(capsys, argv, error):
     assert out == ""
     assert err.startswith(error + ": ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+BAD_NUMBERS = [
+    (["pair", "--tol", "0"], 2, "argument --tol: must be positive"),
+    (["pair", "--tol", "-1"], 2, "argument --tol: must be positive"),
+    (["pair", "--tol", "nan"], 2, "argument --tol: must be finite"),
+    (["oracle", "--tol", "inf"], 2, "argument --tol: must be finite"),
+    (["pair", "--alpha", "nan"], 2, "argument --alpha: must be finite"),
+    (["oracle", "--eps-schedule", "0.2,0.1,nan"], 2, "must be positive and finite"),
+    (["pair", "--bump", "inf,1"], 5, "DomainError: "),
+    (["pair", "--bump", "1,0.5,nan"], 5, "DomainError: "),
+    (["oracle", "--bump", "1,nan"], 5, "DomainError: "),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, reason", BAD_NUMBERS, ids=[" ".join(c[0]) for c in BAD_NUMBERS]
+)
+def test_bad_numeric_flags_exit_2_or_5_with_one_error_line(capsys, monkeypatch, argv, code, reason):
+    def spent(*args, **kwargs):
+        raise AssertionError("a pairing ran for an invalid command line")
+
+    monkeypatch.setattr(oracle, "_pairing_at_eps", spent)
+    try:
+        got = main([argv[0], "--mu", "1", "--nu", "1", "--prop", "2"] + argv[1:])
+    except SystemExit as exc:  # argparse: usage lines, then one error line
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    assert out == "" and "Traceback" not in err
+    errors = [ln for ln in err.splitlines() if not ln.startswith(("usage:", " "))]
+    assert len(errors) == 1 and reason in errors[0]
 
 
 def test_oracle_schedule_reason_on_the_usage_line(capsys):

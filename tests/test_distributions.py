@@ -46,13 +46,6 @@ class TestBump:
         arr = g(np.array([0.2, 1.0, 1.49, 3.0]))
         assert arr[0] == 0.0 and arr[3] == 0.0 and arr[1] > 0 and arr[2] > 0
 
-    def test_derivative_matches_finite_difference(self):
-        g = TestFunction(1.2, 0.4)
-        for s in (0.9, 1.1, 1.3, 1.55):
-            d = 1e-6
-            fd = (g(s + d) - g(s - d)) / (2.0 * d)
-            assert abs(g.derivative(s) - fd) <= 1e-7 * max(1.0, abs(fd))
-
     def test_support_validation(self):
         with pytest.raises(SupportError):
             TestFunction(0.4, 0.5)

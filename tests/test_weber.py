@@ -127,10 +127,6 @@ class TestProp1:
             rhs = 1.0 + (s - 1.0) * complex(dist.h(s))
             assert abs(lhs - rhs) <= 1e-11
 
-    def test_alpha_is_stored(self):
-        dist = prop1_distribution(OrderPair(0.0, 1.0), alpha=1.5)
-        assert dist.alpha == 1.5
-
 
 class TestProp2:
     def test_closure_is_pure_delta(self):
@@ -214,6 +210,13 @@ class TestArrayDensities:
             for density in (dist.F, dist.h):
                 with pytest.raises(DomainError):
                     density(grid)
+
+
+@pytest.mark.parametrize("make", [prop1_distribution, prop2_distribution])
+def test_h_at_one_is_the_fixed_offset_value(make):
+    # h has a log singularity at s = 1; its point value there is h(1 - 1e-6)
+    dist = make(OrderPair(0.5, 1.5))
+    assert dist.h(1.0) == dist.h(1.0 - 1e-6)
 
 
 class TestReflection:
