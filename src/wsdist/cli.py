@@ -15,13 +15,14 @@ relative deviation); only `pair` takes --alpha.  `selftest` takes
 --only and a --tol that overrides every check's tolerance.
 
 Exit codes: 0 success, 2 order-constraint violation or usage error (an
-unknown flag, a --tol that is not finite and positive, a non-finite
---alpha, or an --eps-schedule that is not finite and positive or does
-not at least halve, with the reason on the usage line), 3 quadrature
+unknown flag, a number that does not parse, a non-finite --mu, --nu,
+--s-min, --s-max or --alpha, a --tol that is not finite and positive,
+or an --eps-schedule that is not finite and positive or does not at
+least halve, with the reason on the usage line), 3 quadrature
 non-convergence, 4 oracle deviation beyond tolerance, 5 any other typed
-error (a DomainError such as a non-finite --bump, SupportError,
-PoleError, ParamError, InsufficientDataError, ...), reported as one
-line on stderr.
+error (a DomainError such as a non-finite --bump or a grid point
+s <= 0, SupportError, PoleError, ParamError, InsufficientDataError,
+...), reported as one line on stderr.
 """
 
 import argparse
@@ -41,7 +42,7 @@ from .errors import (
     WsdistError,
 )
 from .oracle import jj_pairing_oracle, pairing_oracle
-from .quadrature import EpsSchedule
+from .quadrature import DEFAULT_EPS_SCHEDULE, EpsSchedule
 from .selftest import run_selftest
 from .weber_schafheitlin import OrderPair, prop1_distribution, prop2_distribution
 
@@ -60,8 +61,15 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
+def _float(text):
+    try:
+        return float(text)
+    except ValueError as exc:  # argparse would report only the type's name
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _parse_bump(spec):
-    parts = [float(p) for p in spec.split(",")]
+    parts = [_float(p) for p in spec.split(",")]
     if len(parts) == 2:
         parts.append(1.0)
     if len(parts) != 3:
@@ -72,7 +80,7 @@ def _parse_bump(spec):
 
 
 def _parse_finite(text):
-    value = float(text)
+    value = _float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
@@ -127,8 +135,7 @@ def cmd_density(args):
 def cmd_pair(args):
     # the alpha-split needs only F = 1 + (s-1) h, so it serves both propositions
     dist = replace(_distribution(args), alpha=args.alpha)
-    measure = Measure.LEBESGUE if args.measure == "lebesgue" else Measure.HAAR
-    value = pair(dist, args.bump, measure=measure, tol=args.tol)
+    value = pair(dist, args.bump, measure=Measure(args.measure), tol=args.tol)
     doc = {
         "command": "pair",
         "proposition": args.prop,
@@ -181,8 +188,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, bump_default=None):
-        p.add_argument("--mu", type=float, required=True, help="order of the s-scaled kernel")
-        p.add_argument("--nu", type=float, required=True, help="order of the unit-argument Bessel factor")
+        p.add_argument("--mu", type=_parse_finite, required=True,
+                       help="order of the s-scaled kernel")
+        p.add_argument("--nu", type=_parse_finite, required=True,
+                       help="order of the unit-argument Bessel factor")
         p.add_argument("--prop", type=int, choices=(1, 2), default=1,
                        help="1: Hankel-Bessel result, 2: Bessel-Bessel result")
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
@@ -192,8 +201,8 @@ def build_parser():
 
     p = sub.add_parser("density", help="tabulate the closed-form density on an s-grid (CSV)")
     common(p)
-    p.add_argument("--s-min", type=float, default=0.25)
-    p.add_argument("--s-max", type=float, default=3.0)
+    p.add_argument("--s-min", type=_parse_finite, default=0.25)
+    p.add_argument("--s-max", type=_parse_finite, default=3.0)
     p.add_argument("--s-steps", type=int, default=56)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_density)
@@ -211,8 +220,7 @@ def build_parser():
     common(p, bump_default="1.0,0.5,1.0")
     p.add_argument("--tol", type=_parse_tol, default=1e-4,
                    help="largest accepted relative deviation (exit 4 above it)")
-    p.add_argument("--eps-schedule", type=_parse_schedule,
-                   default=_parse_schedule("0.2,0.1,0.05,0.025"),
+    p.add_argument("--eps-schedule", type=_parse_schedule, default=DEFAULT_EPS_SCHEDULE,
                    help="comma-separated decreasing regularization parameters")
     p.set_defaults(fn=cmd_oracle)
 

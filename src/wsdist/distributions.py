@@ -15,7 +15,10 @@ is defined through the alpha-decomposition: for any real alpha,
 whose second term is locally integrable because F(s) = 1 + (s-1) h(s)
 with h in L^1_loc.  Pairings below evaluate exactly this split; the
 stored remainder h keeps the (s^-alpha F - 1)/(s - 1) factor free of
-numerical cancellation at s = 1.
+numerical cancellation at s = 1.  A pairing is one principal-value
+quadrature of s^alpha g(s) / (1/s - s) plus one ordinary quadrature of
+the remainder, both over the support of g; the quadratures see g only
+as a callable and that interval.
 
 Test functions are the classical mollifier bumps
 amplitude * exp(-1/(1 - t^2)), t = (s - center)/halfwidth: compactly
@@ -95,23 +98,12 @@ class DistributionExpansion:
     alpha: float = 0.0
 
 
-class _Window:
-    """Callable-with-support adapter handed to the PV integrator."""
-
-    def __init__(self, fn, support):
-        self._fn = fn
-        self.support = support
-
-    def __call__(self, s):
-        return self._fn(s)
-
-
 def _as_weighted(g, measure):
     """The effective test function: g for ds, g(s)/s for ds/s."""
     if measure is Measure.LEBESGUE:
-        return g  # already a callable with a support
+        return g
     if measure is Measure.HAAR:
-        return _Window(lambda s: g(s) / np.asarray(s, dtype=float), g.support)
+        return lambda s: g(s) / np.asarray(s, dtype=float)
     raise ValueError(f"unknown measure {measure!r}")
 
 
@@ -135,25 +127,26 @@ def _q_alpha(alpha, s):
     return _expm1_ratio(-alpha, s)
 
 
-def _pair_weighted(dist, gt, tol):
-    """Core pairing against a weighted window gt (callable + support)."""
-    lo, hi = gt.support
+def _pair_weighted(dist, weight, support, tol):
+    """Core pairing against the effective test function weight, which
+    vanishes outside the interval support."""
+    lo, hi = support
     if not lo > 0.0:
         raise SupportError(f"support [{lo}, {hi}] leaves (0, inf)")
     alpha = dist.alpha
-    total = dist.delta_coeff * complex(gt(1.0))  # zero when 1 is off support
+    total = dist.delta_coeff * complex(weight(1.0))  # zero when 1 is off support
     pieces = []
 
-    def pv_density(s):
+    def pv_integrand(s):
         s = np.asarray(s, dtype=float)
-        return s**alpha / (1.0 / s - s)
+        return s**alpha / (1.0 / s - s) * weight(s)
 
-    pieces.append(integrate_pv(pv_density, gt, 1.0, tol))
+    pieces.append(integrate_pv(pv_integrand, lo, hi, 1.0, tol))
 
     def remainder(s):
         s = np.asarray(s, dtype=float)
         inner = np.power(s, -alpha) * dist.h(s) + _q_alpha(alpha, s)
-        return -(s ** (alpha + 1.0)) / (s + 1.0) * inner * gt(s)
+        return -(s ** (alpha + 1.0)) / (s + 1.0) * inner * weight(s)
 
     if lo < 1.0 < hi:
         # h may carry an integrable log singularity at s = 1
@@ -183,18 +176,18 @@ def pair(dist, g, measure=Measure.LEBESGUE, tol=1e-9):
     functions concentrated near s = 0 the densities of interest grow
     like a power of 1/s and the inner quadratures converge slowly.
     """
-    return _pair_weighted(dist, _as_weighted(g, measure), tol)
+    return _pair_weighted(dist, _as_weighted(g, measure), g.support, tol)
 
 
-def pair_alpha_invariance_check(dist, g, alphas, measure=Measure.LEBESGUE, tol=1e-9):
-    """Max pairwise deviation of the pairing across decomposition
-    parameters; an algebraic identity, so this measures quadrature
-    noise only."""
+def pair_alpha_invariance_check(dist, g, alphas, tol=1e-9):
+    """Max pairwise deviation of the Lebesgue pairing across
+    decomposition parameters; an algebraic identity, so this measures
+    quadrature noise only."""
     alphas = list(alphas)
     if len(alphas) < 2:
         raise ValueError("need at least two alpha values to compare")
     values = [
-        pair(replace(dist, alpha=float(a)), g, measure=measure, tol=tol)
+        pair(replace(dist, alpha=float(a)), g, tol=tol)
         for a in alphas
     ]
     worst = 0.0

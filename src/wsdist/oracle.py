@@ -34,11 +34,7 @@ from .quadrature import (
     richardson,
 )
 from .specfun import bessel_j, hankel1_complex
-from .weber_schafheitlin import (
-    RegularizedPoint,
-    prop1_distribution,
-    prop2_distribution,
-)
+from .weber_schafheitlin import prop1_distribution, prop2_distribution
 
 _OUTER_PANELS = 64
 _OUTER_REFINE_BUDGET = 40
@@ -72,10 +68,9 @@ class OracleReport:
 
 def I_direct(orders, pt, tol=1e-7):
     """Direct oscillatory quadrature of int_0^inf k H1_mu((s+i eps)k)
-    J_nu(k) dk; the order constraint makes the integrand integrable at
-    k = 0 and the i eps damps it like e^{-eps k} at infinity."""
-    if not isinstance(pt, RegularizedPoint):
-        pt = RegularizedPoint(*pt)
+    J_nu(k) dk at the RegularizedPoint pt = s + i eps; the order
+    constraint makes the integrand integrable at k = 0 and the i eps
+    damps it like e^{-eps k} at infinity."""
     return complex(_direct_rows(orders, np.array([pt.s]), pt.eps, tol)[0])
 
 

@@ -12,6 +12,8 @@ Four devices cover everything the closed forms and their oracles need:
 
 plus Richardson extrapolation of epsilon-indexed sequences to 0.
 
+Every engine takes the integrand as a plain callable and the interval,
+pole or damping as arguments; none reads attributes off the integrand.
 Integrands take a numpy array of abscissae and return an array of
 values of the same shape.  Error estimates are absolute.
 """
@@ -381,28 +383,26 @@ def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
     return QuadratureResult(value, error, evaluations, bool(np.all(converged)))
 
 
-def integrate_pv(density, g, pole, tol):
-    """Cauchy principal value of density(s)*g(s) over the support of g.
+def integrate_pv(f, a, b, pole, tol):
+    """Cauchy principal value of f over [a, b].
 
-    density has (at most) a simple pole at `pole`; g supplies its own
-    support interval.  On the symmetric window [pole-h, pole+h] the odd
-    part of the singularity cancels exactly:
+    f has (at most) a simple pole at `pole`.  On the symmetric window
+    [pole-h, pole+h] the odd part of the singularity cancels exactly:
 
         Pv int = int_0^h (phi(pole+t) - phi(pole-t))/t dt,
-        phi(s) = density(s) * g(s) * (s - pole),
+        phi(s) = f(s) * (s - pole),
 
     and the remainder is pole-free ordinary quadrature.
     """
-    lo, hi = g.support
     guard = 1e-10 * max(1.0, abs(pole))
-    if abs(pole - lo) < guard or abs(pole - hi) < guard:
+    if abs(pole - a) < guard or abs(pole - b) < guard:
         raise PoleOnBoundaryError(
-            f"pole {pole} coincides with a support endpoint of [{lo}, {hi}]"
+            f"pole {pole} coincides with an endpoint of [{a}, {b}]"
         )
-    if not lo < pole < hi:
-        return integrate_finite(lambda s: density(s) * g(s), lo, hi, tol)
+    if not a < pole < b:
+        return integrate_finite(f, a, b, tol)
 
-    h = min(pole - lo, hi - pole, 0.5)
+    h = min(pole - a, b - pole, 0.5)
 
     def sym(t):
         # below ~1e-13 the offset underflows against the pole; the
@@ -411,13 +411,13 @@ def integrate_pv(density, g, pole, tol):
         t = np.maximum(np.asarray(t, dtype=float), 1e-13 * max(1.0, abs(pole)))
         up = pole + t
         dn = pole - t
-        return (density(up) * g(up) * (up - pole) - density(dn) * g(dn) * (dn - pole)) / t
+        return (f(up) * (up - pole) - f(dn) * (dn - pole)) / t
 
     parts = [integrate_finite(sym, 0.0, h, 0.5 * tol)]
-    if lo < pole - h:
-        parts.append(integrate_finite(lambda s: density(s) * g(s), lo, pole - h, 0.25 * tol))
-    if pole + h < hi:
-        parts.append(integrate_finite(lambda s: density(s) * g(s), pole + h, hi, 0.25 * tol))
+    if a < pole - h:
+        parts.append(integrate_finite(f, a, pole - h, 0.25 * tol))
+    if pole + h < b:
+        parts.append(integrate_finite(f, pole + h, b, 0.25 * tol))
     value = sum(p.value for p in parts)
     err = sum(p.error_estimate for p in parts)
     evals = sum(p.evaluations for p in parts)

@@ -8,12 +8,11 @@ an explicit boundary-value convention on the cut [1, inf).
 
 from .besselj import bessel_j
 from .besselk import bessel_k_complex, hankel1_complex
-from .gammafn import EULER_GAMMA, digamma, gamma, log_gamma
-from .hyp import BranchPoint, BranchSide, HypParams, hyp2f1, hyp2f1_boundary
+from .gammafn import EULER_GAMMA, digamma, gamma
+from .hyp import BranchPoint, HypParams, hyp2f1, hyp2f1_boundary
 
 __all__ = [
     "gamma",
-    "log_gamma",
     "digamma",
     "EULER_GAMMA",
     "bessel_j",
@@ -21,7 +20,6 @@ __all__ = [
     "hankel1_complex",
     "HypParams",
     "BranchPoint",
-    "BranchSide",
     "hyp2f1",
     "hyp2f1_boundary",
 ]

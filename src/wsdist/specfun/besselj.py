@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from .gammafn import gamma
+from .gammafn import EULER_GAMMA, gamma
 
 _SERIES_MAX_X = 15.0
 _ASYMP_MIN_X = 15.0
@@ -147,7 +147,7 @@ def _y_int_base(x):
     xl = x.astype(_LD)
     q = 0.25 * xl * xl
     lf = np.log(0.5 * xl)
-    gam = _LD(0.5772156649015328606)
+    gam = _LD(EULER_GAMMA)
 
     # J0, J1 and the psi-weighted sums in one sweep
     t0 = np.ones_like(xl)

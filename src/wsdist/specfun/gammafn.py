@@ -33,13 +33,6 @@ def gamma(x):
     return math.gamma(x)
 
 
-def log_gamma(x):
-    """log |Gamma(x)|, poles rejected as in gamma()."""
-    if _is_nonpositive_integer(x):
-        raise PoleError(f"gamma pole at x={x}")
-    return math.lgamma(x)
-
-
 def digamma(x):
     """Digamma (logarithmic derivative of Gamma) for real non-pole x.
 

@@ -1,9 +1,10 @@
 """Gauss hypergeometric function 2F1 with real parameters.
 
 Holomorphic in the cut plane C \\ [1, inf); `hyp2f1` evaluates off the
-cut, `hyp2f1_boundary` on [1, inf) as the limit from below (the
-convention used throughout this package; the limit from above is the
-complex conjugate for real parameters).
+cut, `hyp2f1_boundary` on [1, inf) as the limit from below, the one
+convention of this package (the limit from above is its complex
+conjugate for real parameters).  A parameter within _INT_SNAP = 1e-10
+of an integer counts as that integer in every integrality check here.
 
 Evaluation plan, by region of z:
 
@@ -47,8 +48,7 @@ import functools
 import math
 import threading
 from array import array
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 from ..errors import CutError, DomainError, ParamError
 from .gammafn import digamma, gamma
@@ -58,11 +58,6 @@ _BOUNDARY_SPLIT = 1.6
 _INT_SNAP = 1e-10
 _MACLAURIN_TERMS = 500
 _TABLE_SETS = 8  # parameter sets whose log-series tables stay cached
-
-
-class BranchSide(Enum):
-    FROM_BELOW = "from_below"
-    FROM_ABOVE = "from_above"
 
 
 @dataclass(frozen=True)
@@ -79,19 +74,18 @@ class HypParams:
 @dataclass(frozen=True)
 class BranchPoint:
     x: float
-    side: BranchSide = field(default=BranchSide.FROM_BELOW)
 
     def __post_init__(self):
         if self.x < 1.0:
             raise DomainError(f"branch point x={self.x} must be >= 1")
 
 
-def _is_nonpos_int(v, snap=_INT_SNAP):
-    return v < 0.5 and abs(v - round(v)) < snap
+def _is_nonpos_int(v):
+    return v < 0.5 and abs(v - round(v)) < _INT_SNAP
 
 
-def _near_int(v, snap=_INT_SNAP):
-    return abs(v - round(v)) < snap
+def _near_int(v):
+    return abs(v - round(v)) < _INT_SNAP
 
 
 def _rgamma(x):
@@ -449,13 +443,9 @@ def _boundary_below(a, b, c, x):
 
 
 def hyp2f1_boundary(params, bp):
-    """Boundary value of 2F1 on the cut x >= 1.
-
-    The default side FROM_BELOW realizes lim_{d->0+} 2F1(x - i d); the
-    limit from above is its conjugate (real parameters).  At x = 1 this
-    is the Gauss value, defined only for c - a - b > 0.
+    """Boundary value of 2F1 on the cut x >= 1: the limit from below,
+    lim_{d->0+} 2F1(x - i d).  The limit from above is its conjugate
+    (real parameters).  At x = 1 this is the Gauss value, defined only
+    for c - a - b > 0.
     """
-    val = _boundary_below(params.a, params.b, params.c, float(bp.x))
-    if bp.side is BranchSide.FROM_ABOVE:
-        return val.conjugate()
-    return val
+    return _boundary_below(params.a, params.b, params.c, float(bp.x))

@@ -233,6 +233,11 @@ BAD_NUMBERS = [
     (["pair", "--bump", "inf,1"], 5, "DomainError: "),
     (["pair", "--bump", "1,0.5,nan"], 5, "DomainError: "),
     (["oracle", "--bump", "1,nan"], 5, "DomainError: "),
+    (["density", "--s-max", "inf"], 2, "argument --s-max: must be finite"),
+    (["density", "--s-min", "nan"], 2, "argument --s-min: must be finite"),
+    (["density", "--nu", "inf"], 2, "argument --nu: must be finite"),
+    (["pair", "--tol", "abc"], 2, "argument --tol: could not convert string to float"),
+    (["pair", "--bump", "abc"], 2, "argument --bump: could not convert string to float"),
 ]
 
 
@@ -252,7 +257,7 @@ def test_bad_numeric_flags_exit_2_or_5_with_one_error_line(capsys, monkeypatch, 
     assert got == code
     assert out == "" and "Traceback" not in err
     errors = [ln for ln in err.splitlines() if not ln.startswith(("usage:", " "))]
-    assert len(errors) == 1 and reason in errors[0]
+    assert len(errors) == 1 and reason in errors[0] and "_parse" not in errors[0]
 
 
 def test_oracle_schedule_reason_on_the_usage_line(capsys):
