@@ -12,17 +12,19 @@ are {re, im} objects in JSON and paired columns in CSV.
 `pair` and `oracle` also take --bump and --tol (default 1e-9 for `pair`,
 the quadrature tolerance, and 1e-4 for `oracle`, the largest accepted
 relative deviation); only `pair` takes --alpha.  `selftest` takes
---only and a --tol that overrides every check's tolerance.
+--only, the name of one check module, and a --tol that overrides every
+check's tolerance.
 
-Exit codes: 0 success, 2 order-constraint violation or usage error (an
-unknown flag, a number that does not parse, a non-finite --mu, --nu,
+Exit codes: 0 success, 2 order-constraint violation (including orders
+outside |mu| <= 10, |nu| <= 50) or usage error (an unknown flag or
+--only module, a number that does not parse, a non-finite --mu, --nu,
 --s-min, --s-max or --alpha, a --tol that is not finite and positive,
 or an --eps-schedule that is not finite and positive or does not at
 least halve, with the reason on the usage line), 3 quadrature
 non-convergence, 4 oracle deviation beyond tolerance, 5 any other typed
-error (a DomainError such as a non-finite --bump or a grid point
-s <= 0, SupportError, PoleError, ParamError, InsufficientDataError,
-...), reported as one line on stderr.
+error (a DomainError such as a non-finite --bump, a pairing that
+overflows or a grid point s <= 0, SupportError, PoleError, ParamError,
+InsufficientDataError, ...), reported as one line on stderr.
 """
 
 import argparse
@@ -43,7 +45,7 @@ from .errors import (
 )
 from .oracle import jj_pairing_oracle, pairing_oracle
 from .quadrature import DEFAULT_EPS_SCHEDULE, EpsSchedule
-from .selftest import run_selftest
+from .selftest import CHECKS, run_selftest
 from .weber_schafheitlin import OrderPair, prop1_distribution, prop2_distribution
 
 EXIT_OK = 0
@@ -225,9 +227,9 @@ def build_parser():
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("selftest", help="run the built-in invariant checks")
-    p.add_argument("--only", default=None,
-                   help="restrict to one module (specfun, quadrature, ...)")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--only", choices=tuple(dict.fromkeys(m for m, _, _ in CHECKS)),
+                   default=None, help="restrict to the checks of one module")
+    p.add_argument("--tol", type=_parse_tol, default=None,
                    help="override every check tolerance (1e-30 forces failure)")
     p.set_defaults(fn=cmd_selftest)
     return parser

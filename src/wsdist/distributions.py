@@ -141,20 +141,23 @@ def _pair_weighted(dist, weight, support, tol):
         s = np.asarray(s, dtype=float)
         return s**alpha / (1.0 / s - s) * weight(s)
 
-    pieces.append(integrate_pv(pv_integrand, lo, hi, 1.0, tol))
-
     def remainder(s):
         s = np.asarray(s, dtype=float)
         inner = np.power(s, -alpha) * dist.h(s) + _q_alpha(alpha, s)
         return -(s ** (alpha + 1.0)) / (s + 1.0) * inner * weight(s)
 
-    if lo < 1.0 < hi:
-        # h may carry an integrable log singularity at s = 1
-        pieces.append(tanh_sinh(remainder, lo, 1.0, 0.5 * tol))
-        pieces.append(tanh_sinh(remainder, 1.0, hi, 0.5 * tol))
-    else:
-        pieces.append(integrate_finite(remainder, lo, hi, tol))
+    # an overflowing integrand is reported once, as the DomainError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        pieces.append(integrate_pv(pv_integrand, lo, hi, 1.0, tol))
+        if lo < 1.0 < hi:
+            # h may carry an integrable log singularity at s = 1
+            pieces.append(tanh_sinh(remainder, lo, 1.0, 0.5 * tol))
+            pieces.append(tanh_sinh(remainder, 1.0, hi, 0.5 * tol))
+        else:
+            pieces.append(integrate_finite(remainder, lo, hi, tol))
 
+    if not all(np.isfinite(p.value) for p in pieces):
+        raise DomainError("pairing overflows: a quadrature piece is not finite")
     bad = [p for p in pieces if not p.converged]
     if bad:
         worst = max(p.error_estimate for p in bad)

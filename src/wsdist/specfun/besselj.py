@@ -12,6 +12,11 @@ Real order, positive real argument.  Three regimes:
 
 The switch points were chosen so neighbouring regimes overlap with
 agreement well below 1e-10; see tests.
+
+The three loops shared with the modified functions in besselk live
+here: the ascending series (_ascending: J at z = -x^2/4, I at
+z = +w^2/4), the integer-order logarithmic series (_log_sweep: Y_0, Y_1
+or K_0, K_1 by the sign of z) and the order recurrence (_recur_up).
 """
 
 import math
@@ -28,25 +33,41 @@ _MAX_ORDER = 50.0
 _LD = np.longdouble
 
 
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
+def _as_array(x, dtype):
+    arr = np.asarray(x, dtype=dtype)
     return arr, (arr.ndim == 0)
+
+
+def _max_abs(x):
+    """Largest modulus in a long-double array, taken in double: the
+    80-bit complex hypot costs more than a whole series step, and a
+    stopping test needs no more."""
+    return float(np.max(np.abs(x.astype(complex))))
+
+
+def _ascending(q, z, first):
+    """sum_k first z^k / (k! (q+1)_k), accumulated in the 80-bit dtype
+    of z (longdouble or clongdouble); q not a negative integer.
+
+    With z = -x^2/4 this is the series of J_q, with z = +w^2/4 that of
+    I_q, each up to its prefactor."""
+    term = np.full(z.shape, first, dtype=z.dtype)
+    acc = term.copy()
+    k = 0
+    while k < 200:
+        term = term * z / z.dtype.type((k + 1.0) * (q + k + 1.0))
+        acc += term
+        k += 1
+        if _max_abs(term) < 1e-26 * max(_max_abs(acc), 1e-280):
+            break
+    return acc
 
 
 def _j_series(nu, x):
     """Ascending series of J_nu, 80-bit accumulation; x <= ~20, nu not
     a negative integer."""
     xl = x.astype(_LD)
-    q = 0.25 * xl * xl
-    term = np.ones_like(xl)
-    acc = np.ones_like(xl)
-    k = 0
-    while k < 400:
-        term = -term * q / ((k + 1.0) * (nu + k + 1.0))
-        acc += term
-        k += 1
-        if np.max(np.abs(term)) < 1e-24 * max(float(np.max(np.abs(acc))), 1e-280):
-            break
+    acc = _ascending(nu, -0.25 * xl * xl, 1.0)
     pref = np.power(0.5 * xl, _LD(nu)) / _LD(gamma(nu + 1.0))
     return (pref * acc).astype(float)
 
@@ -142,38 +163,50 @@ def _miller(nu, x):
     return lam * y_target
 
 
-def _y_int_base(x):
-    """Y_0 and Y_1 by their logarithmic series, 80-bit accumulation."""
-    xl = x.astype(_LD)
-    q = 0.25 * xl * xl
-    lf = np.log(0.5 * xl)
-    gam = _LD(EULER_GAMMA)
+def _log_sweep(z):
+    """The four sums of the integer-order logarithmic series at
+    z = -x^2/4 (Y_0, Y_1) or z = +w^2/4 (K_0, K_1), accumulated in the
+    80-bit dtype of z:
 
-    # J0, J1 and the psi-weighted sums in one sweep
-    t0 = np.ones_like(xl)
-    j0 = np.ones_like(xl)
-    s0 = np.zeros_like(xl)  # sum (-1)^(k+1) H_k q^k / (k!)^2
-    t1 = np.ones_like(xl)
-    j1 = np.ones_like(xl)
-    s1 = np.zeros_like(xl)  # sum (-1)^k [psi(k+1)+psi(k+2)] q^k /(k!(k+1)!)
+        c0 = sum z^k / (k!)^2,
+        s0 = sum H_k z^k / (k!)^2,
+        c1 = sum z^k / (k! (k+1)!),
+        s1 = sum [psi(k+1) + psi(k+2)] z^k / (k! (k+1)!).
+    """
+    gam = _LD(EULER_GAMMA)
+    t0 = np.ones_like(z)
+    c0 = np.ones_like(z)
+    s0 = np.zeros_like(z)
+    t1 = np.ones_like(z)
+    c1 = np.ones_like(z)
+    s1 = np.zeros_like(z)
     h = _LD(0.0)
     psi_a = -gam
     psi_b = _LD(1.0) - gam
     s1 += t1 * (psi_a + psi_b)
-    for k in range(1, 400):
-        t0 = -t0 * q / _LD(k * k)
-        j0 += t0
+    for k in range(1, 300):
+        t0 = t0 * z / z.dtype.type(k * k)
+        c0 += t0
         h += _LD(1.0) / _LD(k)
-        s0 += -t0 * h
-        t1 = -t1 * q / _LD(k * (k + 1))
-        j1 += t1
+        s0 += t0 * h
+        t1 = t1 * z / z.dtype.type(k * (k + 1))
+        c1 += t1
         psi_a += _LD(1.0) / _LD(k)
         psi_b += _LD(1.0) / _LD(k + 1)
         s1 += t1 * (psi_a + psi_b)
-        if float(np.max(np.abs(t0))) < 1e-26 and float(np.max(np.abs(t1))) < 1e-26:
+        if _max_abs(t0) < 1e-26 and _max_abs(t1) < 1e-26:
             break
+    return c0, s0, c1, s1
+
+
+def _y_int_base(x):
+    """Y_0 and Y_1 by their logarithmic series (DLMF 10.8.1)."""
+    xl = x.astype(_LD)
+    j0, s0, j1, s1 = _log_sweep(-0.25 * xl * xl)
+    lf = np.log(0.5 * xl)
+    gam = _LD(EULER_GAMMA)
     two_over_pi = _LD(2.0 / math.pi)
-    y0 = two_over_pi * ((lf + gam) * j0 + s0)
+    y0 = two_over_pi * ((lf + gam) * j0 - s0)
     j1_full = 0.5 * xl * j1
     y1 = (
         two_over_pi * lf * j1_full
@@ -186,7 +219,7 @@ def _y_int_base(x):
 def _bessel_y(nu, x):
     """Bessel Y_nu(x) for nu >= 0 (internal; used by tests and by the
     negative-order reflection for J)."""
-    arr, scalar = _as_array(x)
+    arr, scalar = _as_array(x, float)
     if np.any(arr <= 0.0):
         raise DomainError("bessel_y requires x > 0")
     out = np.empty_like(arr)
@@ -198,7 +231,7 @@ def _bessel_y(nu, x):
         xs = arr[small]
         if is_int:
             y0, y1 = _y_int_base(xs)
-            out[small] = _recur_up(y0, y1, 0.0, n_int, xs)
+            out[small] = _recur_up(y0, y1, 0.0, n_int, xs, -1.0)
         else:
             jp = _j_series(nu, xs)
             jm = _j_series(-nu, xs)
@@ -211,18 +244,19 @@ def _bessel_y(nu, x):
         if float(np.max(b0)) > 1e-11 or float(np.max(b1)) > 1e-11:
             raise DomainError("bessel_y asymptotic base failed; x too small")
         steps = int(round(nu - a0))
-        out[~small] = _recur_up(ybase0, ybase1, a0, steps, xl)
+        out[~small] = _recur_up(ybase0, ybase1, a0, steps, xl, -1.0)
     return float(out[()]) if scalar else out
 
 
-def _recur_up(f0, f1, a0, steps, x):
+def _recur_up(f0, f1, a0, steps, x, sign):
     """Climb f_{a0} .. f_{a0+steps} with the three-term order recurrence
-    (stable upward for Y)."""
+    f_{n+1} = (2n/x) f_n + sign f_{n-1}: sign -1 for Y, +1 for K (the
+    direction in which each is stable)."""
     if steps == 0:
         return f0
     prev, cur = f0, f1
     for k in range(1, steps):
-        prev, cur = cur, (2.0 * (a0 + k)) / x * cur - prev
+        prev, cur = cur, (2.0 * (a0 + k)) / x * cur + sign * prev
     return cur
 
 
@@ -234,7 +268,7 @@ def bessel_j(nu, x):
     """
     if abs(nu) > _MAX_ORDER:
         raise DomainError(f"order |nu|={abs(nu)} outside supported range <= 50")
-    arr, scalar = _as_array(x)
+    arr, scalar = _as_array(x, float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("bessel_j requires finite x > 0")
 

@@ -1,16 +1,18 @@
 """Modified Bessel K of complex argument and the Hankel H1 identity.
 
 K_mu(w) is assembled from a base pair at reduced order mu0 in [-1/2, 1/2)
-plus the (upward stable) order recurrence.  The base pair comes from
-whichever of three methods is reliable where w sits:
+plus the (upward stable) order recurrence, the loop Y also climbs
+(besselj._recur_up).  The base pair comes from whichever of three
+methods is reliable where w sits:
 
 * power series in 80-bit complex floats -- the reflection combination
   (pi/2)(I_{-q} - I_q)/sin(q pi) for non-integer order, the explicit
-  logarithmic series at integer order.  The series cancellation grows
-  like e^{Re w}, so this is the everywhere method only for |w| <= 2;
-  up to |w| <= 14 it is used in the near-axis sector Re w < 0.22 |w|,
-  which is exactly where the other methods degrade and where the
-  cancellation stays bounded.
+  logarithmic series at integer order; both run the loops of J and Y
+  (besselj._ascending, besselj._log_sweep).  The series cancellation
+  grows like e^{Re w}, so this is the everywhere method only for
+  |w| <= 2; up to |w| <= 14 it is used in the near-axis sector
+  Re w < 0.22 |w|, which is exactly where the other methods degrade
+  and where the cancellation stays bounded.
 * the real-line integral representation int_0^inf e^{-w cosh t}
   cosh(q t) dt on composite Gauss grids, each shared by a run of
   similar points, for the interior sector of 2 < |w| <= 14 (positive
@@ -29,6 +31,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError
+from .besselj import _as_array, _ascending, _log_sweep, _recur_up
 from .gammafn import EULER_GAMMA, gamma
 
 _K_SERIES_ALL = 2.0
@@ -41,32 +44,11 @@ _CLD = np.clongdouble
 _LD = np.longdouble
 
 
-def _as_carray(w):
-    arr = np.asarray(w, dtype=complex)
-    return arr, (arr.ndim == 0)
-
-
-def _max_abs(x):
-    """Largest modulus in a clongdouble array, taken in double: the
-    80-bit complex hypot costs more than a whole series step, and a
-    stopping test needs no more."""
-    return float(np.max(np.abs(x.astype(complex))))
-
-
 def _i_series_cld(q, w):
     """I_q(w) as clongdouble, w an ndarray off the cut, q real (not a
     negative integer)."""
     wl = w.astype(_CLD)
-    z = 0.25 * wl * wl
-    term = np.full(wl.shape, _CLD(1.0 / gamma(q + 1.0)))
-    acc = term.copy()
-    k = 0
-    while k < 200:
-        term = term * z / _CLD((k + 1.0) * (q + k + 1.0))
-        acc += term
-        k += 1
-        if _max_abs(term) < 1e-26 * max(_max_abs(acc), 1e-280):
-            break
+    acc = _ascending(q, 0.25 * wl * wl, _CLD(1.0 / gamma(q + 1.0)))
     pref = np.exp(_CLD(q) * np.log(0.5 * wl))
     return pref * acc
 
@@ -84,34 +66,11 @@ def _k_pair_series_noninteger(mu0, w):
 
 
 def _k_pair_series_integer(w):
-    """(K_0, K_1) by the logarithmic series, |w| <= 16."""
+    """(K_0, K_1) by the logarithmic series (DLMF 10.31.1), |w| <= 16."""
     wl = w.astype(_CLD)
-    z = 0.25 * wl * wl
+    i0, s0, i1sum, s1 = _log_sweep(0.25 * wl * wl)
     lw = np.log(0.5 * wl)
     gam = _LD(EULER_GAMMA)
-
-    t0 = np.ones_like(wl)
-    i0 = np.ones_like(wl)
-    s0 = np.zeros_like(wl)  # sum H_k z^k / (k!)^2
-    t1 = np.ones_like(wl)
-    i1sum = np.ones_like(wl)
-    s1 = np.zeros_like(wl)  # sum [psi(k+1)+psi(k+2)] z^k / (k!(k+1)!)
-    h = _LD(0.0)
-    psi_a = -gam
-    psi_b = _LD(1.0) - gam
-    s1 = s1 + t1 * (psi_a + psi_b)
-    for k in range(1, 300):
-        t0 = t0 * z / _CLD(k * k)
-        i0 += t0
-        h += _LD(1.0) / _LD(k)
-        s0 += t0 * h
-        t1 = t1 * z / _CLD(k * (k + 1))
-        i1sum += t1
-        psi_a += _LD(1.0) / _LD(k)
-        psi_b += _LD(1.0) / _LD(k + 1)
-        s1 += t1 * (psi_a + psi_b)
-        if _max_abs(t0) < 1e-26 and _max_abs(t1) < 1e-26:
-            break
     k0 = -(lw + gam) * i0 + s0
     i1 = 0.5 * wl * i1sum
     k1 = 1.0 / wl + lw * i1 - 0.25 * wl * s1
@@ -218,15 +177,7 @@ def _k_core(mu, w):
         else:
             base0 = _k_asymptotic(mu0, ws)
             base1 = _k_asymptotic(mu0 + 1.0, ws)
-        if n == 0:
-            out[mask] = base0
-        elif n == 1:
-            out[mask] = base1
-        else:
-            prev, cur = base0, base1
-            for k in range(1, n):
-                prev, cur = cur, prev + (2.0 * (mu0 + k)) / ws * cur
-            out[mask] = cur
+        out[mask] = _recur_up(base0, base1, mu0, n, ws, 1.0)
     return out
 
 
@@ -236,7 +187,7 @@ def bessel_k_complex(mu, w):
     Scalar or ndarray w; relative accuracy around 1e-12 away from the
     imaginary axis, slightly looser on it.
     """
-    arr, scalar = _as_carray(w)
+    arr, scalar = _as_array(w, complex)
     if np.any(arr.real <= 0.0):
         raise DomainError("bessel_k_complex requires Re(w) > 0")
     out = _k_core(mu, arr)
@@ -249,7 +200,7 @@ def hankel1_complex(mu, z):
     Valid on the sector -pi/2 < arg z <= pi; the boundary arg z = pi and
     the real axis go through the continuation of K across Re(w) = 0.
     """
-    arr, scalar = _as_carray(z)
+    arr, scalar = _as_array(z, complex)
     ang = np.angle(arr)
     if (
         np.any(arr == 0.0)

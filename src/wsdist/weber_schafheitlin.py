@@ -81,10 +81,15 @@ class OrderPair:
     nu: float
 
     def require_hankel_bessel(self):
-        """Strict constraint nu + 2 > |mu| of the Hankel-kernel result."""
+        """Strict constraint nu + 2 > |mu| of the Hankel-kernel result,
+        on the documented domain |mu| <= 10, |nu| <= 50."""
         if not self.nu + 2.0 > abs(self.mu):
             raise OrderError(
                 f"orders (mu={self.mu}, nu={self.nu}) violate nu + 2 > |mu|"
+            )
+        if not (abs(self.mu) <= 10.0 and abs(self.nu) <= 50.0):
+            raise OrderError(
+                f"orders (mu={self.mu}, nu={self.nu}) leave |mu| <= 10, |nu| <= 50"
             )
 
     def require_bessel_bessel(self):

@@ -238,9 +238,15 @@ BAD_NUMBERS = [
     (["density", "--nu", "inf"], 2, "argument --nu: must be finite"),
     (["pair", "--tol", "abc"], 2, "argument --tol: could not convert string to float"),
     (["pair", "--bump", "abc"], 2, "argument --bump: could not convert string to float"),
+    # --prop 1 last: the prop-2 prefix would reject these orders for mu + 2 > |nu|
+    (["density", "--mu", "0", "--nu", "200", "--prop", "1"], 2, "leave |mu| <= 10, |nu| <= 50"),
+    (["pair", "--nu", "1e300", "--prop", "1"], 2, "leave |mu| <= 10, |nu| <= 50"),
+    (["density", "--mu", "12", "--nu", "30", "--prop", "1"], 2, "leave |mu| <= 10, |nu| <= 50"),
+    (["pair", "--bump", "1,0.5,1e308", "--prop", "1"], 5, "DomainError: pairing overflows"),
 ]
 
 
+@pytest.mark.filterwarnings("error")  # warning text on stderr is a second error line
 @pytest.mark.parametrize(
     "argv, code, reason", BAD_NUMBERS, ids=[" ".join(c[0]) for c in BAD_NUMBERS]
 )
@@ -314,6 +320,21 @@ def test_selftest_subset_and_forced_failure(capsys):
     )
     assert code != 0
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["--only", "bogus"], "argument --only: invalid choice: 'bogus'"),
+        (["--tol", "nan"], "argument --tol: must be finite"),
+    ],
+)
+def test_selftest_bad_flags_exit_2_before_any_check(capsys, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"] + argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and reason in err
 
 
 def test_selftest_check_fails_on_a_nan_sample(monkeypatch):
