@@ -22,8 +22,8 @@ outside |mu| <= 10, |nu| <= 50) or usage error (an unknown flag or
 or an --eps-schedule that is not finite and positive or does not at
 least halve, with the reason on the usage line), 3 quadrature
 non-convergence, 4 oracle deviation beyond tolerance, 5 any other typed
-error (a DomainError such as a non-finite --bump, a pairing that
-overflows or a grid point s <= 0, SupportError, PoleError, ParamError,
+error (a DomainError such as a non-finite --bump, a pairing that is
+not finite or a grid point s <= 0, SupportError, PoleError, ParamError,
 InsufficientDataError, ...), reported as one line on stderr.
 """
 

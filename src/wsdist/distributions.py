@@ -146,7 +146,7 @@ def _pair_weighted(dist, weight, support, tol):
         inner = np.power(s, -alpha) * dist.h(s) + _q_alpha(alpha, s)
         return -(s ** (alpha + 1.0)) / (s + 1.0) * inner * weight(s)
 
-    # an overflowing integrand is reported once, as the DomainError below
+    # a non-finite integrand is reported once, as the DomainError below
     with np.errstate(over="ignore", invalid="ignore"):
         pieces.append(integrate_pv(pv_integrand, lo, hi, 1.0, tol))
         if lo < 1.0 < hi:
@@ -157,7 +157,7 @@ def _pair_weighted(dist, weight, support, tol):
             pieces.append(integrate_finite(remainder, lo, hi, tol))
 
     if not all(np.isfinite(p.value) for p in pieces):
-        raise DomainError("pairing overflows: a quadrature piece is not finite")
+        raise DomainError("pairing is not finite: a quadrature piece is inf or nan")
     bad = [p for p in pieces if not p.converged]
     if bad:
         worst = max(p.error_estimate for p in bad)

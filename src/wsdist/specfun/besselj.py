@@ -28,7 +28,7 @@ from .gammafn import EULER_GAMMA, gamma
 
 _SERIES_MAX_X = 15.0
 _ASYMP_MIN_X = 15.0
-_MAX_ORDER = 50.0
+MAX_ORDER_J = 50.0  # |nu| of J; also the nu range of OrderPair
 
 _LD = np.longdouble
 
@@ -40,9 +40,11 @@ def _as_array(x, dtype):
 
 def _max_abs(x):
     """Largest modulus in a long-double array, taken in double: the
-    80-bit complex hypot costs more than a whole series step, and a
-    stopping test needs no more."""
-    return float(np.max(np.abs(x.astype(complex))))
+    80-bit complex hypot costs more than a whole series step, a real
+    array needs none, and a stopping test needs no more."""
+    if x.dtype.kind == "c":
+        x = x.astype(complex)
+    return float(np.abs(x).max())  # the method skips np.max's dispatch
 
 
 def _ascending(q, z, first):
@@ -53,11 +55,9 @@ def _ascending(q, z, first):
     I_q, each up to its prefactor."""
     term = np.full(z.shape, first, dtype=z.dtype)
     acc = term.copy()
-    k = 0
-    while k < 200:
+    for k in range(200):
         term = term * z / z.dtype.type((k + 1.0) * (q + k + 1.0))
         acc += term
-        k += 1
         if _max_abs(term) < 1e-26 * max(_max_abs(acc), 1e-280):
             break
     return acc
@@ -179,11 +179,10 @@ def _log_sweep(z):
     s0 = np.zeros_like(z)
     t1 = np.ones_like(z)
     c1 = np.ones_like(z)
-    s1 = np.zeros_like(z)
     h = _LD(0.0)
     psi_a = -gam
     psi_b = _LD(1.0) - gam
-    s1 += t1 * (psi_a + psi_b)
+    s1 = np.full_like(z, psi_a + psi_b)
     for k in range(1, 300):
         t0 = t0 * z / z.dtype.type(k * k)
         c0 += t0
@@ -266,8 +265,8 @@ def bessel_j(nu, x):
     Scalar or ndarray x; |nu| <= 50.  Relative accuracy (with respect
     to the envelope sqrt(2/(pi x)) near the zeros) around 1e-12.
     """
-    if abs(nu) > _MAX_ORDER:
-        raise DomainError(f"order |nu|={abs(nu)} outside supported range <= 50")
+    if abs(nu) > MAX_ORDER_J:
+        raise DomainError(f"order |nu|={abs(nu)} outside supported range <= {MAX_ORDER_J:g}")
     arr, scalar = _as_array(x, float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("bessel_j requires finite x > 0")

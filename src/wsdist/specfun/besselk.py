@@ -38,7 +38,7 @@ _K_SERIES_ALL = 2.0
 _K_SERIES_MAX = 14.0
 _K_SECTOR = 0.22  # narrower for near-integer orders, see _k_core
 _K_GROUP = 64  # points per grid of the integral representation
-_MAX_ORDER_K = 10.0
+MAX_ORDER_K = 10.0  # |mu| of K and H1; also the mu range of OrderPair
 
 _CLD = np.clongdouble
 _LD = np.longdouble
@@ -143,8 +143,8 @@ def _k_asymptotic(q, w):
 def _k_core(mu, w):
     """K_mu on an ndarray of arguments off the cut; no Re(w) gate."""
     mu = abs(float(mu))
-    if mu > _MAX_ORDER_K:
-        raise DomainError(f"order |mu|={mu} outside supported range <= 10")
+    if mu > MAX_ORDER_K:
+        raise DomainError(f"order |mu|={mu} outside supported range <= {MAX_ORDER_K:g}")
     n = int(round(mu))
     mu0 = mu - n  # in [-1/2, 1/2)
 

@@ -49,6 +49,8 @@ import numpy as np
 from .distributions import DistributionExpansion
 from .errors import DomainError, OrderError
 from .specfun import HypParams, gamma, hyp2f1
+from .specfun.besselj import MAX_ORDER_J
+from .specfun.besselk import MAX_ORDER_K
 from .specfun.hyp import _boundary_below, _one_minus_z_log_parts
 
 _H_STABLE_BAND = 0.2  # |s-1| below this uses the split form of F - 1
@@ -87,9 +89,10 @@ class OrderPair:
             raise OrderError(
                 f"orders (mu={self.mu}, nu={self.nu}) violate nu + 2 > |mu|"
             )
-        if not (abs(self.mu) <= 10.0 and abs(self.nu) <= 50.0):
+        if not (abs(self.mu) <= MAX_ORDER_K and abs(self.nu) <= MAX_ORDER_J):
             raise OrderError(
-                f"orders (mu={self.mu}, nu={self.nu}) leave |mu| <= 10, |nu| <= 50"
+                f"orders (mu={self.mu}, nu={self.nu}) leave"
+                f" |mu| <= {MAX_ORDER_K:g}, |nu| <= {MAX_ORDER_J:g}"
             )
 
     def require_bessel_bessel(self):

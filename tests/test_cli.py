@@ -238,11 +238,12 @@ BAD_NUMBERS = [
     (["density", "--nu", "inf"], 2, "argument --nu: must be finite"),
     (["pair", "--tol", "abc"], 2, "argument --tol: could not convert string to float"),
     (["pair", "--bump", "abc"], 2, "argument --bump: could not convert string to float"),
-    # --prop 1 last: the prop-2 prefix would reject these orders for mu + 2 > |nu|
+    # --prop 1 last: prop 1 is the path where these orders and this bump
+    # ended in an OverflowError traceback or in numpy overflow warnings
     (["density", "--mu", "0", "--nu", "200", "--prop", "1"], 2, "leave |mu| <= 10, |nu| <= 50"),
     (["pair", "--nu", "1e300", "--prop", "1"], 2, "leave |mu| <= 10, |nu| <= 50"),
     (["density", "--mu", "12", "--nu", "30", "--prop", "1"], 2, "leave |mu| <= 10, |nu| <= 50"),
-    (["pair", "--bump", "1,0.5,1e308", "--prop", "1"], 5, "DomainError: pairing overflows"),
+    (["pair", "--bump", "1,0.5,1e308", "--prop", "1"], 5, "DomainError: pairing is not finite"),
 ]
 
 
