@@ -223,20 +223,3 @@ def sokhotski_pair(g, eps, tol=1e-10):
         )
     return complex(res.value)
 
-
-def validate_expansion(dist, tol=1e-6):
-    """Cheap consistency checks of the F(1)=1 normalization and the
-    local integrability of h on [1/2, 2]."""
-    F = dist.F(np.array([1.0 - 1e-7, 1.0 + 1e-7]))
-    if np.any(np.abs(F - 1.0) > 1e-4):
-        raise ValueError(f"density F(1 - 1e-7), F(1 + 1e-7) = {F} are not both near 1")
-
-    def abs_h(s):
-        return np.abs(dist.h(s))
-
-    left = tanh_sinh(abs_h, 0.5, 1.0, tol)
-    right = tanh_sinh(abs_h, 1.0, 2.0, tol)
-    total = (left.value + right.value).real
-    if not math.isfinite(total):
-        raise ValueError("integral of |h| over [1/2, 2] is not finite")
-    return total

@@ -13,10 +13,12 @@ Real order, positive real argument.  Three regimes:
 The switch points were chosen so neighbouring regimes overlap with
 agreement well below 1e-10; see tests.
 
-The three loops shared with the modified functions in besselk live
+The four loops shared with the modified functions in besselk live
 here: the ascending series (_ascending: J at z = -x^2/4, I at
 z = +w^2/4), the integer-order logarithmic series (_log_sweep: Y_0, Y_1
-or K_0, K_1 by the sign of z) and the order recurrence (_recur_up).
+or K_0, K_1 by the sign of z), the Hankel asymptotic series
+(_hankel_sums: the P and Q sums of J and Y, the one sum of K) and the
+order recurrence (_recur_up).
 """
 
 import math
@@ -27,7 +29,6 @@ from ..errors import DomainError
 from .gammafn import EULER_GAMMA, gamma
 
 _SERIES_MAX_X = 15.0
-_ASYMP_MIN_X = 15.0
 MAX_ORDER_J = 50.0  # |nu| of J; also the nu range of OrderPair
 
 _LD = np.longdouble
@@ -65,51 +66,65 @@ def _ascending(q, z, first):
 
 def _j_series(nu, x):
     """Ascending series of J_nu, 80-bit accumulation; x <= ~20, nu not
-    a negative integer."""
+    a negative integer.  A value past the double range (large negative
+    nu at tiny x) raises DomainError."""
     xl = x.astype(_LD)
     acc = _ascending(nu, -0.25 * xl * xl, 1.0)
     pref = np.power(0.5 * xl, _LD(nu)) / _LD(gamma(nu + 1.0))
-    return (pref * acc).astype(float)
+    with np.errstate(over="ignore"):  # reported below, as a DomainError
+        out = (pref * acc).astype(float)
+    if not np.isfinite(out).all():
+        raise DomainError(f"J_{nu:g}(x) is outside the double range")
+    return out
+
+
+def _hankel_sums(q, inv8, cycle):
+    """The Hankel asymptotic series of order q (DLMF 10.17.3, 10.40.2):
+    term k is prod_{j<k} (4q^2 - (2j+1)^2) inv8 / (j+1), term 0 is 1.
+
+    Term k goes, with its sign, into the sum that cycle[k % len(cycle)]
+    = (index, sign) names; term 0 is (0, +1).  Each element adds terms
+    until its own term magnitude starts to grow (optimal truncation) or
+    drops below 1e-17; its bound is the first omitted term.  Returns the
+    sums and the bound (relative to 1).
+    """
+    mu = 4.0 * q * q
+    sums = [np.ones_like(inv8)]  # term 0
+    sums += [np.zeros_like(inv8) for _ in range(max(i for i, _ in cycle))]
+    term = np.ones_like(inv8)
+    prev_mag = np.full(inv8.shape, np.inf)
+    bound = np.full(inv8.shape, np.inf)
+    active = np.ones(inv8.shape, dtype=bool)
+    # the masked updates below work in place, without temporaries
+    for k in range(80):
+        term = term * ((mu - (2 * k + 1) ** 2) * inv8 / (k + 1.0))
+        mag = np.abs(term)
+        grown = active & (mag >= prev_mag)
+        np.copyto(bound, mag, where=grown)
+        active &= ~grown
+        if not active.any():
+            break
+        i, sign = cycle[(k + 1) % len(cycle)]
+        (np.add if sign > 0 else np.subtract)(sums[i], term, out=sums[i], where=active)
+        tiny = active & (mag < 1e-17)
+        np.copyto(bound, mag, where=tiny)
+        active &= ~tiny
+        if not active.any():
+            break
+        np.copyto(prev_mag, mag, where=active)
+    bound = np.where(np.isinf(bound), np.abs(term), bound)
+    return sums, bound
+
+
+# the series at w = -ix splits by i^k into P (even k) and Q (odd k),
+# with signs + + - - + + - - ...
+_PQ_CYCLE = ((0, 1.0), (1, 1.0), (0, -1.0), (1, -1.0))
 
 
 def _jy_asymptotic(nu, x):
     """Hankel expansion J, Y and a bound on the truncation error of the
-    modulus functions (relative to 1).
-
-    Each element accumulates terms until its own term magnitude starts
-    to grow (optimal truncation) or underflows the target accuracy; the
-    bound is the first omitted term.
-    """
-    mu = 4.0 * nu * nu
-    inv8x = 1.0 / (8.0 * x)
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    term = np.ones_like(x)
-    prev_mag = np.full_like(x, np.inf)
-    bound = np.full_like(x, np.inf)
-    active = np.ones(x.shape, dtype=bool)
-    for k in range(60):
-        term = term * ((mu - (2 * k + 1) ** 2) * inv8x / (k + 1.0))
-        mag = np.abs(term)
-        grown = active & (mag >= prev_mag)
-        bound[grown] = mag[grown]
-        active &= ~grown
-        if not np.any(active):
-            break
-        # term index kk: odd -> Q, even -> P, signs + + - - + + - - ...
-        kk = k + 1
-        sign = -1.0 if (kk // 2) % 2 else 1.0
-        if kk % 2:
-            q = np.where(active, q + sign * term, q)
-        else:
-            p = np.where(active, p + sign * term, p)
-        tiny = active & (mag < 1e-17)
-        bound[tiny] = mag[tiny]
-        active &= ~tiny
-        if not np.any(active):
-            break
-        prev_mag = np.where(active, mag, prev_mag)
-    bound = np.where(np.isinf(bound), np.abs(term), bound)
+    modulus functions (relative to 1)."""
+    (p, q), bound = _hankel_sums(nu, 1.0 / (8.0 * x), _PQ_CYCLE)
     chi = x - (0.5 * nu + 0.25) * math.pi
     amp = np.sqrt(2.0 / (math.pi * x))
     cos_chi = np.cos(chi)

@@ -19,7 +19,8 @@ methods is reliable where w sits:
   kernel, no cancellation; node count follows the oscillation budget
   |Im w| / Re w).
 * the e^{-w} asymptotic series truncated at its smallest term for
-  |w| > 14, any argument in range.
+  |w| > 14, any argument in range; the loop of J and Y
+  (besselj._hankel_sums).
 
 All pieces are valid off the cut (-inf, 0], which is more than the
 public Re(w) > 0 contract; hankel1_complex exploits that to reach its
@@ -31,7 +32,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from .besselj import _as_array, _ascending, _log_sweep, _recur_up
+from .besselj import _as_array, _ascending, _hankel_sums, _log_sweep, _recur_up
 from .gammafn import EULER_GAMMA, gamma
 
 _K_SERIES_ALL = 2.0
@@ -117,25 +118,7 @@ def _k_pair_integral(mu0, w):
 def _k_asymptotic(q, w):
     """Asymptotic K_q(w) ~ sqrt(pi/2w) e^-w sum a_k/(8w)^k, adaptive
     truncation at the smallest term."""
-    mu = 4.0 * q * q
-    inv8w = 1.0 / (8.0 * w)
-    term = np.ones_like(w)
-    acc = np.ones_like(w)
-    prev_mag = np.full(w.shape, np.inf)
-    active = np.ones(w.shape, dtype=bool)
-    for k in range(80):
-        term = term * ((mu - (2 * k + 1) ** 2) * inv8w / (k + 1.0))
-        mag = np.abs(term)
-        grown = active & (mag >= prev_mag)
-        active &= ~grown
-        if not np.any(active):
-            break
-        acc = np.where(active, acc + term, acc)
-        tiny = active & (mag < 1e-17)
-        active &= ~tiny
-        if not np.any(active):
-            break
-        prev_mag = np.where(active, mag, prev_mag)
+    (acc,), _ = _hankel_sums(q, 1.0 / (8.0 * w), ((0, 1.0),))
     pref = np.sqrt(0.5 * math.pi / w) * np.exp(-w)
     return pref * acc
 

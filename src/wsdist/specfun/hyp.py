@@ -393,9 +393,21 @@ def _ode_continuation(a, b, c, z):
     raise ValueError(f"ODE continuation did not reach z={z}")
 
 
-def _dispatch(a, b, c, z):
+def hyp2f1(params, z):
+    """2F1(a, b; c; z) for complex z off the cut [1, inf).
+
+    Relative accuracy ~1e-12 in the series regions, ~1e-10 elsewhere.
+    Raises CutError on the cut (use hyp2f1_boundary there); a
+    terminating series is entire and is summed anywhere.
+    """
+    a, b, c = params.a, params.b, params.c
+    z = complex(z)
     if _is_nonpos_int(a) or _is_nonpos_int(b):
         return _polynomial(a, b, c, z)
+    if z.imag == 0.0 and z.real >= 1.0:
+        raise CutError(
+            f"z={z} lies on the cut [1, inf); use hyp2f1_boundary"
+        )
     if abs(z) <= _SERIES_RADIUS:
         return _maclaurin(a, b, c, z)
     u = z / (z - 1.0)
@@ -406,22 +418,6 @@ def _dispatch(a, b, c, z):
     if abs(z) >= 1.0 / _SERIES_RADIUS:
         return _inv_z(a, b, c, z)
     return _ode_continuation(a, b, c, z)
-
-
-def hyp2f1(params, z):
-    """2F1(a, b; c; z) for complex z off the cut [1, inf).
-
-    Relative accuracy ~1e-12 in the series regions, ~1e-10 elsewhere.
-    Raises CutError on the cut (use hyp2f1_boundary there).
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real >= 1.0:
-        if _is_nonpos_int(params.a) or _is_nonpos_int(params.b):
-            return _polynomial(params.a, params.b, params.c, z)
-        raise CutError(
-            f"z={z} lies on the cut [1, inf); use hyp2f1_boundary"
-        )
-    return _dispatch(params.a, params.b, params.c, z)
 
 
 def _boundary_below(a, b, c, x):

@@ -1,12 +1,14 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import jv, yv
 
 from wsdist.errors import DomainError
 from wsdist.specfun import bessel_j
-from wsdist.specfun.besselj import _bessel_y
+from wsdist.specfun.besselj import _bessel_y, _jy_asymptotic
 
 
 def _j0_ascending_series(x):
@@ -81,6 +83,30 @@ def test_domain_errors():
         bessel_j(0.0, -1.0)
     with pytest.raises(DomainError):
         bessel_j(51.0, 1.0)
+
+
+@pytest.mark.parametrize("nu, x", [(-49.9, 1e-6), (-20.5, 1e-20), (-49.9, np.array([1e-5, 1.0]))])
+def test_value_past_double_range_is_a_domain_error(nu, x):
+    # the ascending series' long-double result does not fit a double;
+    # no numpy overflow warning may leak out with the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="outside the double range"):
+            bessel_j(nu, x)
+
+
+@pytest.mark.parametrize("nu", [-20.5, -30.3, -49.9])
+def test_negative_noninteger_order_past_the_asymptotic_region(nu):
+    # the Hankel bound rejects these x, so J_nu = J_a cos(a pi) - Y_a sin(a pi),
+    # a = -nu, with J_a from Miller's recurrence
+    mp.mp.dps = 30
+    xs = np.array([16.0, 20.0, 33.3, 50.0, 80.0])
+    assert np.all(_jy_asymptotic(nu, xs)[2] > 1e-12)
+    got = bessel_j(nu, xs)
+    ref = np.array([float(mp.besselj(nu, x)) for x in xs])
+    envelope = np.sqrt(2.0 / (math.pi * xs))
+    err = np.abs(got - ref) / np.maximum(np.abs(ref), envelope)
+    assert err.max() < 1e-12
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.0, 3.3, 7.0])

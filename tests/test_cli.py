@@ -75,6 +75,17 @@ def test_density_grid_is_s_min_plus_i_steps(capsys):
     assert s == [0.25 + (3.0 - 0.25) * i / 55 for i in range(56)]
 
 
+@pytest.mark.parametrize("prop", ["1", "2"])
+def test_density_single_step_is_the_first_row_of_the_grid(capsys, prop):
+    # --s-steps 1 evaluates s-min alone
+    base = ["density", "--mu", "0.5", "--nu", "1.5", "--prop", prop]
+    code, full, _ = _run(capsys, base)
+    assert code == 0
+    code, one, _ = _run(capsys, base + ["--s-steps", "1"])
+    assert code == 0
+    assert one.splitlines() == full.splitlines()[:2]
+
+
 PAIR_GOLDEN = json.loads((DATA / "pair_golden.json").read_text(encoding="utf-8"))
 
 

@@ -9,7 +9,6 @@ from wsdist.distributions import (
     pair,
     pair_alpha_invariance_check,
     sokhotski_pair,
-    validate_expansion,
 )
 from wsdist.errors import SupportError, ToleranceError
 from wsdist.quadrature import integrate_finite
@@ -104,6 +103,8 @@ def test_alpha_invariance_needs_two_values():
 
 def test_measure_consistency():
     assert measure_consistency() <= 1e-10
+    bumps = (TestFunction(1.0, 0.5), TestFunction(0.7, 0.2, 2.0))
+    assert measure_consistency(((0.0, 1.0), (1.0, 2.0)), bumps) <= 1e-10
 
 
 def test_linearity_in_coefficients():
@@ -157,10 +158,3 @@ def test_pair_tolerance_error():
     with pytest.raises(ToleranceError):
         pair(dist, g, tol=1e-18)
 
-
-def test_validate_expansion_h_integrable_and_stable():
-    dist = prop1_distribution(OrderPair(0.0, 1.0))
-    coarse = validate_expansion(dist, tol=1e-5)
-    fine = validate_expansion(dist, tol=1e-8)
-    assert math.isfinite(coarse) and math.isfinite(fine)
-    assert abs(coarse - fine) <= 0.01 * abs(fine)

@@ -102,6 +102,34 @@ def test_gauss_value_at_one():
         assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
+def _abs_term_sum(a, b, c, z):
+    """Sum of the moduli of the terms of a terminating series: the scale
+    of its rounding error."""
+    n = int(round(-a)) if a < 0.5 and a == round(a) else int(round(-b))
+    term, total = mp.mpf(1), mp.mpf(1)
+    for k in range(n):
+        term *= abs((a + k) * (b + k) / ((c + k) * (k + 1.0)) * z)
+        total += term
+    return float(total)
+
+
+@pytest.mark.parametrize(
+    "abc", [(-1.0, 0.4, 1.93), (-3.0, 1.7, 0.8), (2.2, -5.0, 1.4), (-7.0, -2.5, 3.5)]
+)
+def test_terminating_series_of_positive_degree(abc):
+    # a or b a negative integer: a polynomial, summed off the cut, on it
+    # through hyp2f1 and as the boundary value alike
+    a, b, c = abc
+    params = HypParams(a, b, c)
+    for z in (0.3 + 0.2j, -4.0 + 1.0j, 2.5 - 3.0j, 0.9 + 0.0j, 1.0 + 0.0j, 2.0 + 0.0j, 7.5 + 0.0j):
+        ref = complex(mp.hyp2f1(a, b, c, z))
+        scale = 1e-14 * _abs_term_sum(a, b, c, z)
+        assert abs(hyp2f1(params, z) - ref) <= scale, f"z={z}"
+        if z.imag == 0.0 and z.real >= 1.0:
+            got = hyp2f1_boundary(params, BranchPoint(z.real))
+            assert abs(got - ref) <= scale, f"x={z.real}"
+
+
 def test_boundary_b_zero():
     p = HypParams(1.7, 0.0, 2.1)
     for x in (1.0, 2.5, 40.0):
