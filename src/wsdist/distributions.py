@@ -64,6 +64,9 @@ class TestFunction:
                 f"support [{self.center - self.halfwidth}, "
                 f"{self.center + self.halfwidth}] leaves (0, inf)"
             )
+        low, high = self.support
+        if not low < high:
+            raise SupportError(f"support [{low}, {high}] collapses to a point in floating point")
 
     @property
     def support(self):

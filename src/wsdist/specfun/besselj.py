@@ -244,8 +244,12 @@ def _bessel_y(nu, x):
     if np.any(small):
         xs = arr[small]
         if is_int:
-            y0, y1 = _y_int_base(xs)
-            out[small] = _recur_up(y0, y1, 0.0, n_int, xs, -1.0)
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                y0, y1 = _y_int_base(xs)
+                ys = _recur_up(y0, y1, 0.0, n_int, xs, -1.0)
+            if not np.isfinite(ys).all():
+                raise DomainError(f"Y_{nu:g}(x) is outside the double range")
+            out[small] = ys
         else:
             jp = _j_series(nu, xs)
             jm = _j_series(-nu, xs)

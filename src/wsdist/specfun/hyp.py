@@ -27,26 +27,30 @@ in the non-degenerate connection formulas (the usual near-degeneracy of
 the 1-z / 1/z transforms); the parameter families this package feeds in
 are exactly integral there and take the logarithmic forms.
 
-Per-parameter tables: everything in the two logarithmic series that
-does not depend on the argument -- the digamma values and term-ratio
-factors of each term, the Gamma constants in front -- is computed once
-per parameter set, keyed on (a, b, m) for the 1-z series and (a, c, ell)
-for the 1/z series, and kept for the _TABLE_SETS most recently used
-sets of each kind.  A table grows one term at a time, only as far as
-some series has reached, so a term's digamma raises exactly where the
-per-point loop would (and at no term it never reaches).  Bit-identity
-rule: every
-output equals the per-point loop's to the last bit.  The loops keep
-their left-to-right expressions (`logw - d1 - d2 + d3 + d4`,
-`term * num / den * w`) and only their operands come from the tables:
-folding the four digammas into one sum, num/den into one ratio, or
-stepping psi by psi(x+1) = psi(x) + 1/x would each move last bits.
+Per-parameter operands: everything in the two logarithmic series that
+does not depend on the argument comes from pure functions under
+functools.lru_cache.  A header, keyed on (a, b, m) for the 1-z series
+and (a, c, ell) for the 1/z series, holds the Gamma constants in front
+and the first term; the _LOG_SETS most recently used are kept.  A row,
+keyed on the same parameters and the term index k, holds the digamma
+values and term-ratio factors of term k in an array('d'), which keeps
+them compact (one buffer, not a tuple of float objects).  _LOG_ROWS rows
+are kept, at least the 500 terms one series can reach, so a series never
+evicts its own rows.  A row is computed only when some series reaches
+its term, so a term's digamma raises exactly where the per-point loop
+would (and at no term it never reaches).  A row is a pure function of
+its key, so no lock is needed: two threads that miss together compute
+the same bits.  Bit-identity rule: every output equals the per-point
+loop's to the last bit.  The loops keep their left-to-right expressions
+(`logw - d1 - d2 + d3 + d4`, `term * num / den * w`) and only their
+operands come from the cache: folding the four digammas into one sum,
+num/den into one ratio, or stepping psi by psi(x+1) = psi(x) + 1/x
+would each move last bits.
 """
 
 import cmath
 import functools
 import math
-import threading
 from array import array
 from dataclasses import dataclass
 
@@ -57,7 +61,8 @@ _SERIES_RADIUS = 0.75
 _BOUNDARY_SPLIT = 1.6
 _INT_SNAP = 1e-10
 _MACLAURIN_TERMS = 500
-_TABLE_SETS = 8  # parameter sets whose log-series tables stay cached
+_LOG_SETS = 8  # parameter sets whose log-series headers stay cached
+_LOG_ROWS = 512  # log-series rows kept: at least the 500 terms one series can reach
 
 
 @dataclass(frozen=True)
@@ -148,56 +153,31 @@ def _one_minus_z_nondegenerate(a, b, c, w, logw):
     return t1 + t2
 
 
-class _SeriesTable:
-    """The argument-independent operands of one logarithmic series.
-
-    The factories below set the header constants as attributes.  The
-    per-term operands are array('d') columns that `extend` grows one row
-    (term) at a time, only as far as a series reaches, computing each
-    row as `row(k)` and hence in the order the series would.  Rows are
-    appended under a lock and published by bumping `rows` last, so a
-    reader never indexes a half-written row.
-    """
-
-    def __init__(self, columns, row):
-        self.columns = tuple(array("d") for _ in range(columns))
-        self.rows = 0
-        self._row = row
-        self._lock = threading.Lock()
-
-    def extend(self, k):
-        with self._lock:
-            while self.rows <= k:
-                values = self._row(self.rows)
-                for col, v in zip(self.columns, values):
-                    col.append(v)
-                self.rows += 1
+@functools.lru_cache(maxsize=_LOG_SETS)
+def _one_minus_z_head(a, b, m):
+    """Header of the degenerate 1-z series at (a, b, m): coef (m > 0),
+    pref and the first term."""
+    gc = gamma(a + b + m)
+    coef = gc * _rgamma(a + m) * _rgamma(b + m) if m > 0 else None
+    sign = -1.0 if m % 2 == 0 else 1.0  # (-1)^(m+1)
+    return coef, sign * gc * _rgamma(a) * _rgamma(b), (1.0 + 0.0j) / math.factorial(m)
 
 
-@functools.lru_cache(maxsize=_TABLE_SETS)
-def _one_minus_z_table(a, b, m):
-    """Table of the degenerate 1-z series at (a, b, m): the header gc,
-    coef (m > 0), pref, the first term, and per term k the columns
-    psi(k+1), psi(k+m+1), psi(a+m+k), psi(b+m+k), (a+m+k)(b+m+k) and
-    (k+1)(k+m+1)."""
-
-    def row(k):
-        return (
+@functools.lru_cache(maxsize=_LOG_ROWS)
+def _one_minus_z_row(a, b, m, k):
+    """Term k of the degenerate 1-z series at (a, b, m): psi(k+1),
+    psi(k+m+1), psi(a+m+k), psi(b+m+k), (a+m+k)(b+m+k), (k+1)(k+m+1)."""
+    return array(
+        "d",
+        (
             digamma(k + 1.0),
             digamma(k + m + 1.0),
             digamma(a + m + k),
             digamma(b + m + k),
             (a + m + k) * (b + m + k),
             (k + 1.0) * (k + m + 1.0),
-        )
-
-    tab = _SeriesTable(6, row)
-    gc = gamma(a + b + m)
-    tab.coef = gc * _rgamma(a + m) * _rgamma(b + m) if m > 0 else None
-    sign = -1.0 if m % 2 == 0 else 1.0  # (-1)^(m+1)
-    tab.pref = sign * gc * _rgamma(a) * _rgamma(b)
-    tab.term0 = (1.0 + 0.0j) / math.factorial(m)
-    return tab
+        ),
+    )
 
 
 def _one_minus_z_log_parts(a, b, m, w, logw):
@@ -209,7 +189,7 @@ def _one_minus_z_log_parts(a, b, m, w, logw):
     logarithmic series including all its prefactors.  Returned as the
     pair (FIN, TAIL) so callers can form F - F(1) without cancellation.
     """
-    tab = _one_minus_z_table(a, b, m)
+    coef, pref, term0 = _one_minus_z_head(a, b, m)
     fin = 0.0 + 0.0j
     if m > 0:
         term = 1.0 + 0.0j
@@ -218,20 +198,18 @@ def _one_minus_z_log_parts(a, b, m, w, logw):
             acc += term * math.factorial(m - k - 1)
             if k < m - 1:
                 term = term * ((a + k) * (b + k)) / (k + 1.0) * (-w)
-        fin = tab.coef * acc
+        fin = coef * acc
 
-    psi_k, psi_km, psi_a, psi_b, num, den = tab.columns
-    term = tab.term0
+    term = term0
     acc = 0.0 + 0.0j
     for k in range(500):
-        if k == tab.rows:
-            tab.extend(k)
-        bracket = logw - psi_k[k] - psi_km[k] + psi_a[k] + psi_b[k]
+        psi_k, psi_km, psi_a, psi_b, num, den = _one_minus_z_row(a, b, m, k)
+        bracket = logw - psi_k - psi_km + psi_a + psi_b
         acc += term * bracket
         if abs(term) * (abs(bracket) + k + 10.0) < 1e-18 * max(abs(acc), 1e-280):
             break
-        term = term * num[k] / den[k] * w
-    return fin, tab.pref * acc
+        term = term * num / den * w
+    return fin, pref * acc
 
 
 def _one_minus_z(a, b, c, z, logw=None):
@@ -272,17 +250,29 @@ def _inv_z_nondegenerate(a, b, c, t, lognegz):
     return t1 + t2
 
 
-@functools.lru_cache(maxsize=_TABLE_SETS)
-def _inv_z_table(a, c, ell):
-    """Table of the degenerate 1/z series at (a, c, ell): the header
-    1/Gamma(c-a-k) for k < ell, Gamma(a+ell) (ell > 0), Gamma(a),
-    Gamma(c), the first term, and per term k the columns psi(k+1),
-    psi(k+ell+1), psi(a+k+ell), 1/Gamma(q), psi(q)/Gamma(q) at
-    q = c-a-ell-k, a+ell+k and (k+1)(k+ell+1)."""
+@functools.lru_cache(maxsize=_LOG_SETS)
+def _inv_z_head(a, c, ell):
+    """Header of the degenerate 1/z series at (a, c, ell): 1/Gamma(c-a-k)
+    for k < ell, Gamma(a+ell) (ell > 0), Gamma(a), Gamma(c) and the first
+    term."""
+    return (
+        tuple(_rgamma(c - a - k) for k in range(ell)),
+        gamma(a + ell) if ell > 0 else None,
+        gamma(a),
+        gamma(c),
+        (1.0 + 0.0j) / math.factorial(ell),
+    )
 
-    def row(k):
-        q = c - a - ell - k
-        return (
+
+@functools.lru_cache(maxsize=_LOG_ROWS)
+def _inv_z_row(a, c, ell, k):
+    """Term k of the degenerate 1/z series at (a, c, ell): psi(k+1),
+    psi(k+ell+1), psi(a+k+ell), 1/Gamma(q) and psi(q)/Gamma(q) at
+    q = c-a-ell-k, a+ell+k and (k+1)(k+ell+1)."""
+    q = c - a - ell - k
+    return array(
+        "d",
+        (
             digamma(k + 1.0),
             digamma(k + ell + 1.0),
             digamma(a + k + ell),
@@ -290,47 +280,36 @@ def _inv_z_table(a, c, ell):
             _psi_over_gamma(q),
             a + ell + k,
             (k + 1.0) * (k + ell + 1.0),
-        )
-
-    tab = _SeriesTable(7, row)
-    tab.fin_rgamma = array("d", (_rgamma(c - a - k) for k in range(ell)))
-    tab.gamma_a_ell = gamma(a + ell) if ell > 0 else None
-    tab.gamma_a = gamma(a)
-    tab.gamma_c = gamma(c)
-    tab.term0 = (1.0 + 0.0j) / math.factorial(ell)
-    return tab
+        ),
+    )
 
 
 def _inv_z_log(a, c, ell, t, lognegz):
     """Degenerate 1/z connection for F(a, a+ell; c; z), integer ell >= 0;
     t = 1/z.  Poles of psi(c-a-ell-k) are cancelled by 1/Gamma via the
     finite psi/Gamma limit."""
-    tab = _inv_z_table(a, c, ell)
+    fin_rgamma, gamma_a_ell, gamma_a, gamma_c, term0 = _inv_z_head(a, c, ell)
     out = 0.0 + 0.0j
     if ell > 0:
-        fin_rgamma = tab.fin_rgamma
         acc = 0.0 + 0.0j
         term = 1.0 + 0.0j
         for k in range(ell):
             acc += term * math.factorial(ell - k - 1) * fin_rgamma[k]
             if k < ell - 1:
                 term = term * (a + k) / (k + 1.0) * t
-        out += acc / tab.gamma_a_ell
-    psi_k, psi_kl, psi_a, rgamma_q, psi_over_gamma_q, num, den = tab.columns
+        out += acc / gamma_a_ell
     acc = 0.0 + 0.0j
-    term = tab.term0
+    term = term0
     for k in range(500):
-        if k == tab.rows:
-            tab.extend(k)
-        bracket = (
-            lognegz + psi_k[k] + psi_kl[k] - psi_a[k]
-        ) * rgamma_q[k] - psi_over_gamma_q[k]
+        row = _inv_z_row(a, c, ell, k)
+        psi_k, psi_kl, psi_a, rgamma_q, psi_over_gamma_q, num, den = row
+        bracket = (lognegz + psi_k + psi_kl - psi_a) * rgamma_q - psi_over_gamma_q
         acc += term * bracket
         if abs(term) * (abs(bracket) + k + 10.0) < 1e-18 * max(abs(acc), 1e-280):
             break
-        term = term * num[k] / den[k] * (-t)
-    out += acc * (t**ell) / tab.gamma_a
-    return tab.gamma_c * cmath.exp(-a * lognegz) * out
+        term = term * num / den * (-t)
+    out += acc * (t**ell) / gamma_a
+    return gamma_c * cmath.exp(-a * lognegz) * out
 
 
 def _inv_z(a, b, c, z, lognegz=None):

@@ -302,7 +302,14 @@ def _pointwise(kernel, mu, nu, dtype):
     """The array functions s -> F(s) and s -> h(s) of one scalar kernel
     s -> (F, h): arrays of the shape of s (the kernel's scalar for a
     scalar).  The kernels stay scalar: numpy does not reproduce the
-    last bits of their math/cmath calls."""
+    last bits of their math/cmath calls.  A power that overflows the
+    double range raises DomainError."""
+
+    def at(x, i):
+        try:
+            return kernel(mu, nu, x)[i]
+        except OverflowError as exc:
+            raise DomainError(f"density at s={x} is outside the double range") from exc
 
     def column(i):
         def density(s):
@@ -311,8 +318,8 @@ def _pointwise(kernel, mu, nu, dtype):
             if bad.any():
                 raise DomainError(f"density argument s={float(s[bad][0])} must be positive")
             if s.ndim == 0:
-                return kernel(mu, nu, float(s))[i]
-            values = [kernel(mu, nu, x)[i] for x in s.ravel().tolist()]
+                return at(float(s), i)
+            values = [at(x, i) for x in s.ravel().tolist()]
             return np.array(values, dtype=dtype).reshape(s.shape)
 
         return density

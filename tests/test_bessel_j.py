@@ -95,6 +95,16 @@ def test_value_past_double_range_is_a_domain_error(nu, x):
             bessel_j(nu, x)
 
 
+@pytest.mark.parametrize("nu, x", [(50.0, 1e-6), (33.0, 1e-8), (2.0, 1e-200), (50.0, np.array([1e-6, 1.0]))])
+def test_y_integer_order_past_double_range_is_a_domain_error(nu, x):
+    # the upward order recurrence from Y_0, Y_1 overflows; no numpy
+    # overflow or invalid-value warning may leak out with the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="outside the double range"):
+            _bessel_y(nu, x)
+
+
 @pytest.mark.parametrize("nu", [-20.5, -30.3, -49.9])
 def test_negative_noninteger_order_past_the_asymptotic_region(nu):
     # the Hankel bound rejects these x, so J_nu = J_a cos(a pi) - Y_a sin(a pi),

@@ -255,6 +255,17 @@ BAD_NUMBERS = [
     (["pair", "--nu", "1e300", "--prop", "1"], 2, "leave |mu| <= 10, |nu| <= 50"),
     (["density", "--mu", "12", "--nu", "30", "--prop", "1"], 2, "leave |mu| <= 10, |nu| <= 50"),
     (["pair", "--bump", "1,0.5,1e308", "--prop", "1"], 5, "DomainError: pairing is not finite"),
+    # a power of a tiny s overflows inside the density kernel
+    (["density", "--mu", "0", "--nu", "1", "--prop", "1", "--s-min", "1e-200", "--s-max", "1e-199",
+      "--s-steps", "2"], 5, "outside the double range"),
+    (["pair", "--mu", "0", "--nu", "50", "--prop", "1", "--bump", "1e-7,9e-8"], 5,
+     "outside the double range"),
+    (["density", "--mu", "-1.5", "--nu", "-0.4", "--s-min", "1e-130", "--s-max", "2e-130",
+      "--s-steps", "2"], 5, "outside the double range"),
+    # center +- halfwidth rounds to one point
+    (["pair", "--mu", "0", "--bump", "1e17,1", "--prop", "1"], 5, "SupportError: "),
+    (["pair", "--mu", "0", "--bump", "1e16,1"], 5, "SupportError: "),
+    (["pair", "--mu", "0", "--bump", "1,1e-300", "--prop", "1"], 5, "SupportError: "),
 ]
 
 

@@ -1,5 +1,7 @@
 import cmath
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -243,8 +245,8 @@ def _reference_inv_z_log(a, c, ell, t, lognegz):
 
 
 def _clear_tables():
-    hyp._one_minus_z_table.cache_clear()
-    hyp._inv_z_table.cache_clear()
+    for cached in (hyp._one_minus_z_head, hyp._one_minus_z_row, hyp._inv_z_head, hyp._inv_z_row):
+        cached.cache_clear()
     ws._gamma_prefactor.cache_clear()
 
 
@@ -313,10 +315,37 @@ def test_inv_z_log_bit_identical(acl, warm):
 def test_tables_grow_only_as_far_as_a_series_reaches():
     _clear_tables()
     hyp._one_minus_z_log_parts(0.5, 0.5, 1, 0.05 + 0j, cmath.log(0.05))
-    near = hyp._one_minus_z_table(0.5, 0.5, 1).rows
+    near = hyp._one_minus_z_row.cache_info().currsize
     hyp._one_minus_z_log_parts(0.5, 0.5, 1, 0.7 + 0j, cmath.log(0.7))
-    far = hyp._one_minus_z_table(0.5, 0.5, 1).rows
+    far = hyp._one_minus_z_row.cache_info().currsize
     assert 0 < near < far < 500
+
+
+def test_log_series_from_threads_bit_identical():
+    """Threads that miss the cleared caches together still compute the
+    reference loops' bits: a row is a pure function of its key."""
+    calls = [
+        (series, (*key, complex(w), _log_of(w)))
+        for key in ONE_MINUS_Z_SETS
+        for w in W_POINTS[::-1]
+        for series in (hyp._one_minus_z_log_parts, _reference_one_minus_z_log_parts)
+    ] + [
+        (series, (*key, complex(t), _log_of(-1.0 / t)))
+        for key in INV_Z_SETS
+        for t in T_POINTS[::-1]
+        for series in (hyp._inv_z_log, _reference_inv_z_log)
+    ]
+    want = [f(*args) for f, args in calls[1::2]]
+    start = threading.Barrier(4)
+
+    def run(_):
+        start.wait()
+        return [f(*args) for f, args in calls[::2]]
+
+    _clear_tables()
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(run, range(4)))
+    assert all(got == want for got in results)
 
 
 @pytest.mark.parametrize(
