@@ -293,34 +293,51 @@ def reflection_check(orders, s):
 
     def density(m, n, x):
         pv = (2.0 / math.pi) * math.sin(0.5 * math.pi * (n - m))
-        return pv * _prop2(m, n, x)[0] / (1.0 / x - x)
+        return pv * _kernel_at(_prop2, m, n, x)[0] / (1.0 / x - x)
 
     return abs(density(mu, nu, s) - s**-2.0 * density(nu, mu, 1.0 / s))
+
+
+def _kernel_at(kernel, mu, nu, s):
+    """kernel(mu, nu, s), with a power that overflows the double range
+    raised as DomainError."""
+    try:
+        return kernel(mu, nu, s)
+    except OverflowError as exc:
+        raise DomainError(f"density at s={s} is outside the double range") from exc
 
 
 def _pointwise(kernel, mu, nu, dtype):
     """The array functions s -> F(s) and s -> h(s) of one scalar kernel
     s -> (F, h): arrays of the shape of s (the kernel's scalar for a
     scalar).  The kernels stay scalar: numpy does not reproduce the
-    last bits of their math/cmath calls.  A power that overflows the
-    double range raises DomainError."""
+    last bits of their math/cmath calls.
 
-    def at(x, i):
-        try:
-            return kernel(mu, nu, x)[i]
-        except OverflowError as exc:
-            raise DomainError(f"density at s={x} is outside the double range") from exc
+    The two functions share a one-slot memo of the last array's (F, h)
+    pairs, keyed on its shape and bytes, so F(grid) then h(grid) runs
+    the kernel once per point; an array changed in place is a new key.
+    The slot is replaced in one assignment, so a thread never reads one
+    array's key with another array's pairs.  A power that overflows the
+    double range raises DomainError and leaves the slot as it was."""
+    last = (None, None)  # (key, pairs) of the last array evaluated
 
     def column(i):
         def density(s):
+            nonlocal last
             s = np.asarray(s, dtype=float)
             bad = ~(s > 0.0)
             if bad.any():
                 raise DomainError(f"density argument s={float(s[bad][0])} must be positive")
             if s.ndim == 0:
-                return at(float(s), i)
-            values = [at(x, i) for x in s.ravel().tolist()]
-            return np.array(values, dtype=dtype).reshape(s.shape)
+                return _kernel_at(kernel, mu, nu, float(s))[i]
+            key = (s.shape, s.tobytes())
+            memo = last
+            if memo[0] == key:
+                pairs = memo[1]
+            else:
+                pairs = [_kernel_at(kernel, mu, nu, x) for x in s.ravel().tolist()]
+                last = (key, pairs)
+            return np.array([p[i] for p in pairs], dtype=dtype).reshape(s.shape)
 
         return density
 

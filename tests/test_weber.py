@@ -1,10 +1,14 @@
 import cmath
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from wsdist import cli
+from wsdist import weber_schafheitlin as ws
 from wsdist.distributions import TestFunction, pair
 from wsdist.errors import DomainError, OrderError
 from wsdist.quadrature import integrate_semiinfinite_damped
@@ -188,7 +192,7 @@ ARRAY_GRID = np.array([[1.0, 1.0 - 1e-15, 1.0 + 1e-15, 0.8],
 class TestArrayDensities:
     def test_array_equals_per_element_calls(self, make, mu, nu, dtype):
         dist = make(OrderPair(mu, nu))
-        for density in (dist.F, dist.h):
+        for density in (dist.F, dist.h):  # h reads the (F, h) pairs F stored
             values = density(ARRAY_GRID)
             assert values.shape == ARRAY_GRID.shape
             assert values.dtype == np.dtype(dtype)
@@ -226,3 +230,79 @@ class TestReflection:
     def test_s_equal_one_rejected(self):
         with pytest.raises(DomainError):
             reflection_check(OrderPair(0.0, 1.0), 1.0)
+
+    def test_tiny_s_overflow_is_a_domain_error(self):
+        # s^(mu-1) overflows the double range at s = 1e-130, mu = -1.5
+        with pytest.raises(DomainError, match="outside the double range"):
+            reflection_check(OrderPair(-1.5, -0.4), 1e-130)
+
+
+KERNELS = [(ws.prop1_distribution, "_prop1"), (ws.prop2_distribution, "_prop2")]
+
+
+class TestSharedColumns:
+    """F and h of one distribution share the (F, h) pairs of the last
+    array either was called on."""
+
+    @pytest.mark.parametrize("prop, kernel", [("1", "_prop1"), ("2", "_prop2")])
+    def test_density_runs_the_kernel_once_per_grid_point(self, monkeypatch, capsys, prop,
+                                                         kernel):
+        original = getattr(ws, kernel)
+        calls = []
+
+        def counting(mu, nu, s):
+            calls.append(s)
+            return original(mu, nu, s)
+
+        monkeypatch.setattr(ws, kernel, counting)
+        argv = ["density", "--mu", "0.5", "--nu", "1.5", "--prop", prop,
+                "--s-min", "0.5", "--s-max", "1.5", "--s-steps", "11"]
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 12
+        assert len(calls) == 11
+
+    @pytest.mark.parametrize("make, kernel", KERNELS)
+    def test_array_changed_in_place_is_evaluated_again(self, make, kernel):
+        dist = make(OrderPair(0.5, 1.5))
+        grid = np.array([0.5, 0.9, 1.0, 1.3])
+        dist.F(grid)
+        grid[1] = 2.5
+        want = [getattr(ws, kernel)(0.5, 1.5, x)[1] for x in grid.tolist()]
+        assert dist.h(grid).tolist() == want
+
+    @pytest.mark.parametrize("make, kernel", KERNELS)
+    def test_threads_alternating_arrays_get_their_own_columns(self, make, kernel):
+        dist = make(OrderPair(0.5, 1.5))
+        grids = [np.linspace(0.4 + 0.05 * j, 2.2 - 0.1 * j, 7) for j in range(4)]
+        want = [
+            [[getattr(ws, kernel)(0.5, 1.5, x)[i] for x in g.tolist()] for i in (0, 1)]
+            for g in grids
+        ]
+        start = threading.Barrier(len(grids))
+        got = [[] for _ in grids]
+
+        def run(j):
+            start.wait()
+            for _ in range(50):
+                got[j].append([dist.F(grids[j]).tolist(), dist.h(grids[j]).tolist()])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads finely
+        try:
+            threads = [threading.Thread(target=run, args=(j,)) for j in range(len(grids))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [len(g) for g in got] == [50] * len(grids)
+        assert all(columns == want[j] for j, g in enumerate(got) for columns in g)
+
+    def test_overflow_is_raised_by_the_first_column_and_not_stored(self):
+        dist = ws.prop2_distribution(OrderPair(-1.5, -0.4))
+        grid = np.array([0.5, 1e-130])
+        for density in (dist.F, dist.h, dist.F):
+            with pytest.raises(DomainError, match="s=1e-130 is outside the double range"):
+                density(grid)
