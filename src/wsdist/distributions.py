@@ -15,10 +15,14 @@ is defined through the alpha-decomposition: for any real alpha,
 whose second term is locally integrable because F(s) = 1 + (s-1) h(s)
 with h in L^1_loc.  Pairings below evaluate exactly this split; the
 stored remainder h keeps the (s^-alpha F - 1)/(s - 1) factor free of
-numerical cancellation at s = 1.  A pairing is one principal-value
-quadrature of s^alpha g(s) / (1/s - s) plus one ordinary quadrature of
-the remainder, both over the support of g; the quadratures see g only
-as a callable and that interval.
+numerical cancellation at s = 1.  When s = 1 lies inside the support
+of g, a pairing is one principal-value quadrature of
+s^alpha g(s) / (1/s - s) over the support plus one tanh-sinh call whose
+two rows integrate the remainder on either side of s = 1.  When s = 1
+lies outside the support or within `pole_guard` of its ends, where g
+vanishes with every derivative, both are ordinary quadratures over the
+support.  The
+quadratures see g only as a callable and that interval.
 
 Test functions are the classical mollifier bumps
 amplitude * exp(-1/(1 - t^2)), t = (s - center)/halfwidth: compactly
@@ -33,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, SupportError, ToleranceError
-from .quadrature import integrate_finite, integrate_pv, tanh_sinh
+from .quadrature import integrate_finite, integrate_pv, pole_guard, tanh_sinh
 
 
 class Measure(Enum):
@@ -138,7 +142,6 @@ def _pair_weighted(dist, weight, support, tol):
         raise SupportError(f"support [{lo}, {hi}] leaves (0, inf)")
     alpha = dist.alpha
     total = dist.delta_coeff * complex(weight(1.0))  # zero when 1 is off support
-    pieces = []
 
     def pv_integrand(s):
         s = np.asarray(s, dtype=float)
@@ -151,23 +154,30 @@ def _pair_weighted(dist, weight, support, tol):
 
     # a non-finite integrand is reported once, as the DomainError below
     with np.errstate(over="ignore", invalid="ignore"):
-        pieces.append(integrate_pv(pv_integrand, lo, hi, 1.0, tol))
-        if lo < 1.0 < hi:
-            # h may carry an integrable log singularity at s = 1
-            pieces.append(tanh_sinh(remainder, lo, 1.0, 0.5 * tol))
-            pieces.append(tanh_sinh(remainder, 1.0, hi, 0.5 * tol))
+        if min(1.0 - lo, hi - 1.0) >= pole_guard(1.0):
+            pv = integrate_pv(pv_integrand, lo, hi, 1.0, tol)
+            # h may carry an integrable log singularity at s = 1: one
+            # tanh-sinh row on each side of it
+            rem = tanh_sinh(lambda s, rows: remainder(s),
+                            np.array([lo, 1.0]), np.array([1.0, hi]), 0.5 * tol)
         else:
-            pieces.append(integrate_finite(remainder, lo, hi, tol))
+            # the weight vanishes with every derivative at the ends of its
+            # support, so a pole there or beyond needs no principal value
+            pv = integrate_finite(pv_integrand, lo, hi, tol)
+            rem = integrate_finite(remainder, lo, hi, tol)
 
-    if not all(np.isfinite(p.value) for p in pieces):
+    values = [pv.value, *np.atleast_1d(rem.value).tolist()]
+    if not np.all(np.isfinite(values)):
         raise DomainError("pairing is not finite: a quadrature piece is inf or nan")
-    bad = [p for p in pieces if not p.converged]
+    bad = [p for p in (pv, rem) if not p.converged]
     if bad:
-        worst = max(p.error_estimate for p in bad)
+        # a tanh-sinh row converged iff its estimate is within tol, so a
+        # stalled call's largest estimate is that of a stalled row
+        worst = max(np.max(p.error_estimate) for p in bad)
         raise ToleranceError(
             f"inner quadrature stalled (error estimate {worst:.3e} > tol {tol:g})"
         )
-    total += dist.pv_coeff * sum(p.value for p in pieces)
+    total += dist.pv_coeff * sum(values)
     return complex(total)
 
 

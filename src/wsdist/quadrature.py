@@ -15,7 +15,8 @@ plus Richardson extrapolation of epsilon-indexed sequences to 0.
 Every engine takes the integrand as a plain callable and the interval,
 pole or damping as arguments; none reads attributes off the integrand.
 Integrands take a numpy array of abscissae and return an array of
-values of the same shape.  Error estimates are absolute.
+values of the same shape; the row-batched engines call them as
+f(x, rows), one row of x per integral.  Error estimates are absolute.
 """
 
 import heapq
@@ -38,6 +39,11 @@ _MAX_OSC_PANELS = 4000
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """Scalar value and error_estimate from `integrate_finite` and
+    `integrate_pv`; per-row arrays from the row-batched `tanh_sinh` and
+    `integrate_semiinfinite_damped`, whose evaluations and converged
+    cover all rows."""
+
     value: complex
     error_estimate: float
     evaluations: int
@@ -153,34 +159,18 @@ def integrate_finite(f, a, b, tol):
 
 
 def tanh_sinh(f, a, b, tol):
-    """Double-exponential quadrature on (a, b), open at both ends.
+    """Double-exponential quadrature on (a[r], b[r]), open at both ends,
+    for every row r of the 1-D arrays a and b at once.
 
     Node offsets from the endpoints are formed in exp space so the rule
     can push arbitrarily close to integrable singularities without
-    cancellation.  Levels halve the step until two successive sums agree
-    to tol.
+    cancellation.  f(x, rows) gets a (len(rows), n) array of abscissae
+    for the rows still refining.  Levels halve the step; a row leaves at
+    the first level that agrees with its previous one to tol, so it has
+    converged exactly when its error estimate is within tol.
     """
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    values, errors, evaluations, converged = _tanh_sinh_rows(
-        lambda x, rows: f(x.ravel()).reshape(x.shape),
-        np.array([a], dtype=float),
-        np.array([b], dtype=float),
-        tol,
-    )
-    return QuadratureResult(
-        complex(values[0]), float(errors[0]), evaluations, bool(converged[0])
-    )
-
-
-def _tanh_sinh_rows(f, a, b, tol):
-    """tanh_sinh over (a[r], b[r]) for every row r at once.
-
-    f(x, rows) gets a (len(rows), n) array of abscissae for the rows
-    still refining; a row leaves at the first level that agrees with
-    its previous one to tol.  Returns per-row values, errors and
-    converged flags, and the total evaluation count.
-    """
+    if np.ndim(a) != 1 or np.shape(a) != np.shape(b) or not np.all(a < b):
+        raise ValueError("need 1-D arrays a, b of row ends with a < b")
     width = b - a
     t_max = 4.0
     evaluations = 0
@@ -221,7 +211,7 @@ def _tanh_sinh_rows(f, a, b, tol):
         live = live[~converged[live]]
         if not live.size:
             break
-    return result, err, evaluations, converged
+    return QuadratureResult(result, err, evaluations, bool(np.all(converged)))
 
 
 def _wynn_rows(partial):
@@ -267,48 +257,37 @@ def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
     panel uses tanh-sinh since the integrand may have an integrable
     singularity at 0.
 
-    A 1-D array zero_spacing makes one independent integral per row, all
-    sharing damping and tol.  f is then called as f(k, rows): k is a
-    (len(rows), n) array of abscissae for the rows still running, rows
-    their indices into zero_spacing.  A row leaves the batch when it
-    stops; value and error_estimate are per-row arrays, evaluations
-    the total and converged whether every row converged.  A scalar
-    zero_spacing is the one-row case, with f(k) on 1-D arrays and
-    scalar value and error_estimate.
+    Each entry of the 1-D array zero_spacing is one integral, a row; all
+    share damping and tol.  f(k, rows) gets a (len(rows), n) array of
+    abscissae for the rows still running, rows their indices into
+    zero_spacing, and a row leaves the batch when it stops.
 
     Raises NonConvergenceError when the panel magnitudes of a row fail
     to decay (wrong damping / spacing hints).
     """
-    scalar = np.ndim(zero_spacing) == 0
-    spacing = np.atleast_1d(np.asarray(zero_spacing, dtype=float))
+    spacing = np.asarray(zero_spacing, dtype=float)
     if damping <= 0.0 or tol <= 0.0 or spacing.ndim != 1 or not np.all(spacing > 0.0):
-        raise ValueError("damping, zero_spacing and tol must be positive")
-    if scalar:
-        def f_rows(k, rows):
-            return f(k.ravel()).reshape(k.shape)
-    else:
-        f_rows = f
+        raise ValueError("damping, zero_spacing (1-D) and tol must be positive")
     n_rows = len(spacing)
     k_max = max(50.0, 40.0 / damping)
     n_panels = np.minimum(np.ceil(k_max / spacing).astype(int), _MAX_OSC_PANELS)
 
     n15, w15 = gauss_legendre(15)
     n7, w7 = gauss_legendre(7)
-    first, first_err, evaluations, _ = _tanh_sinh_rows(
-        f_rows, np.zeros(n_rows), spacing, tol * 1e-2
-    )
+    first = tanh_sinh(f, np.zeros(n_rows), spacing, tol * 1e-2)
+    evaluations = first.evaluations
 
     value = np.empty(n_rows, dtype=complex)
     error = np.empty(n_rows)
     converged = np.zeros(n_rows, dtype=bool)
     # state of the running rows; `rows` maps them to their input index
     rows = np.arange(n_rows)
-    panel_err = first_err.copy()
-    partial = first[:, None]  # the last 16 partial sums
-    mags = np.abs(first)[:, None]  # the last 4 panel magnitudes
+    panel_err = first.error_estimate.copy()
+    partial = first.value[:, None]  # the last 16 partial sums
+    mags = np.abs(first.value)[:, None]  # the last 4 panel magnitudes
     head = np.zeros(n_rows)  # largest magnitude of panels 1-4
-    best = first.copy()
-    best_change = np.abs(first)
+    best = first.value.copy()
+    best_change = np.abs(first.value)
     stable = np.zeros(n_rows, dtype=int)
     block = 8  # panels per integrand call; specfun batches amortize
 
@@ -332,7 +311,7 @@ def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
                  (mids[:, :, None] + half[:, :, None] * n7).reshape(rows.size, -1)),
                 axis=1,
             )
-            vals = f_rows(xs, rows)
+            vals = f(xs, rows)
             evaluations += xs.size
             v15 = half * (vals[:, : nb * 15].reshape(rows.size, nb, 15) @ w15)
             v7 = half * (vals[:, nb * 15:].reshape(rows.size, nb, 7) @ w7)
@@ -376,11 +355,12 @@ def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
         )
         best, best_change, stable = best[running], best_change[running], stable[running]
 
-    if scalar:
-        return QuadratureResult(
-            complex(value[0]), float(error[0]), evaluations, bool(converged[0])
-        )
     return QuadratureResult(value, error, evaluations, bool(np.all(converged)))
+
+
+def pole_guard(pole):
+    """Closest a pole may lie to an interval end for a principal value."""
+    return 1e-10 * max(1.0, abs(pole))
 
 
 def integrate_pv(f, a, b, pole, tol):
@@ -394,7 +374,7 @@ def integrate_pv(f, a, b, pole, tol):
 
     and the remainder is pole-free ordinary quadrature.
     """
-    guard = 1e-10 * max(1.0, abs(pole))
+    guard = pole_guard(pole)
     if abs(pole - a) < guard or abs(pole - b) < guard:
         raise PoleOnBoundaryError(
             f"pole {pole} coincides with an endpoint of [{a}, {b}]"

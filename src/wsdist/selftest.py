@@ -100,9 +100,9 @@ def closed_form_integrals():
     ]
     for eps in (1.0, 0.1):
         r = integrate_semiinfinite_damped(
-            lambda k: np.exp(-eps * k) * np.sin(k), eps, math.pi, 1e-10
+            lambda k, rows: np.exp(-eps * k) * np.sin(k), eps, np.array([math.pi]), 1e-10
         )
-        devs.append(abs(r.value - 1.0 / (1.0 + eps * eps)))
+        devs.append(abs(r.value[0] - 1.0 / (1.0 + eps * eps)))
     return _worst(devs)
 
 

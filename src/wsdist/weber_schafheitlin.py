@@ -118,6 +118,15 @@ class RegularizedPoint:
             raise DomainError(f"eps={self.eps} must be positive")
 
 
+def _kernel_order(order):
+    """The order whose density kernel serves `order`: J_-1 = -J_1 negates
+    the integral, and the delta and PV coefficients, computed from the
+    given orders, carry that sign, so order -1 (the one negative integer
+    in the domain, where c = nu + 1 or mu + 1 would be a Gamma pole)
+    takes the densities of order +1."""
+    return 1.0 if order == -1.0 else order
+
+
 @functools.lru_cache(maxsize=8)
 def _gamma_prefactor(mu, nu):
     """G(nu, mu); cached per order pair because every density point
@@ -226,7 +235,8 @@ def prop1_distribution(orders):
     orders.require_hankel_bessel()
     mu, nu = orders.mu, orders.nu
     phase = cmath.exp(0.5j * math.pi * (nu - mu))
-    F, h = _pointwise(_prop1, mu, nu, complex)
+    # F is even in mu, so mu = -1 needs no mapping and keeps its bits
+    F, h = _pointwise(_prop1, mu, _kernel_order(nu), complex)
     return DistributionExpansion(
         delta_coeff=phase,
         pv_coeff=(2.0 / (1j * math.pi)) * phase,
@@ -270,7 +280,7 @@ def prop2_distribution(orders):
     orders.require_bessel_bessel()
     mu, nu = orders.mu, orders.nu
     half_angle = 0.5 * math.pi * (nu - mu)
-    F, h = _pointwise(_prop2, mu, nu, float)
+    F, h = _pointwise(_prop2, _kernel_order(mu), _kernel_order(nu), float)
     return DistributionExpansion(
         delta_coeff=math.cos(half_angle),
         pv_coeff=(2.0 / math.pi) * math.sin(half_angle),
@@ -293,7 +303,7 @@ def reflection_check(orders, s):
 
     def density(m, n, x):
         pv = (2.0 / math.pi) * math.sin(0.5 * math.pi * (n - m))
-        return pv * _kernel_at(_prop2, m, n, x)[0] / (1.0 / x - x)
+        return pv * _kernel_at(_prop2, _kernel_order(m), _kernel_order(n), x)[0] / (1.0 / x - x)
 
     return abs(density(mu, nu, s) - s**-2.0 * density(nu, mu, 1.0 / s))
 

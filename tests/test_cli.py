@@ -222,8 +222,6 @@ def test_pair_tolerance_exit_3(capsys):
         (["pair", "--mu", "0", "--nu", "1", "--bump", "0.3,0.5"], "SupportError"),
         (["density", "--mu", "0", "--nu", "1", "--s-min", "0"], "DomainError"),
         (["density", "--mu", "0", "--nu", "1", "--s-steps", "0"], "DomainError"),
-        (["density", "--mu", "-1", "--nu", "0", "--prop", "2"], "PoleError"),
-        (["pair", "--mu", "0", "--nu", "-1"], "PoleError"),
     ],
 )
 def test_typed_errors_exit_5_with_one_line(capsys, argv, error):
@@ -232,6 +230,66 @@ def test_typed_errors_exit_5_with_one_line(capsys, argv, error):
     assert out == ""
     assert err.startswith(error + ": ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# orders with one order -1, and the same orders with it at +1
+ORDER_MINUS_ONE = [
+    (["--mu", "0", "--nu", "-1"], ["--mu", "0", "--nu", "1"]),
+    (["--mu", "0.3", "--nu", "-1"], ["--mu", "0.3", "--nu", "1"]),
+    (["--mu", "-1", "--nu", "0", "--prop", "2"], ["--mu", "1", "--nu", "0", "--prop", "2"]),
+    (["--mu", "-1", "--nu", "0.5", "--prop", "2"], ["--mu", "1", "--nu", "0.5", "--prop", "2"]),
+    (["--mu", "0.5", "--nu", "-1", "--prop", "2"], ["--mu", "0.5", "--nu", "1", "--prop", "2"]),
+]
+ORDER_MINUS_ONE_IDS = [" ".join(minus) for minus, _ in ORDER_MINUS_ONE]
+
+
+@pytest.mark.parametrize("minus, plus", ORDER_MINUS_ONE, ids=ORDER_MINUS_ONE_IDS)
+def test_order_minus_one_pairing_negates_order_plus_one(capsys, minus, plus):
+    # J_-1 = -J_1 negates the integral: the delta and PV coefficients of the
+    # given orders carry the sign, the densities are those of order +1
+    values = []
+    for orders in (minus, plus):
+        code, out, err = _run(capsys, ["pair"] + orders)
+        assert code == 0 and err == ""
+        value = json.loads(out)["value"]
+        values.append(complex(value["re"], value["im"]))
+    assert abs(values[0] + values[1]) <= 1e-15 * max(1.0, abs(values[1]))
+
+
+@pytest.mark.parametrize("minus, plus", ORDER_MINUS_ONE, ids=ORDER_MINUS_ONE_IDS)
+def test_order_minus_one_density_is_order_plus_one(capsys, minus, plus):
+    code, out, err = _run(capsys, ["density"] + minus)
+    assert code == 0 and err == ""
+    assert out == _run(capsys, ["density"] + plus)[1]
+
+
+# a bump whose support ends at s = 1, or within 1e-11 of it on either side,
+# and the same bump with that end moved 1e-8 away from s = 1
+TOUCHING = [
+    ("1.5,0.5", "1.50000001,0.5"),
+    ("1.50000000001,0.5", "1.50000001,0.5"),
+    ("1.49999999999,0.5", "1.50000001,0.5"),
+    ("0.75,0.25", "0.74999999,0.25"),
+    ("0.75000000001,0.25", "0.74999999,0.25"),
+    ("0.74999999999,0.25", "0.74999999,0.25"),
+]
+
+
+@pytest.mark.parametrize("orders", [["--mu", "0", "--nu", "1"],
+                                    ["--mu", "0.5", "--nu", "1.5", "--prop", "2"]],
+                         ids=["prop1", "prop2"])
+@pytest.mark.parametrize("bump, moved", TOUCHING)
+def test_support_ending_at_one_pairs(capsys, orders, bump, moved):
+    # the bump vanishes with every derivative at the ends of its support, so
+    # s = 1 there needs no principal value, and the pairing is continuous in
+    # the bump's position
+    values = []
+    for b in (bump, moved):
+        code, out, err = _run(capsys, ["pair"] + orders + ["--bump", b])
+        assert code == 0 and err == ""
+        value = json.loads(out)["value"]
+        values.append(complex(value["re"], value["im"]))
+    assert abs(values[0] - values[1]) <= 5e-8
 
 
 BAD_NUMBERS = [
@@ -326,6 +384,14 @@ def test_oracle_exit_codes(capsys):
 
     code, out, _ = _run(capsys, argv + ["--tol", "1e-12"])
     assert code == 4
+
+
+@pytest.mark.slow
+def test_oracle_order_minus_one(capsys):
+    # the direct integral with J_-1 checks the order -1 closed form
+    code, out, _ = _run(capsys, ["oracle", "--mu", "0", "--nu", "-1"])
+    assert code == 0
+    assert json.loads(out)["report"]["rel_deviation"] <= 1e-4
 
 
 def test_selftest_full_pass(capsys):

@@ -37,11 +37,40 @@ def test_sqrt_singularity():
     assert abs(r.value - 2.0) <= 1e-8
 
 
+_UNIT = (np.array([0.0]), np.array([1.0]))  # one row, (0, 1)
+
+
 def test_tanh_sinh_endpoint_singularities():
-    r = tanh_sinh(lambda s: s**-0.5, 0.0, 1.0, 1e-12)
-    assert r.converged and abs(r.value - 2.0) <= 1e-12
-    r = tanh_sinh(lambda s: np.log(s), 0.0, 1.0, 1e-12)
-    assert abs(r.value + 1.0) <= 1e-12
+    r = tanh_sinh(lambda s, rows: s**-0.5, *_UNIT, 1e-12)
+    assert r.converged and abs(r.value[0] - 2.0) <= 1e-12
+    r = tanh_sinh(lambda s, rows: np.log(s), *_UNIT, 1e-12)
+    assert abs(r.value[0] + 1.0) <= 1e-12
+
+
+# rows on (0, b) with different singularities at 0, and so different
+# stopping levels
+_TS_A = np.zeros(3)
+_TS_B = np.array([1.0, 2.0, 3.0])
+
+
+def _ts_integrand(x, rows):
+    kind = np.asarray(rows)[:, None]
+    return np.where(kind == 0, x**-0.5, np.where(kind == 1, x**-0.75, np.sqrt(x) * np.cos(x)))
+
+
+def test_tanh_sinh_rows_equal_their_one_row_calls():
+    both = tanh_sinh(_ts_integrand, _TS_A, _TS_B, 1e-10)
+    ones = [
+        tanh_sinh(lambda x, rows, r=r: _ts_integrand(x, [r]), _TS_A[r:r + 1], _TS_B[r:r + 1],
+                  1e-10)
+        for r in range(len(_TS_A))
+    ]
+    # the rows stop at different levels, so the batch narrows as it runs
+    assert len({o.evaluations for o in ones}) == len(ones)
+    assert both.converged is all(o.converged for o in ones) is True
+    assert both.evaluations == sum(o.evaluations for o in ones)
+    assert both.value.tolist() == [o.value[0] for o in ones]
+    assert both.error_estimate.tolist() == [o.error_estimate[0] for o in ones]
 
 
 def test_linearity():
@@ -55,17 +84,17 @@ def test_linearity():
 
 
 def test_damped_exponential():
-    r = integrate_semiinfinite_damped(lambda k: np.exp(-k), 1.0, math.pi, 1e-10)
-    assert r.converged and abs(r.value - 1.0) <= 1e-10
+    r = integrate_semiinfinite_damped(lambda k, rows: np.exp(-k), 1.0, np.array([math.pi]), 1e-10)
+    assert r.converged and abs(r.value[0] - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.2, 0.05])
 def test_damped_sine_closed_form(eps):
     r = integrate_semiinfinite_damped(
-        lambda k: np.exp(-eps * k) * np.sin(k), eps, math.pi, 1e-9
+        lambda k, rows: np.exp(-eps * k) * np.sin(k), eps, np.array([math.pi]), 1e-9
     )
     assert r.converged
-    assert abs(r.value - 1.0 / (1.0 + eps * eps)) <= 1e-9
+    assert abs(r.value[0] - 1.0 / (1.0 + eps * eps)) <= 1e-9
 
 
 def test_damped_tolerance_monotonicity():
@@ -74,16 +103,16 @@ def test_damped_tolerance_monotonicity():
     errs = []
     for tol in (1e-5, 1e-7, 1e-9, 1e-11):
         r = integrate_semiinfinite_damped(
-            lambda k: np.exp(-eps * k) * np.sin(k), eps, math.pi, tol
+            lambda k, rows: np.exp(-eps * k) * np.sin(k), eps, np.array([math.pi]), tol
         )
-        errs.append(abs(r.value - ref))
+        errs.append(abs(r.value[0] - ref))
     assert all(e2 <= e1 * 1.001 + 1e-15 for e1, e2 in zip(errs, errs[1:]))
 
 
 def test_decay_check_raises():
     with pytest.raises(NonConvergenceError):
         integrate_semiinfinite_damped(
-            lambda k: np.exp(0.05 * k) * np.sin(k), 0.05, math.pi, 1e-9
+            lambda k, rows: np.exp(0.05 * k) * np.sin(k), 0.05, np.array([math.pi]), 1e-9
         )
 
 
@@ -112,7 +141,7 @@ def test_row_batch_matches_one_row_calls(monkeypatch):
                 quadrature, "_wynn_rows", lambda p, calls=calls: calls.append(1) or wynn(p)
             )
             ones.append(integrate_semiinfinite_damped(
-                lambda k, r=r: _row_integrand(k[None, :], [r])[0], _ROW_EPS, spacing[r], 1e-9
+                lambda k, rows, r=r: _row_integrand(k, [r]), _ROW_EPS, spacing[r:r + 1], 1e-9
             ))
             stops.append(5 + len(calls))
     # blocks hold panels 1-8, 9-16, ...: rows leave at different panels,
@@ -120,7 +149,7 @@ def test_row_batch_matches_one_row_calls(monkeypatch):
     assert len(set(stops)) > 1 and any(stop % 8 for stop in stops)
     assert batch.converged == all(o.converged for o in ones)
     assert batch.evaluations == sum(o.evaluations for o in ones)
-    ref = np.array([o.value for o in ones])
+    ref = np.array([o.value[0] for o in ones])
     assert np.all(np.abs(batch.value - ref) <= 1e-13 * np.abs(ref))
 
 
@@ -137,6 +166,15 @@ def test_row_batch_growing_row_raises():
             integrate_semiinfinite_damped(f, 0.2, math.pi / c, 1e-9)
 
 
+def test_row_engines_take_1d_row_arrays_only():
+    with pytest.raises(ValueError):
+        tanh_sinh(_ts_integrand, 0.0, 1.0, 1e-10)
+    with pytest.raises(ValueError):
+        tanh_sinh(_ts_integrand, np.ones(1), np.zeros(1), 1e-10)
+    with pytest.raises(ValueError):
+        integrate_semiinfinite_damped(_row_integrand, 0.2, math.pi, 1e-9)
+
+
 def test_cross_module_hankel_kernel():
     # direct quadrature of the oscillatory kernel against the closed form
     from wsdist.specfun import bessel_j, hankel1_complex
@@ -144,13 +182,12 @@ def test_cross_module_hankel_kernel():
 
     z = 1.5 + 0.1j
 
-    def f(k):
-        k = np.asarray(k, dtype=float)
+    def f(k, rows):
         return k * hankel1_complex(0.0, z * k) * bessel_j(0.0, k)
 
-    r = integrate_semiinfinite_damped(f, 0.1, math.pi / 1.5, 1e-8)
+    r = integrate_semiinfinite_damped(f, 0.1, np.array([math.pi / 1.5]), 1e-8)
     ref = regularized_I(OrderPair(0.0, 0.0), RegularizedPoint(1.5, 0.1))
-    assert abs(r.value - ref) <= 1e-8 * max(1.0, abs(ref))
+    assert abs(r.value[0] - ref) <= 1e-8 * max(1.0, abs(ref))
 
 
 def test_pv_window_cancellation():

@@ -66,13 +66,12 @@ class TestKTransform:
     def test_against_direct_quadrature(self):
         z = 2.0
 
-        def f(k):
-            k = np.asarray(k, dtype=float)
+        def f(k, rows):
             return k * bessel_k_complex(0.0, z * k) * bessel_j(0.0, k)
 
-        r = integrate_semiinfinite_damped(f, z, math.pi, 1e-10)
+        r = integrate_semiinfinite_damped(f, z, np.array([math.pi]), 1e-10)
         assert r.converged
-        assert abs(k_transform(OrderPair(0.0, 0.0), z) - r.value) <= 1e-8
+        assert abs(k_transform(OrderPair(0.0, 0.0), z) - r.value[0]) <= 1e-8
 
     def test_domain_and_order_errors(self):
         with pytest.raises(DomainError):
@@ -226,6 +225,10 @@ def test_h_at_one_is_the_fixed_offset_value(make):
 class TestReflection:
     def test_identity_at_roundoff(self):
         assert reflection_identity(pairs=[(0.0, 1.0), (0.5, 1.5), (1.0, 2.0)]) <= 1e-12
+
+    def test_identity_at_order_minus_one(self):
+        # (mu, nu) -> (nu, mu) moves the order -1 between the two kernels
+        assert reflection_identity(pairs=[(-1.0, 0.0), (-1.0, 0.5), (0.5, -1.0)]) <= 1e-12
 
     def test_s_equal_one_rejected(self):
         with pytest.raises(DomainError):
