@@ -15,16 +15,18 @@ relative deviation); only `pair` takes --alpha.  `selftest` takes
 --only, the name of one check module, and a --tol that overrides every
 check's tolerance.
 
-Exit codes: 0 success, 2 order-constraint violation (including orders
-outside |mu| <= 10, |nu| <= 50) or usage error (an unknown flag or
---only module, a number that does not parse, a non-finite --mu, --nu,
---s-min, --s-max or --alpha, a --tol that is not finite and positive,
-or an --eps-schedule that is not finite and positive or does not at
-least halve, with the reason on the usage line), 3 quadrature
-non-convergence, 4 oracle deviation beyond tolerance, 5 any other typed
-error (a DomainError such as a non-finite --bump, a pairing that is
-not finite or a grid point s <= 0, SupportError, PoleError, ParamError,
-InsufficientDataError, ...), reported as one line on stderr.
+Exit codes: 0 success, 1 a selftest check failed, 2 order-constraint
+violation (including orders outside |mu| <= 10, |nu| <= 50) or usage
+error (an unknown flag or --only module, a number that does not parse,
+a non-finite --mu, --nu, --s-min, --s-max or --alpha, a --tol that is
+not finite and positive, or an --eps-schedule that is not finite and
+positive or does not at least halve, with the reason on the usage
+line), 3 quadrature non-convergence, 4 oracle deviation beyond
+tolerance, 5 any other typed error (a DomainError such as a non-finite
+--bump, a pairing that is not finite or a grid point s <= 0 or beyond
+the double range, SupportError, PoleError, ParamError,
+InsufficientDataError, ...) or an --output path that cannot be written
+(an OSError such as FileNotFoundError), reported as one line on stderr.
 """
 
 import argparse
@@ -117,7 +119,13 @@ def cmd_density(args):
     if n == 1:
         grid = np.array([args.s_min])
     else:
-        grid = args.s_min + (args.s_max - args.s_min) * np.arange(n) / (n - 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as the DomainError below
+            grid = args.s_min + (args.s_max - args.s_min) * np.arange(n) / (n - 1)
+    if not np.all(np.isfinite(grid)):
+        raise DomainError(
+            f"the grid from --s-min {args.s_min:g} to --s-max {args.s_max:g} in"
+            f" {n} steps leaves the double range"
+        )
     F, h = dist.F(grid), dist.h(grid)
     if args.prop == 1:
         columns = {"s": grid, "F_re": F.real, "F_im": F.imag,
@@ -246,7 +254,7 @@ def main(argv=None):
     except (ToleranceError, NonConvergenceError) as exc:
         print(f"quadrature did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONV
-    except WsdistError as exc:
+    except (WsdistError, OSError) as exc:  # OSError: an --output path that cannot be written
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

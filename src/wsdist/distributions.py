@@ -157,7 +157,9 @@ def _pair_weighted(dist, weight, support, tol):
         if min(1.0 - lo, hi - 1.0) >= pole_guard(1.0):
             pv = integrate_pv(pv_integrand, lo, hi, 1.0, tol)
             # h may carry an integrable log singularity at s = 1: one
-            # tanh-sinh row on each side of it
+            # tanh-sinh row on each side of it.  Both rows call remainder at
+            # s = 1 exactly (see tanh_sinh), where h takes its fixed-offset
+            # value; the pair goldens depend on that value.
             rem = tanh_sinh(lambda s, rows: remainder(s),
                             np.array([lo, 1.0]), np.array([1.0, hi]), 0.5 * tol)
         else:

@@ -159,15 +159,17 @@ def integrate_finite(f, a, b, tol):
 
 
 def tanh_sinh(f, a, b, tol):
-    """Double-exponential quadrature on (a[r], b[r]), open at both ends,
-    for every row r of the 1-D arrays a and b at once.
+    """Double-exponential quadrature on (a[r], b[r]) for every row r of
+    the 1-D arrays a and b at once.
 
-    Node offsets from the endpoints are formed in exp space so the rule
-    can push arbitrarily close to integrable singularities without
-    cancellation.  f(x, rows) gets a (len(rows), n) array of abscissae
-    for the rows still refining.  Levels halve the step; a row leaves at
-    the first level that agrees with its previous one to tol, so it has
-    converged exactly when its error estimate is within tol.
+    Node offsets from the endpoints are formed in exp space, so nodes
+    approach an end at 0 without cancellation.  At any other end an
+    offset below half an ulp of the end rounds onto it, and f is called
+    at the end itself: f must be finite at every row end other than 0.
+    f(x, rows) gets a (len(rows), n) array of abscissae for the rows
+    still refining.  Levels halve the step; a row leaves at the first
+    level that agrees with its previous one to tol, so it has converged
+    exactly when its error estimate is within tol.
     """
     if np.ndim(a) != 1 or np.shape(a) != np.shape(b) or not np.all(a < b):
         raise ValueError("need 1-D arrays a, b of row ends with a < b")
@@ -270,7 +272,7 @@ def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
         raise ValueError("damping, zero_spacing (1-D) and tol must be positive")
     n_rows = len(spacing)
     k_max = max(50.0, 40.0 / damping)
-    n_panels = np.minimum(np.ceil(k_max / spacing).astype(int), _MAX_OSC_PANELS)
+    n_panels = np.minimum(np.ceil(k_max / spacing), _MAX_OSC_PANELS).astype(int)
 
     n15, w15 = gauss_legendre(15)
     n7, w7 = gauss_legendre(7)

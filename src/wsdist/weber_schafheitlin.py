@@ -56,7 +56,6 @@ from .specfun.hyp import _boundary_below, _one_minus_z_log_parts
 _H_STABLE_BAND = 0.2  # |s-1| below this uses the split form of F - 1
 _H_CLIP = 1e-14  # quadrature nodes closer to 1 than this are clipped
 _H_POINT_OFFSET = 1e-6  # convention: h(1) := h(1 - offset)
-_ROUTE_CHECK_TOL = 1e-8
 
 
 def _clip_near_one(s):
@@ -139,9 +138,23 @@ def _gamma_prefactor(mu, nu):
     )
 
 
+def _order_minus_one(transform):
+    """transform after the order checks; at nu = -1, where c = nu + 1 is a
+    Gamma pole, minus transform at nu = +1 (J_-1 = -J_1, as in _kernel_order)."""
+
+    @functools.wraps(transform)
+    def served(orders, x):
+        orders.require_hankel_bessel()
+        if orders.nu == -1.0:
+            return -transform(OrderPair(orders.mu, 1.0), x)
+        return transform(orders, x)
+
+    return served
+
+
+@_order_minus_one
 def k_transform(orders, z):
     """Closed form of int_0^inf k K_mu(z k) J_nu(k) dk, Re z > 0."""
-    orders.require_hankel_bessel()
     z = complex(z)
     if not z.real > 0.0:
         raise DomainError(f"k_transform requires Re z > 0, got {z}")
@@ -161,35 +174,19 @@ def _p_eps(s, eps):
     return 1.0 / complex((1.0 + eps * eps) / s - s, -2.0 * eps)
 
 
-def _q_eps(orders, s, eps):
-    """The regular cofactor: regularized_I = p_eps * q_eps."""
-    mu, nu = orders.mu, orders.nu
+@_order_minus_one
+def regularized_I(orders, pt):
+    """int_0^inf k H1_mu((s + i eps) k) J_nu(k) dk in closed form: p_eps
+    times its regular cofactor q_eps.  selftest's route_equality checks it
+    against the unfactored _regularized_watson, which pins every complex-power
+    branch choice in (-is + eps)^(-2-nu) = -e^{i pi nu/2} (s + i eps)^(-2-nu)."""
+    mu, nu, s, eps = orders.mu, orders.nu, pt.s, pt.eps
     z = complex(s, eps)
     params = HypParams((nu + mu) / 2.0, (nu - mu) / 2.0, nu + 1.0)
     phase = (2.0 / (1j * math.pi)) * cmath.exp(0.5j * math.pi * (nu - mu))
-    return (
+    return _p_eps(s, eps) * (
         phase * z ** (-nu) / s * _gamma_prefactor(mu, nu) * hyp2f1(params, z**-2.0)
     )
-
-
-def regularized_I(orders, pt):
-    """int_0^inf k H1_mu((s + i eps) k) J_nu(k) dk in closed form.
-
-    Evaluates the factored route p_eps * q_eps; in debug runs the
-    unfactored K-transform route is evaluated too and the two must
-    agree, which pins every complex-power branch choice in the chain
-    (-is + eps)^(-2-nu) = -e^{i pi nu/2} (s + i eps)^(-2-nu).
-    """
-    orders.require_hankel_bessel()
-    s, eps = pt.s, pt.eps
-    value = _p_eps(s, eps) * _q_eps(orders, s, eps)
-    if __debug__:
-        other = _regularized_watson(orders, s, eps)
-        rel = abs(value - other) / max(1.0, abs(value))
-        assert rel <= _ROUTE_CHECK_TOL, (
-            f"route disagreement {rel:.3e} at orders={orders}, pt={pt}"
-        )
-    return value
 
 
 def _prop1(mu, nu, s):
@@ -278,7 +275,11 @@ def prop2_distribution(orders):
     m0 real and continuous with m0(1) = 1; branch s <= 1 in powers of
     s^2, branch s > 1 in powers of s^-2."""
     orders.require_bessel_bessel()
-    mu, nu = orders.mu, orders.nu
+    return _prop2_expansion(orders.mu, orders.nu)
+
+
+def _prop2_expansion(mu, nu):
+    """prop2_distribution unchecked: reflection_check swaps in |mu| up to 12."""
     half_angle = 0.5 * math.pi * (nu - mu)
     F, h = _pointwise(_prop2, _kernel_order(mu), _kernel_order(nu), float)
     return DistributionExpansion(
@@ -302,8 +303,8 @@ def reflection_check(orders, s):
     mu, nu = orders.mu, orders.nu
 
     def density(m, n, x):
-        pv = (2.0 / math.pi) * math.sin(0.5 * math.pi * (n - m))
-        return pv * _kernel_at(_prop2, _kernel_order(m), _kernel_order(n), x)[0] / (1.0 / x - x)
+        dist = _prop2_expansion(m, n)
+        return dist.pv_coeff * dist.F(x) / (1.0 / x - x)
 
     return abs(density(mu, nu, s) - s**-2.0 * density(nu, mu, 1.0 / s))
 

@@ -222,14 +222,21 @@ def test_pair_tolerance_exit_3(capsys):
         (["pair", "--mu", "0", "--nu", "1", "--bump", "0.3,0.5"], "SupportError"),
         (["density", "--mu", "0", "--nu", "1", "--s-min", "0"], "DomainError"),
         (["density", "--mu", "0", "--nu", "1", "--s-steps", "0"], "DomainError"),
+        # an --output path that cannot be written; {tmp} is a fresh directory
+        (["density", "--mu", "0", "--nu", "1", "--output", "{tmp}/missing/x.csv"],
+         "FileNotFoundError"),
+        (["pair", "--mu", "0", "--nu", "1", "--output", "{tmp}"], "IsADirectoryError"),
     ],
 )
-def test_typed_errors_exit_5_with_one_line(capsys, argv, error):
+def test_typed_errors_exit_5_with_one_line(capsys, tmp_path, argv, error):
+    argv = [a.format(tmp=tmp_path) for a in argv]
     code, out, err = _run(capsys, argv)
     assert code == EXIT_ERROR == 5
     assert out == ""
     assert err.startswith(error + ": ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    if "--output" in argv:
+        assert argv[argv.index("--output") + 1] in err
 
 
 # orders with one order -1, and the same orders with it at +1
@@ -320,6 +327,9 @@ BAD_NUMBERS = [
      "outside the double range"),
     (["density", "--mu", "-1.5", "--nu", "-0.4", "--s-min", "1e-130", "--s-max", "2e-130",
       "--s-steps", "2"], 5, "outside the double range"),
+    # the grid itself overflows
+    (["density", "--mu", "0", "--nu", "1", "--prop", "1", "--s-max", "1.7e308", "--s-steps", "3"],
+     5, "DomainError: the grid from --s-min 0.25 to --s-max 1.7e+308"),
     # center +- halfwidth rounds to one point
     (["pair", "--mu", "0", "--bump", "1e17,1", "--prop", "1"], 5, "SupportError: "),
     (["pair", "--mu", "0", "--bump", "1e16,1"], 5, "SupportError: "),

@@ -23,6 +23,9 @@ from wsdist.weber_schafheitlin import (
 )
 
 SHORT_SCHEDULE = EpsSchedule((0.2, 0.1, 0.05))
+# nu = -1, where the closed form is minus its order +1 value
+ORDER_MINUS_ONE_POINTS = [(mu, -1.0, s, eps) for mu in (0.0, 0.5, -0.3)
+                          for s, eps in ((0.7, 0.2), (1.5, 0.1), (1.0, 0.05))]
 
 
 @pytest.mark.parametrize(
@@ -32,7 +35,8 @@ SHORT_SCHEDULE = EpsSchedule((0.2, 0.1, 0.05))
         (0.0, 1.0, 0.7, 0.2),
         (0.5, 1.5, 0.7, 0.2),
         (0.0, 0.0, 1.5, 5.0),
-    ],
+    ]
+    + ORDER_MINUS_ONE_POINTS,
 )
 def test_direct_matches_closed_form(mu, nu, s, eps):
     orders = OrderPair(mu, nu)

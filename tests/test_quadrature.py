@@ -73,6 +73,19 @@ def test_tanh_sinh_rows_equal_their_one_row_calls():
     assert both.error_estimate.tolist() == [o.error_estimate[0] for o in ones]
 
 
+def test_tanh_sinh_calls_f_at_a_row_end_other_than_zero():
+    # an offset below half an ulp of the end 1.0 rounds onto it, in the row
+    # ending there and in the row starting there
+    at_one = np.zeros(2, dtype=bool)
+
+    def f(x, rows):
+        at_one[rows] |= np.any(x == 1.0, axis=1)
+        return np.ones_like(x)
+
+    tanh_sinh(f, np.array([0.5, 1.0]), np.array([1.0, 2.0]), 1e-10)
+    assert at_one.all()
+
+
 def test_linearity():
     f = np.sin
     g = np.cos
@@ -95,6 +108,16 @@ def test_damped_sine_closed_form(eps):
     )
     assert r.converged
     assert abs(r.value[0] - 1.0 / (1.0 + eps * eps)) <= 1e-9
+
+
+def test_tiny_damping_runs_to_the_panel_cap():
+    # 40 / damping panels do not fit an int; the count is capped first
+    d = 1e-300
+    r = integrate_semiinfinite_damped(
+        lambda k, rows: np.exp(-d * k) * np.sin(k), d, np.array([math.pi]), 1e-9
+    )
+    assert r.converged is False
+    assert abs(r.value[0] - 1.0) <= 1e-12
 
 
 def test_damped_tolerance_monotonicity():

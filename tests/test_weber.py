@@ -10,7 +10,7 @@ import pytest
 from wsdist import cli
 from wsdist import weber_schafheitlin as ws
 from wsdist.distributions import TestFunction, pair
-from wsdist.errors import DomainError, OrderError
+from wsdist.errors import DomainError, OrderError, ParamError
 from wsdist.quadrature import integrate_semiinfinite_damped
 from wsdist.selftest import realpart_consistency, reflection_identity, route_equality
 from wsdist.specfun import bessel_j, bessel_k_complex
@@ -80,16 +80,41 @@ class TestKTransform:
             k_transform(OrderPair(4.0, 1.0), 2.0)
 
 
+# (closed form, point): each closed form is called as fn(orders, point)
+CLOSED_FORMS = [(k_transform, 1.0 + 0.5j), (k_transform, 2.3),
+                (regularized_I, RegularizedPoint(0.7, 0.2)),
+                (regularized_I, RegularizedPoint(1.5, 0.1))]
+
+
+@pytest.mark.parametrize("fn, x", CLOSED_FORMS)
+def test_order_minus_one_negates_order_plus_one(fn, x):
+    # J_-1 = -J_1; c = nu + 1 = 0 is not evaluated
+    for mu in (0.0, 0.5, -0.3):
+        assert fn(OrderPair(mu, -1.0), x) == -fn(OrderPair(mu, 1.0), x)
+    # the orders are checked before the mapping, and only -1 itself is mapped
+    with pytest.raises(OrderError):
+        fn(OrderPair(1.5, -1.0), x)
+    with pytest.raises(ParamError):
+        fn(OrderPair(0.0, -1.0 + 1e-12), x)
+
+
+# points where other tests evaluate regularized_I: the uniform-convergence
+# surrogate's grid, the direct-quadrature points and the cross-module kernel
+ROUTE_POINTS = [(0.0, 1.0, float(s), eps) for eps in (0.2, 0.1, 0.05)
+                for s in np.linspace(0.2, 5.0, 61)] + [
+    (0.0, 0.0, 1.5, 0.1), (0.0, 1.0, 0.7, 0.2), (0.5, 1.5, 0.7, 0.2), (0.0, 0.0, 1.5, 5.0),
+]
+
+
 class TestRegularizedI:
     def test_route_equality_spot(self):
-        orders = OrderPair(0.0, 1.0)
-        pt = RegularizedPoint(0.7, 0.2)
-        v1 = regularized_I(orders, pt)
-        v2 = _regularized_watson(orders, 0.7, 0.2)
-        assert abs(v1 - v2) <= 1e-10 * max(1.0, abs(v1))
+        for mu, nu, s, eps in ROUTE_POINTS:
+            v1 = regularized_I(OrderPair(mu, nu), RegularizedPoint(s, eps))
+            v2 = _regularized_watson(OrderPair(mu, nu), s, eps)
+            assert abs(v1 - v2) <= 1e-10 * max(1.0, abs(v1)), (mu, nu, s, eps)
 
     def test_route_equality_grid(self):
-        assert route_equality(pairs=VALID_PAIRS) <= 1e-10
+        assert route_equality(pairs=VALID_PAIRS + [(0.0, -1.0), (0.5, -1.0)]) <= 1e-10
 
 
 class TestProp1:
