@@ -38,7 +38,8 @@ class PoleOnBoundaryError(WsdistError):
 
 
 class NonConvergenceError(WsdistError):
-    """Semi-infinite panel sequence failed the decay test."""
+    """An iteration did not converge: a semi-infinite panel sequence
+    failed the decay test, or K's continued fraction its step cap."""
 
 
 class InsufficientDataError(WsdistError):

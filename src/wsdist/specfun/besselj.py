@@ -198,8 +198,13 @@ def _log_sweep(z):
     psi_a = -gam
     psi_b = _LD(1.0) - gam
     s1 = np.full_like(z, psi_a + psi_b)
+    # max |t0| is zmax^k / (k!)^2, which bounds |t1| too: the stop needs no
+    # pass over the arrays
+    zmax = _max_abs(z)
+    t0max = 1.0
     for k in range(1, 300):
         t0 = t0 * z / z.dtype.type(k * k)
+        t0max *= zmax / (k * k)
         c0 += t0
         h += _LD(1.0) / _LD(k)
         s0 += t0 * h
@@ -208,7 +213,7 @@ def _log_sweep(z):
         psi_a += _LD(1.0) / _LD(k)
         psi_b += _LD(1.0) / _LD(k + 1)
         s1 += t1 * (psi_a + psi_b)
-        if _max_abs(t0) < 1e-26 and _max_abs(t1) < 1e-26:
+        if t0max < 1e-26:
             break
     return c0, s0, c1, s1
 

@@ -1,28 +1,29 @@
 """Modified Bessel K of complex argument and the Hankel H1 identity.
 
-K_mu(w) is assembled from a base pair at reduced order mu0 in [-1/2, 1/2)
+K_mu(w) is assembled from a base pair at reduced order mu0 in [-1/2, 1/2]
 plus the (upward stable) order recurrence, the loop Y also climbs
-(besselj._recur_up).  The base pair comes from whichever of three
-methods is reliable where w sits:
+(besselj._recur_up).  The base pair comes from one of four methods,
+chosen by where w sits:
 
-* power series in 80-bit complex floats -- the reflection combination
+* power series in 80-bit complex floats for |w| <= 2 (4 at integer
+  order), and up to 14 at Re w < 0 -- the reflection combination
   (pi/2)(I_{-q} - I_q)/sin(q pi) for non-integer order, the explicit
   logarithmic series at integer order; both run the loops of J and Y
-  (besselj._ascending, besselj._log_sweep).  The series cancellation
-  grows like e^{Re w}, so this is the everywhere method only for
-  |w| <= 2; up to |w| <= 14 it is used in the near-axis sector
-  Re w < 0.22 |w|, which is exactly where the other methods degrade
-  and where the cancellation stays bounded.
-* the real-line integral representation int_0^inf e^{-w cosh t}
-  cosh(q t) dt on composite Gauss grids, each shared by a run of
-  similar points, for the interior sector of 2 < |w| <= 14 (positive
-  kernel, no cancellation; node count follows the oscillation budget
-  |Im w| / Re w).
-* the e^{-w} asymptotic series truncated at its smallest term for
-  |w| > 14, any argument in range; the loop of J and Y
-  (besselj._hankel_sums).
+  (_ascending, _log_sweep).
+* Steed's continued fraction CF2 with Temme's normalization (Temme,
+  J. Comput. Phys. 19 (1975) 324; Thompson & Barnett, J. Comput. Phys.
+  64 (1986) 490; the x >= 2 branch of Numerical Recipes' bessik) for
+  the rest of 2 < |w| < 24 with Re w >= 0: no cancellation, at most 141
+  steps (at |w| = 2, mu0 = 0; 73 past |w| = 4), and each point stops on
+  its own test.
+* the e^{-w} asymptotic series at a fixed 20 terms, summed by Horner's
+  rule, for |w| >= 24 and Re w >= 0, where CF2 would still take 8-24
+  steps of several times the work.
+* the same series truncated at its smallest term for Re w < 0 and
+  |w| > 14 (CF2 fails to converge near the negative axis); the loop of
+  J and Y (besselj._hankel_sums).
 
-All pieces are valid off the cut (-inf, 0], which is more than the
+Together they cover the plane off the cut (-inf, 0], more than the
 public Re(w) > 0 contract; hankel1_complex exploits that to reach its
 whole sector, including arg z in (-pi/2, 0] where -iz has Re <= 0.
 """
@@ -31,14 +32,25 @@ import math
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, NonConvergenceError
 from .besselj import _as_array, _ascending, _hankel_sums, _log_sweep, _recur_up
 from .gammafn import EULER_GAMMA, gamma
 
 _K_SERIES_ALL = 2.0
+# the integer-order logarithmic series divides by no sin(pi mu0): in
+# 80-bit floats it keeps double accuracy out to |w| = 4, where CF2 would
+# take 73-141 steps
+_K_LOG_SERIES_ALL = 4.0
 _K_SERIES_MAX = 14.0
-_K_SECTOR = 0.22  # narrower for near-integer orders, see _k_core
-_K_GROUP = 64  # points per grid of the integral representation
+# from |w| = 24 on, Re w >= 0, the first 20 terms of the asymptotic series
+# leave a first neglected term below 1e-17 for every order |q| <= 3/2
+_K_HORNER_MIN = 24.0
+_K_HORNER_TERMS = 20
+# points per CF2 block: below numpy's 256 KiB threshold for reusing a
+# temporary in place, whose loops round differently, so a value does not
+# depend on how many points share the call
+_CF2_BLOCK = 4096
+_CF2_MAX_STEPS = 300
 MAX_ORDER_K = 10.0  # |mu| of K and H1; also the mu range of OrderPair
 
 _CLD = np.clongdouble
@@ -54,8 +66,16 @@ def _i_series_cld(q, w):
     return pref * acc
 
 
-def _k_pair_series_noninteger(mu0, w):
-    """(K_mu0, K_mu0+1) by the reflection formula, |w| <= 16."""
+def _k_pair_series(mu0, w):
+    """(K_mu0, K_mu0+1) by the reflection formula, or by the logarithmic
+    series (DLMF 10.31.1) at integer order; |w| <= 16."""
+    if abs(mu0) < 1e-10:  # snap to the integer-order series
+        wl = w.astype(_CLD)
+        i0, s0, i1sum, s1 = _log_sweep(0.25 * wl * wl)
+        lw = np.log(0.5 * wl)
+        k0 = -(lw + _LD(EULER_GAMMA)) * i0 + s0
+        k1 = 1.0 / wl + lw * (0.5 * wl * i1sum) - 0.25 * wl * s1
+        return k0.astype(complex), k1.astype(complex)
     out = []
     for q in (mu0, mu0 + 1.0):
         ip = _i_series_cld(q, w)
@@ -66,113 +86,139 @@ def _k_pair_series_noninteger(mu0, w):
     return out[0], out[1]
 
 
-def _k_pair_series_integer(w):
-    """(K_0, K_1) by the logarithmic series (DLMF 10.31.1), |w| <= 16."""
-    wl = w.astype(_CLD)
-    i0, s0, i1sum, s1 = _log_sweep(0.25 * wl * wl)
-    lw = np.log(0.5 * wl)
-    gam = _LD(EULER_GAMMA)
-    k0 = -(lw + gam) * i0 + s0
-    i1 = 0.5 * wl * i1sum
-    k1 = 1.0 / wl + lw * i1 - 0.25 * wl * s1
-    return k0.astype(complex), k1.astype(complex)
+def _k_pair_cf2(mu0, w):
+    """(K_mu0, K_mu0+1), |mu0| <= 1/2, |w| > 2, Re w >= 0: Steed's CF2 h
+    gives K_mu0+1 / K_mu0 = (mu0 + 1/2 + w - (1/4 - mu0^2) h) / w and
+    Temme's sum s gives K_mu0 = sqrt(pi/2w) e^-w / s (Numerical Recipes'
+    bessik, x >= 2).
 
-
-def _k_pair_integral(mu0, w):
-    """(K_mu0, K_mu0+1) by quadrature of e^{-w cosh t} cosh(q t) on
-    composite Gauss grids; requires Re(w) comfortably positive
-    (interior sector).
-
-    A grid reaches t_max where Re(w) (cosh t - 1) = 48 and spends its
-    panels on the phase |Im w| (cosh t_max - 1) = 48 |Im w| / Re(w).
-    Each run of at most _K_GROUP points shares the grid of its smallest
-    Re(w) and largest |Im w|, so a point's grid follows its neighbours,
-    not the whole batch, and the kernel matrix stays _K_GROUP rows
-    tall.  Neighbours are points whose own panel counts lie in the same
-    octave, sorted by Re(w): the group's phase then exceeds a member's
-    own by at most a factor 2 and the spread of Re(w) within the run.
+    Each point stops on its own |ds| < 1e-16 |s|; the points still
+    running are carried compacted, and one still running after
+    _CF2_MAX_STEPS raises NonConvergenceError.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(30)
-    re, im = w.real, np.abs(w.imag)
-    own_panels = np.maximum(14, (0.8 * 48.0 / math.pi * im / re).astype(int) + 14)
-    order = np.lexsort((re, np.frexp(own_panels)[1]))
-    out = np.empty((w.size, 2), dtype=complex)
-    for start in range(0, w.size, _K_GROUP):
-        group = order[start:start + _K_GROUP]
-        t_max = math.acosh(1.0 + 48.0 / float(np.min(re[group])))
-        phase = float(np.max(im[group])) * (math.cosh(t_max) - 1.0)
-        n_panels = max(14, int(0.8 * phase / math.pi) + 14)
-        edges = np.linspace(0.0, t_max, n_panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        ts = (mids[:, None] + half * nodes[None, :]).ravel()
-        ws_q = np.tile(weights, n_panels) * half
-        # both orders in one contraction: columns cosh(q t) dt, q = mu0, mu0+1
-        wq = np.stack((ws_q * np.cosh(mu0 * ts), ws_q * np.cosh((mu0 + 1.0) * ts)), axis=1)
-        kernel = np.exp(-w[group, None] * np.cosh(ts)[None, :])
-        # real products: numpy's complex-by-real matmul is ~10x slower
-        out[group] = kernel.real @ wq + 1j * (kernel.imag @ wq)
-    return out[:, 0], out[:, 1]
+    a1 = 0.25 - mu0 * mu0
+    k0 = np.empty(w.shape, dtype=complex)
+    k1 = np.empty(w.shape, dtype=complex)
+    for start in range(0, w.size, _CF2_BLOCK):
+        block = slice(start, start + _CF2_BLOCK)
+        wb = w[block]
+        h_end = np.empty_like(wb)
+        s_end = np.empty_like(wb)
+        live = np.arange(wb.size)
+        b = 2.0 * (1.0 + wb)
+        h = dh = d = 1.0 / b
+        q1, q2, q = np.zeros_like(b), np.ones_like(b), np.full_like(b, a1)
+        a, c = -a1, a1
+        s = 1.0 + q * dh
+        for i in range(2, _CF2_MAX_STEPS):
+            a -= 2.0 * (i - 1)
+            c = -a * c / i
+            q1, q2 = q2, (q1 - b * q2) / a
+            q = q + c * q2
+            b = b + 2.0
+            d = 1.0 / (b + a * d)
+            dh = (b * d - 1.0) * dh
+            h = h + dh
+            ds = q * dh
+            s = s + ds
+            done = np.abs(ds) < 1e-16 * np.abs(s)
+            if done.any():
+                h_end[live[done]] = h[done]
+                s_end[live[done]] = s[done]
+                keep = ~done
+                if not keep.any():
+                    break
+                live, b, d, h, dh, q1, q2, q, s = (
+                    v[keep] for v in (live, b, d, h, dh, q1, q2, q, s))
+        else:
+            raise NonConvergenceError(f"K_{mu0:g} CF2 did not converge at w={wb[live[0]]}")
+        k0[block] = np.sqrt(0.5 * math.pi / wb) * np.exp(-wb) / s_end
+        k1[block] = k0[block] * (mu0 + 0.5 + wb - a1 * h_end) / wb
+    return k0, k1
 
 
-def _k_asymptotic(q, w):
-    """Asymptotic K_q(w) ~ sqrt(pi/2w) e^-w sum a_k/(8w)^k, adaptive
-    truncation at the smallest term."""
-    (acc,), _ = _hankel_sums(q, 1.0 / (8.0 * w), ((0, 1.0),))
+def _asymptotic_coeffs(q):
+    """a_k(q) = prod_{j<=k} (4q^2 - (2j-1)^2) / (k! 8^k) for k below
+    _K_HORNER_TERMS, ending before the first zero (half-integer q)."""
+    coeffs = [1.0]
+    for k in range(1, _K_HORNER_TERMS):
+        a = coeffs[-1] * (4.0 * q * q - (2 * k - 1) ** 2) / (8.0 * k)
+        if a == 0.0:
+            break
+        coeffs.append(a)
+    return coeffs
+
+
+def _k_pair_horner(mu0, w):
+    """(K_mu0, K_mu0+1), |w| >= _K_HORNER_MIN, Re w >= 0, by the
+    asymptotic K_q(w) ~ sqrt(pi/2w) e^-w sum a_k/w^k at a fixed number
+    of terms, summed by Horner's rule: a point's value is its own, and
+    no step tests convergence."""
     pref = np.sqrt(0.5 * math.pi / w) * np.exp(-w)
-    return pref * acc
+    inv = 1.0 / w
+    out = []
+    for q in (mu0, mu0 + 1.0):
+        coeffs = _asymptotic_coeffs(q)
+        acc = np.full(w.shape, coeffs[-1], dtype=complex)
+        for a in reversed(coeffs[:-1]):
+            acc = acc * inv + a
+        out.append(pref * acc)
+    return out[0], out[1]
+
+
+def _k_pair_asymptotic(mu0, w):
+    """(K_mu0, K_mu0+1) by the asymptotic K_q(w) ~ sqrt(pi/2w) e^-w
+    sum a_k/(8w)^k, adaptive truncation at the smallest term."""
+    pref = np.sqrt(0.5 * math.pi / w) * np.exp(-w)
+    inv8 = 1.0 / (8.0 * w)
+    (acc0,), _ = _hankel_sums(mu0, inv8, ((0, 1.0),))
+    (acc1,), _ = _hankel_sums(mu0 + 1.0, inv8, ((0, 1.0),))
+    return pref * acc0, pref * acc1
 
 
 def _k_core(mu, w):
-    """K_mu on an ndarray of arguments off the cut; no Re(w) gate."""
+    """K_mu on an ndarray of finite arguments off the cut; no Re(w)
+    gate.  A value outside the double range raises DomainError."""
     mu = abs(float(mu))
     if mu > MAX_ORDER_K:
         raise DomainError(f"order |mu|={mu} outside supported range <= {MAX_ORDER_K:g}")
     n = int(round(mu))
-    mu0 = mu - n  # in [-1/2, 1/2)
+    mu0 = mu - n  # in [-1/2, 1/2]
 
     out = np.empty(w.shape, dtype=complex)
     mag = np.abs(w)
-    # the reflection series divides by sin(pi*mu0): the closer mu0 sits
-    # to an integer, the less Re(w)-driven cancellation it can absorb,
-    # so shrink its sector and let the integral representation take over
-    if abs(mu0) < 1e-10 or abs(mu0) >= 0.35:
-        sector = _K_SECTOR
-    elif abs(mu0) >= 0.01:
-        sector = 0.10
-    else:
-        sector = 0.02
-    big = mag > _K_SERIES_MAX
-    interior = ~big & (mag > _K_SERIES_ALL) & (w.real >= sector * mag)
-    series = ~big & ~interior
-    for mask, method in ((series, "series"), (interior, "integral"), (big, "asymp")):
-        if not np.any(mask):
-            continue
-        ws = w[mask]
-        if method == "series":
-            if abs(mu0) < 1e-10:
-                # snap to the integer-order logarithmic series
-                base0, base1 = _k_pair_series_integer(ws)
-            else:
-                base0, base1 = _k_pair_series_noninteger(mu0, ws)
-        elif method == "integral":
-            base0, base1 = _k_pair_integral(mu0, ws)
-        else:
-            base0 = _k_asymptotic(mu0, ws)
-            base1 = _k_asymptotic(mu0 + 1.0, ws)
-        out[mask] = _recur_up(base0, base1, mu0, n, ws, 1.0)
+    right = w.real >= 0.0
+    horner = right & (mag >= _K_HORNER_MIN)
+    # an order within the snap but off the integer keeps the small disc:
+    # the series takes it as the integer (an error of order mu0)
+    series_all = _K_LOG_SERIES_ALL if mu0 == 0.0 else _K_SERIES_ALL
+    cf2 = right & (mag > series_all) & ~horner
+    asymptotic = ~right & (mag > _K_SERIES_MAX)
+    series = ~cf2 & ~horner & ~asymptotic
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as a DomainError
+        for mask, pair in ((series, _k_pair_series), (cf2, _k_pair_cf2),
+                           (horner, _k_pair_horner), (asymptotic, _k_pair_asymptotic)):
+            if mask.any():
+                ws = w[mask]
+                base0, base1 = pair(mu0, ws)
+                out[mask] = _recur_up(base0, base1, mu0, n, ws, 1.0)
+    if not np.isfinite(out).all():
+        raise DomainError(f"K_{mu:g}(w) is outside the double range")
     return out
 
 
 def bessel_k_complex(mu, w):
-    """Modified Bessel function K_mu(w) for Re(w) > 0, |mu| <= 10.
+    """Modified Bessel function K_mu(w) for finite w with Re(w) > 0,
+    |mu| <= 10.
 
-    Scalar or ndarray w; relative accuracy around 1e-12 away from the
-    imaginary axis, slightly looser on it.
+    Scalar or ndarray w; relative error against 30-digit references
+    about 3e-15 for |w| > 2 and 5e-15 for |w| <= 2 (and for |w| <= 4 at
+    integer order), where orders within 1e-2 of an integer lose up to
+    6e-13 (the series divides by sin(pi mu0)).
     """
     arr, scalar = _as_array(w, complex)
-    if np.any(arr.real <= 0.0):
-        raise DomainError("bessel_k_complex requires Re(w) > 0")
+    if not np.isfinite(arr).all() or np.any(arr.real <= 0.0):
+        raise DomainError("bessel_k_complex requires finite w with Re(w) > 0")
     out = _k_core(mu, arr)
     return complex(out[()]) if scalar else out
 
@@ -180,17 +226,19 @@ def bessel_k_complex(mu, w):
 def hankel1_complex(mu, z):
     """Hankel function H^(1)_mu(z) = (2/(i pi)) e^{-i pi mu/2} K_mu(-iz).
 
-    Valid on the sector -pi/2 < arg z <= pi; the boundary arg z = pi and
-    the real axis go through the continuation of K across Re(w) = 0.
+    Valid for finite z on the sector -pi/2 < arg z <= pi; the boundary
+    arg z = pi and the real axis go through the continuation of K across
+    Re(w) = 0.  Relative accuracy as bessel_k_complex's for Im z >= 0.
     """
     arr, scalar = _as_array(z, complex)
     ang = np.angle(arr)
     if (
-        np.any(arr == 0.0)
+        not np.isfinite(arr).all()
+        or np.any(arr == 0.0)
         or np.any(ang <= -0.5 * math.pi)
         or np.any(ang > math.pi + 1e-15)
     ):
-        raise DomainError("hankel1_complex requires -pi/2 < arg z <= pi, z != 0")
+        raise DomainError("hankel1_complex requires finite z, -pi/2 < arg z <= pi, z != 0")
     w = -1j * arr
     pref = (2.0 / (1j * math.pi)) * complex(
         math.cos(0.5 * math.pi * mu), -math.sin(0.5 * math.pi * mu)

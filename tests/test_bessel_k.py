@@ -9,6 +9,7 @@ from wsdist.errors import DomainError
 from wsdist.quadrature import integrate_finite
 from wsdist.specfun import bessel_k_complex, hankel1_complex, bessel_j
 from wsdist.specfun.besselj import _bessel_y
+from wsdist.specfun.besselk import _k_core
 
 K0_AT_1 = 0.42102443824070834  # frozen from the cosh-kernel quadrature below
 
@@ -67,14 +68,15 @@ def test_k_against_mpmath(mu):
         assert abs(got - ref) <= 5e-11 * max(abs(ref), 1e-300), f"w={w}"
 
 
-# interior sector of the integral representation: 2 < |w| <= 14 and
-# Re w >= 0.22 |w| (every point below, and both batch mates)
+# away from the axis, 2 < |w| <= 14 and Re w >= 0.22 |w| (every point
+# below, and both batch mates): the continued-fraction (CF2) region, but
+# for 3.1 - 2.4j at integer order, which the logarithmic series takes
 _INTERIOR = [5.0 + 3.0j, 9.0 - 6.0j, 12.0 + 1.0j, 3.1 - 2.4j, 2.6 + 11.0j]
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.3, 1.5, 4.0])
 def test_interior_k_independent_of_batch_mates(mu):
-    # mates with a much smaller Re w need a finer grid than the point's own
+    # mates near the axis take more CF2 steps than the point's own stop
     mates = [2.6 + 11.0j, 2.2 - 9.5j]
     for w in _INTERIOR[:4]:
         alone = bessel_k_complex(mu, np.array([w]))[0]
@@ -91,16 +93,16 @@ def test_interior_k_against_mpmath(mu):
         assert abs(g - ref) <= 1e-12 * abs(ref), f"w={w}"
 
 
-# orders within 0.01 of an integer: the series keeps only the sector
-# Re w < 0.02 |w| and the integral representation takes the rest
+# orders within 0.01 of an integer, where the reflection series divides
+# by a small sin(pi mu0): CF2 serves all of these points, near the axis too
 _NEAR_INT_ORDERS = [0.005, 1.003, 2.0099]
 _NEAR_INT_INTERIOR = [5.0 + 3.0j, 12.0 + 1.0j, 3.1 - 2.4j, 0.5 + 10.0j, 0.3 - 5.0j, 0.4 + 13.5j]
 _NEAR_INT_AXIS = [0.1 + 10.0j, 0.2 + 13.0j, 0.1 - 13.9j]
 
 
-def _worst_k_error(mu, ws):
+def _worst_k_error(mu, ws, k=bessel_k_complex):
     mp.mp.dps = 30
-    got = bessel_k_complex(mu, np.array(ws))
+    got = k(mu, np.array(ws))
     refs = [complex(mp.besselk(mu, mp.mpc(w))) for w in ws]
     return max(abs(g - r) / abs(r) for g, r in zip(got, refs))
 
@@ -110,14 +112,43 @@ def test_near_integer_order_interior_against_mpmath(mu):
     assert _worst_k_error(mu, _NEAR_INT_INTERIOR) <= 1e-12
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="near-integer order on the near-axis sector: the reflection series "
-    "divides by sin(pi mu0) and loses up to ~1e-9 there (ROADMAP item 3(c))",
-)
 @pytest.mark.parametrize("mu", _NEAR_INT_ORDERS)
 def test_near_integer_order_near_axis_against_mpmath(mu):
     assert _worst_k_error(mu, _NEAR_INT_AXIS) <= 1e-12
+
+
+# K off the small disc, |w| > 2 and Re w >= 0: CF2, the logarithmic series
+# to |w| = 4 at integer order and the fixed-degree asymptotic series from
+# |w| = 24 on, both sides of each edge and of |w| = 14, on the imaginary
+# axis exactly (hankel1_complex's real axis; the public K gates it off) and
+# just off it, like the oracle's w = eps k - i s k; Re w <= 600 keeps K
+# inside the double range
+_CF2_ORDERS = [0.0, 0.3, 0.5, 1.0, 1.5, 0.005, 1.003, 2.0099, 3.5, 7.0, 10.0]
+_CF2_RADII = (2.01, 3.3, 3.99, 4.01, 7.9, 13.99, 14.01, 23.99, 24.0, 61.0, 480.0, 2000.0)
+_CF2_AXIS = [sign * 1j * r for r in _CF2_RADII for sign in (1.0, -1.0)]
+_CF2_OFF_AXIS = [
+    w for w in (r * cmath.exp(1j * math.radians(deg))
+                for r in _CF2_RADII for deg in (89.97, -89.4, -60.0, 20.0, 0.0))
+    if w.real <= 600.0
+]
+
+
+@pytest.mark.parametrize("mu", _CF2_ORDERS)
+def test_cf2_region_against_mpmath(mu):
+    assert all(w.real == 0.0 for w in _CF2_AXIS)
+    assert _worst_k_error(mu, _CF2_AXIS + _CF2_OFF_AXIS, _k_core) <= 1e-13
+
+
+# from |w| = 24 on, Re w >= 0, K is a fixed 20-term asymptotic sum whose
+# first omitted term is below 1e-17 there: the values sit at rounding
+# level, where 14 terms would leave 6e-15 at |w| = 24 on the axis
+_HORNER_EDGE = [r * cmath.exp(1j * math.radians(deg)) for r in (24.0, 25.0, 30.0)
+                for deg in (90.0, 89.97, -89.97, -90.0, 45.0, 0.0)]
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 1.0, 1.25, 3.5])
+def test_fixed_degree_asymptotic_edge_at_rounding_level(mu):
+    assert _worst_k_error(mu, _HORNER_EDGE, _k_core) <= 3e-15
 
 
 def test_k_domain_errors():
@@ -127,6 +158,22 @@ def test_k_domain_errors():
         bessel_k_complex(0.0, 0.0 + 1j)  # Re w = 0 gated in the public API
     with pytest.raises(DomainError):
         bessel_k_complex(11.0, 1.0 + 0j)
+
+
+@pytest.mark.parametrize("fn, mu, arg", [
+    (bessel_k_complex, 0.0, complex(math.nan, 1.0)),
+    (bessel_k_complex, 0.0, complex(1.0, math.inf)),
+    (hankel1_complex, 0.0, math.nan),
+    (hankel1_complex, 0.0, math.inf),
+    (hankel1_complex, 0.0, np.array([1.0, math.nan])),
+    # true values near 1e408, past the double range
+    (bessel_k_complex, 10.0, 1e-40),
+    (hankel1_complex, 10.0, 1e-40),
+])
+def test_non_finite_argument_or_value_is_a_domain_error(fn, mu, arg):
+    # a numpy RuntimeWarning is a test failure here (pyproject filterwarnings)
+    with pytest.raises(DomainError):
+        fn(mu, arg)
 
 
 def test_hankel_identity_against_j_plus_iy():
@@ -162,12 +209,19 @@ def test_hankel_upper_half_plane_and_negative_axis():
 
 
 def test_hankel_value_does_not_depend_on_call_size():
-    # |z| > 14 takes the elementwise asymptotic path, so a point's value
-    # must be the same bit for bit however many points share its call;
-    # a large temporary scaled in place by numpy rounds differently
-    z = (1.0 + 0.1j) * np.linspace(20.0, 400.0, 40000)
-    for mu in (1.0, 0.5):
-        assert np.array_equal(hankel1_complex(mu, z)[:100], hankel1_complex(mu, z[:100]))
+    # off the small disc every point stops on its own, so a point's value
+    # must be the same bit for bit however many points share its call; a
+    # large temporary reused in place by numpy rounds differently.  The
+    # first 100 points of each call have w = -iz with Re w >= 0 and
+    # |w| about 20 (CF2), 30 (the fixed-degree asymptotic series), 2.5
+    # (CF2, the logarithmic series at order 1) and 4.5 (CF2).
+    for z in ((1.0 + 0.1j) * np.linspace(20.0, 400.0, 40000),
+              (1.0 + 0.1j) * np.linspace(30.0, 400.0, 40000),
+              (1.0 + 0.05j) * np.linspace(2.5, 13.5, 20000),
+              (1.0 + 0.05j) * np.linspace(4.5, 13.5, 20000)):
+        assert z.size > 16384 and np.all(np.abs(z) > 2.0)
+        for mu in (1.0, 0.5, 3.3):
+            assert np.array_equal(hankel1_complex(mu, z)[:100], hankel1_complex(mu, z[:100]))
 
 
 def test_hankel_sector_errors():
