@@ -1,0 +1,139 @@
+"""Oracle cost, counted and timed, for the four acceptance oracle cases.
+
+    python scripts/bench_oracle.py --parent DIR --output BENCH.json
+
+Runs the cases (prop 1 at orders (0, 1) and (0.5, 1.5), prop 2 at (1, 1)
+and (0, 1), bump 1,0.5, the default eps schedule) in-process, once on the
+package of this checkout and once on the package under DIR/src (a
+checkout of the commit to compare with, e.g. made by `git archive`), each
+in its own interpreter.  Per case and per eps it records the
+`_direct_rows` calls and rows and the semi-infinite quadrature
+evaluations, which do not depend on the machine, and the wall time of the
+pairing, which does.  The eps_trace digest of each case shows whether the
+two trees agree bit for bit.
+
+    python scripts/bench_oracle.py --tree DIR
+
+prints the measurement of the package under DIR/src as one JSON object.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CASES = [(1, 0.0, 1.0), (1, 0.5, 1.5), (2, 1.0, 1.0), (2, 0.0, 1.0)]
+BUMP = (1.0, 0.5, 1.0)
+
+
+def measure(tree):
+    """The four cases on the package under tree/src, counted per eps."""
+    sys.path.insert(0, str(Path(tree) / "src"))
+    from wsdist import oracle
+    from wsdist.distributions import TestFunction
+    from wsdist.quadrature import DEFAULT_EPS_SCHEDULE
+    from wsdist.weber_schafheitlin import OrderPair
+
+    direct_rows, engine, pairing = (
+        oracle._direct_rows, oracle.integrate_semiinfinite_damped, oracle._pairing_at_eps
+    )
+    steps = []
+
+    def counted_rows(orders, s, eps, tol):
+        steps[-1]["direct_rows_calls"] += 1
+        steps[-1]["rows"] += len(s)
+        return direct_rows(orders, s, eps, tol)
+
+    def counted_engine(*args, **kwargs):
+        res = engine(*args, **kwargs)
+        steps[-1]["semiinfinite_evaluations"] += res.evaluations
+        return res
+
+    def timed_pairing(orders, g, eps, inner_tol, outer_tol):
+        steps.append({"eps": eps, "direct_rows_calls": 0, "rows": 0,
+                      "semiinfinite_evaluations": 0})
+        t0 = time.perf_counter()
+        val = pairing(orders, g, eps, inner_tol, outer_tol)
+        steps[-1]["wall_s"] = round(time.perf_counter() - t0, 4)
+        return val
+
+    oracle._direct_rows = counted_rows
+    oracle.integrate_semiinfinite_damped = counted_engine
+    oracle._pairing_at_eps = timed_pairing
+    cases = []
+    for prop, mu, nu in CASES:
+        run = oracle.pairing_oracle if prop == 1 else oracle.jj_pairing_oracle
+        steps.clear()
+        t0 = time.perf_counter()
+        report = run(OrderPair(mu, nu), TestFunction(*BUMP), DEFAULT_EPS_SCHEDULE)
+        wall = time.perf_counter() - t0
+        per_eps = [dict(s) for s in steps]
+        cases.append({
+            "prop": prop, "mu": mu, "nu": nu,
+            "direct_rows_calls": sum(s["direct_rows_calls"] for s in per_eps),
+            "rows": sum(s["rows"] for s in per_eps),
+            "semiinfinite_evaluations": sum(s["semiinfinite_evaluations"] for s in per_eps),
+            "wall_s": round(wall, 4),
+            "rel_deviation": report.rel_deviation,
+            "eps_trace_sha256": hashlib.sha256(repr(report.eps_trace).encode()).hexdigest(),
+            "per_eps": per_eps,
+        })
+    return cases
+
+
+def run_tree(tree):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, __file__, "--tree", str(tree)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", help="measure the package under TREE/src and print it")
+    parser.add_argument("--parent", help="the checkout to compare this one with")
+    parser.add_argument("--output", help="where to write the comparison (JSON)")
+    args = parser.parse_args()
+    if args.tree:
+        print(json.dumps(measure(args.tree)))
+        return
+    if not (args.parent and args.output):
+        parser.error("give --tree, or --parent and --output")
+    parent, change = run_tree(Path(args.parent).resolve()), run_tree(ROOT)
+    summary = []
+    for p, c in zip(parent, change):
+        summary.append({
+            "case": f"prop {p['prop']} ({p['mu']}, {p['nu']})",
+            "direct_rows_calls": [p["direct_rows_calls"], c["direct_rows_calls"]],
+            "rows": [p["rows"], c["rows"]],
+            "semiinfinite_evaluations": [p["semiinfinite_evaluations"],
+                                         c["semiinfinite_evaluations"]],
+            "wall_s": [p["wall_s"], c["wall_s"]],
+            "eps_trace_identical": p["eps_trace_sha256"] == c["eps_trace_sha256"],
+        })
+    doc = {
+        "script": "scripts/bench_oracle.py",
+        "machine": {
+            "platform": platform.platform(),
+            "processor": platform.processor() or platform.machine(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+        },
+        "pairs_are": "[parent, change]",
+        "summary": summary,
+        "parent": parent,
+        "change": change,
+    }
+    Path(args.output).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    for row in summary:
+        print(json.dumps(row))
+
+
+if __name__ == "__main__":
+    main()

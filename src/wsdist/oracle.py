@@ -14,9 +14,12 @@ pairings
 are computed by a composite Gauss rule in s, Richardson-extrapolated
 to eps = 0, and compared with the closed-form pairing of the limit
 distribution.  The direct integrals I(s + i eps) of all the s-nodes of
-one step of that rule (the initial panels, then each bisection) run as
-one row-batched semi-infinite quadrature, so every Bessel evaluation
-covers the k-panels of all those nodes at once.
+one step of that rule run as one row-batched semi-infinite quadrature,
+so every Bessel evaluation covers the k-panels of all those nodes at
+once.  A step is the initial panels, or one round of bisections: the
+greedy worst-first refinement is replayed panel by panel, but the
+halves it will need are evaluated ahead, a round at a time.  A schedule
+whose smallest eps lies below _EPS_FLOOR is refused up front.
 """
 
 import math
@@ -28,6 +31,7 @@ import numpy as np
 from .distributions import Measure, pair
 from .errors import NonConvergenceError
 from .quadrature import (
+    _MAX_OSC_PANELS,
     DEFAULT_EPS_SCHEDULE,
     gauss_legendre,
     integrate_semiinfinite_damped,
@@ -38,6 +42,10 @@ from .weber_schafheitlin import prop1_distribution, prop2_distribution
 
 _OUTER_PANELS = 64
 _OUTER_REFINE_BUDGET = 40
+_INNER_TOL = 1e-7
+# below this eps the s = 1 row's e^{-eps k} does not reach sqrt(_INNER_TOL),
+# the engine's panel-magnitude stop, within its panel cap (of width pi)
+_EPS_FLOOR = math.log(1.0 / math.sqrt(_INNER_TOL)) / (_MAX_OSC_PANELS * math.pi)
 
 
 @dataclass(frozen=True)
@@ -96,11 +104,22 @@ def _direct_rows(orders, s, eps, tol):
 
 def _pairing_at_eps(orders, g, eps, inner_tol, outer_tol):
     """int I(s + i eps) g(s) ds over supp g by a 64-panel composite
-    Gauss rule; panels with the worst embedded error estimates are
-    bisected until the summed estimate passes outer_tol (deterministic,
-    bounded refinement budget).  The direct integrals of all the nodes
-    of one step (the initial panels, then each bisection) are one
-    batched quadrature."""
+    Gauss rule; the panel with the worst embedded error estimate (ties
+    to the leftmost) is bisected, one at a time, until the summed
+    estimate passes outer_tol (deterministic, bounded refinement
+    budget).
+
+    The bisections run in batched rounds.  A round starts when the
+    panel to bisect next has no evaluated halves; one `_direct_rows`
+    call then evaluates the halves of every panel in the shortest
+    prefix of the worst-first order whose removal brings the summed
+    estimate to outer_tol, at most the splits left in the budget.  The
+    greedy loop bisects each of those panels before it could stop (it
+    never splits an original panel before one ahead of it in that
+    order), so only a budget cap can leave a half unused; the loop then
+    takes the halves in its own order and sums in the same order.  The
+    rows of a call are independent integrals, so the pairing is that of
+    one call per bisection, bit for bit on the acceptance cases."""
     lo, hi = g.support
     n4, w4 = gauss_legendre(4)
     n2, w2 = gauss_legendre(2)
@@ -115,8 +134,24 @@ def _pairing_at_eps(orders, g, eps, inner_tol, outer_tol):
         v2 = half * (gi[:, 4:] @ w2)
         return list(zip(np.abs(v4 - v2).tolist(), a.tolist(), b.tolist(), v4.tolist()))
 
+    def bisect_round(panels, total_est, budget):
+        """The halves of the worst-first prefix of panels, keyed by
+        (a, b) of the panel they split."""
+        ends, rest = [], total_est
+        for est, a, b, _ in panels[:budget]:
+            if (a, b) not in halves:
+                ends.append((a, b))
+            rest -= est
+            if rest <= outer_tol:
+                break
+        a, b = np.array(ends).T
+        mid = 0.5 * (a + b)
+        new = eval_panels(np.column_stack((a, mid)).ravel(), np.column_stack((mid, b)).ravel())
+        return {ab: (new[2 * i], new[2 * i + 1]) for i, ab in enumerate(ends)}
+
     edges = np.linspace(lo, hi, _OUTER_PANELS + 1)
     panels = eval_panels(edges[:-1], edges[1:])
+    halves = {}
 
     splits = 0
     while splits < _OUTER_REFINE_BUDGET:
@@ -124,21 +159,30 @@ def _pairing_at_eps(orders, g, eps, inner_tol, outer_tol):
         if total_est <= outer_tol:
             break
         panels.sort(key=lambda p: (-p[0], p[1]))
-        _, a, b, _ = panels.pop(0)
-        mid = 0.5 * (a + b)
-        panels += eval_panels(np.array([a, mid]), np.array([mid, b]))
+        _, a, b, _ = panels[0]
+        if (a, b) not in halves:
+            halves.update(bisect_round(panels, total_est, _OUTER_REFINE_BUDGET - splits))
+        panels.pop(0)
+        panels += halves.pop((a, b))
         splits += 1
     return sum(p[3] for p in panels)
 
 
-def _oracle_report(orders, g, schedule, closed, part):
+def _oracle_report(orders, g, schedule, dist, part):
     """Pairings along the eps schedule, Richardson-extrapolated to 0 and
-    compared with the closed-form pairing; `part` maps both values to
-    the compared quantity."""
+    compared with the closed-form pairing of dist; `part` maps both
+    values to the compared quantity.  A schedule that reaches below
+    _EPS_FLOOR is refused before any pairing."""
+    if schedule.values[-1] < _EPS_FLOOR:
+        raise NonConvergenceError(
+            f"eps={schedule.values[-1]:g} is below {_EPS_FLOOR:.2g}, where the direct "
+            f"quadrature's {_MAX_OSC_PANELS} panels end before its damping does"
+        )
+    closed = pair(dist, g, Measure.LEBESGUE, tol=1e-9)
     scale = max(1.0, abs(closed))
     trace = []
     for eps in schedule.values:
-        val = _pairing_at_eps(orders, g, eps, 1e-7, 1e-6 * scale)
+        val = _pairing_at_eps(orders, g, eps, _INNER_TOL, 1e-6 * scale)
         trace.append((eps, val))
     limit, extrap_err = richardson(trace)
     residuals = [abs(v - limit) for _, v in trace]
@@ -164,8 +208,7 @@ def pairing_oracle(orders, g, schedule=DEFAULT_EPS_SCHEDULE):
     """Extrapolated direct pairings against the closed-form limit
     distribution of the Hankel-kernel integral."""
     orders.require_hankel_bessel()
-    closed = pair(prop1_distribution(orders), g, Measure.LEBESGUE, tol=1e-9)
-    return _oracle_report(orders, g, schedule, closed, complex)
+    return _oracle_report(orders, g, schedule, prop1_distribution(orders), complex)
 
 
 def jj_pairing_oracle(orders, g, schedule=DEFAULT_EPS_SCHEDULE):
@@ -173,5 +216,6 @@ def jj_pairing_oracle(orders, g, schedule=DEFAULT_EPS_SCHEDULE):
     part of the extrapolated pairing against the closed-form pairing of
     the cos/sin distribution."""
     orders.require_bessel_bessel()
-    closed = pair(prop2_distribution(orders), g, Measure.LEBESGUE, tol=1e-9)
-    return _oracle_report(orders, g, schedule, closed, lambda v: complex(v).real)
+    return _oracle_report(
+        orders, g, schedule, prop2_distribution(orders), lambda v: complex(v).real
+    )

@@ -7,7 +7,9 @@ Four devices cover everything the closed forms and their oracles need:
 * tanh-sinh (double exponential) quadrature for panels with integrable
   endpoint singularities (`tanh_sinh`),
 * a panel-plus-acceleration scheme for semi-infinite oscillatory
-  integrands with exponential damping (`integrate_semiinfinite_damped`),
+  integrands with exponential damping (`integrate_semiinfinite_damped`:
+  15-point Gauss panels, each checked against the interpolatory rule on
+  13 of its own nodes),
 * symmetric-subtraction Cauchy principal values (`integrate_pv`),
 
 plus Richardson extrapolation of epsilon-indexed sequences to 0.
@@ -84,6 +86,23 @@ def gauss_legendre(n):
     """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return nodes, weights
+
+
+@lru_cache(maxsize=1)
+def _g15_comparator():
+    """Weights, on the 15 Gauss-Legendre nodes, of the interpolatory
+    rule on 13 of them: the symmetric pair at indices 1 and 13 gets
+    weight 0.  The rule's nodes are symmetric, so it integrates degree
+    13 exactly, as the 7-point Gauss rule does, and it costs no
+    evaluation beyond the 15-point rule's."""
+    nodes, _ = gauss_legendre(15)
+    keep = np.delete(np.arange(15), [1, 13])
+    moments = np.zeros(13)
+    moments[0] = 2.0  # int_{-1}^{1} P_n = 2 for n = 0, else 0
+    vander = np.polynomial.legendre.legvander(nodes[keep], 12)
+    weights = np.zeros(15)
+    weights[keep] = np.linalg.solve(vander.T, moments)
+    return weights
 
 
 def _gauss_panel(f, a, b, nodes, weights):
@@ -253,11 +272,14 @@ def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
 
     The half-line is cut into panels of width zero_spacing (half an
     oscillation for the intended Bessel-product kernels), each panel is
-    integrated by a nested Gauss pair, and the sequence of partial sums
-    is accelerated by Wynn's epsilon algorithm, which both speeds up
-    convergence and supplies the truncation error estimate.  The first
-    panel uses tanh-sinh since the integrand may have an integrable
-    singularity at 0.
+    integrated by the 15-point Gauss rule, and the sequence of partial
+    sums is accelerated by Wynn's epsilon algorithm, which both speeds
+    up convergence and supplies the truncation error estimate.  A
+    panel's error estimate compares its Gauss value with the degree-13
+    interpolatory rule on 13 of the same 15 nodes, so a panel costs 15
+    evaluations; only error_estimate reads it, never the stop test.
+    The first panel uses tanh-sinh since the integrand may have an
+    integrable singularity at 0.
 
     Each entry of the 1-D array zero_spacing is one integral, a row; all
     share damping and tol.  f(k, rows) gets a (len(rows), n) array of
@@ -275,7 +297,7 @@ def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
     n_panels = np.minimum(np.ceil(k_max / spacing), _MAX_OSC_PANELS).astype(int)
 
     n15, w15 = gauss_legendre(15)
-    n7, w7 = gauss_legendre(7)
+    w13 = _g15_comparator()
     first = tanh_sinh(f, np.zeros(n_rows), spacing, tol * 1e-2)
     evaluations = first.evaluations
 
@@ -308,21 +330,17 @@ def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
             nb = min(block, int(n_panels[rows].max()) - j)
             half = 0.5 * spacing[rows, None]
             mids = (np.arange(j, j + nb) + 0.5) * spacing[rows, None]
-            xs = np.concatenate(
-                ((mids[:, :, None] + half[:, :, None] * n15).reshape(rows.size, -1),
-                 (mids[:, :, None] + half[:, :, None] * n7).reshape(rows.size, -1)),
-                axis=1,
-            )
-            vals = f(xs, rows)
+            xs = (mids[:, :, None] + half[:, :, None] * n15).reshape(rows.size, -1)
+            vals = f(xs, rows).reshape(rows.size, nb, 15)
             evaluations += xs.size
-            v15 = half * (vals[:, : nb * 15].reshape(rows.size, nb, 15) @ w15)
-            v7 = half * (vals[:, nb * 15:].reshape(rows.size, nb, 7) @ w7)
+            v15 = half * (vals @ w15)
+            v13 = half * (vals @ w13)
             for i in range(nb):
                 jj = j + i
                 spent = running & (n_panels[rows] <= jj)
                 finish(spent, best_change + panel_err + mags[:, -1], False)
                 running &= ~spent
-                panel_err = panel_err + np.abs(v15[:, i] - v7[:, i]) * 0.1
+                panel_err = panel_err + np.abs(v15[:, i] - v13[:, i]) * 0.1
                 partial = np.column_stack((partial[:, -15:], partial[:, -1] + v15[:, i]))
                 mags = np.column_stack((mags[:, -3:], np.abs(v15[:, i])))
                 if jj == 4:

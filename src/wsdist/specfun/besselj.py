@@ -50,14 +50,17 @@ def _max_abs(x):
 
 def _ascending(q, z, first):
     """sum_k first z^k / (k! (q+1)_k), accumulated in the 80-bit dtype
-    of z (longdouble or clongdouble); q not a negative integer.
+    of z (longdouble or clongdouble); q not a negative integer.  The
+    divisor (k+1)(q+k+1) is formed in long double as well: in double it
+    is exact only for integer and half-integer q, and its rounding is
+    amplified by the series' cancellation toward x = 15.
 
     With z = -x^2/4 this is the series of J_q, with z = +w^2/4 that of
     I_q, each up to its prefactor."""
     term = np.full(z.shape, first, dtype=z.dtype)
     acc = term.copy()
     for k in range(200):
-        term = term * z / z.dtype.type((k + 1.0) * (q + k + 1.0))
+        term = term * z / ((_LD(k) + 1) * (_LD(q) + (k + 1)))
         acc += term
         if _max_abs(term) < 1e-26 * max(_max_abs(acc), 1e-280):
             break

@@ -57,6 +57,17 @@ def test_j_against_scipy(nu):
     assert err.max() < 5e-11
 
 
+@pytest.mark.parametrize("nu", [1.3, -1.3, 0.7, 0.3])
+def test_series_near_its_handover_at_non_half_integer_order(nu):
+    # the series cancels toward x = 15, where it hands over to the Hankel
+    # asymptotics; its divisor rounded in double cost up to 2.7e-11 here
+    mp.mp.dps = 30
+    xs = np.linspace(8.0, 15.0, 281)
+    ref = np.array([float(mp.besselj(nu, mp.mpf(float(x)))) for x in xs])
+    envelope = np.sqrt(2.0 / (math.pi * xs))
+    assert np.max(np.abs(bessel_j(nu, xs) - ref) / envelope) <= 1e-13
+
+
 def test_method_overlap_agreement():
     # the ascending series and the large-x methods must agree across the
     # switch, evaluated at the same points just above it

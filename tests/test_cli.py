@@ -1,12 +1,13 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wsdist import oracle, selftest
-from wsdist.cli import EXIT_ERROR, main
+from wsdist.cli import EXIT_ERROR, EXIT_NONCONV, main
 from wsdist.weber_schafheitlin import OrderPair, prop1_distribution
 
 DATA = Path(__file__).parent / "data"
@@ -376,6 +377,22 @@ def test_oracle_short_schedule_exit_5_before_any_pairing(capsys, monkeypatch):
     assert code == EXIT_ERROR
     assert out == ""
     assert err.startswith("InsufficientDataError: ")
+
+
+def test_oracle_eps_below_the_floor_exits_3_at_once(capsys, monkeypatch):
+    # the s = 1 row cannot reach the engine's stop within its panel cap
+    def spent(*args, **kwargs):
+        raise AssertionError("a pairing ran for an eps the quadrature cannot reach")
+
+    monkeypatch.setattr(oracle, "_pairing_at_eps", spent)
+    t0 = time.perf_counter()
+    code, out, err = _run(
+        capsys, ["oracle", "--mu", "0", "--nu", "1", "--eps-schedule", "1e-300,1e-301,1e-302"]
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_NONCONV
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "eps=1e-302" in err
 
 
 @pytest.mark.slow

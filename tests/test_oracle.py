@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from wsdist import oracle
 from wsdist.distributions import TestFunction
 from wsdist.oracle import (
     I_direct,
@@ -13,7 +14,7 @@ from wsdist.oracle import (
     jj_pairing_oracle,
     pairing_oracle,
 )
-from wsdist.quadrature import EpsSchedule
+from wsdist.quadrature import EpsSchedule, gauss_legendre
 from wsdist.weber_schafheitlin import (
     OrderPair,
     RegularizedPoint,
@@ -56,6 +57,63 @@ def test_batched_direct_matches_per_node_loop(mu, nu):
         batched = _direct_rows(orders, s, 0.05, 1e-7)
         loop = np.array([I_direct(orders, RegularizedPoint(float(x), 0.05), 1e-7) for x in s])
     assert np.all(np.abs(batched - loop) <= 1e-12 * np.abs(loop))
+
+
+def _one_bisection_per_call(orders, g, eps, inner_tol, outer_tol):
+    """The greedy s-refinement with one _direct_rows call per bisection;
+    returns the pairing and the rows of each call."""
+    n4, w4 = gauss_legendre(4)
+    n2, w2 = gauss_legendre(2)
+    nodes = np.concatenate((n4, n2))
+    calls = []
+
+    def eval_panels(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        x = (mid[:, None] + half[:, None] * nodes).ravel()
+        calls.append(len(x))
+        gi = (_direct_rows(orders, x, eps, inner_tol) * g(x)).reshape(len(a), 6)
+        v4 = half * (gi[:, :4] @ w4)
+        v2 = half * (gi[:, 4:] @ w2)
+        return list(zip(np.abs(v4 - v2).tolist(), a.tolist(), b.tolist(), v4.tolist()))
+
+    edges = np.linspace(*g.support, 65)
+    panels = eval_panels(edges[:-1], edges[1:])
+    for _ in range(40):
+        if sum(p[0] for p in panels) <= outer_tol:
+            break
+        panels.sort(key=lambda p: (-p[0], p[1]))
+        _, a, b, _ = panels.pop(0)
+        mid = 0.5 * (a + b)
+        panels += eval_panels(np.array([a, mid]), np.array([mid, b]))
+    return sum(p[3] for p in panels), calls
+
+
+@pytest.mark.parametrize(
+    "eps, outer_tol, splits, max_calls",
+    [
+        (0.05, 1e-6, 10, 5),  # the refinement stops on outer_tol
+        (0.2, 1e-13, 40, 4),  # the split budget binds
+    ],
+)
+def test_batched_bisection_rounds_equal_one_bisection_per_call(
+    monkeypatch, eps, outer_tol, splits, max_calls
+):
+    orders, g = OrderPair(0.0, 1.0), TestFunction(1.0, 0.5, 1.0)
+    ref, ref_calls = _one_bisection_per_call(orders, g, eps, 1e-7, outer_tol)
+    calls = []
+
+    def spy(orders, s, eps, tol):
+        calls.append(len(s))
+        return _direct_rows(orders, s, eps, tol)
+
+    monkeypatch.setattr(oracle, "_direct_rows", spy)
+    got = oracle._pairing_at_eps(orders, g, eps, 1e-7, outer_tol)
+    assert got == ref  # bit for bit
+    assert len(ref_calls) == 1 + splits
+    assert calls[0] == ref_calls[0] == 6 * 64 and 1 < len(calls) <= max_calls
+    if splits < 40:
+        # every half a round evaluates is one the greedy loop takes
+        assert sum(calls) == sum(ref_calls)
 
 
 def test_uniform_convergence_surrogate():

@@ -176,6 +176,41 @@ def test_row_batch_matches_one_row_calls(monkeypatch):
     assert np.all(np.abs(batch.value - ref) <= 1e-13 * np.abs(ref))
 
 
+def test_g15_comparator_integrates_legendre_p0_to_p13():
+    w13 = quadrature._g15_comparator()
+    nodes = quadrature.gauss_legendre(15)[0]
+    assert w13[1] == w13[13] == 0.0 and np.count_nonzero(w13) == 13
+    for n in range(14):
+        exact = 2.0 if n == 0 else 0.0
+        p_n = np.polynomial.legendre.Legendre.basis(n)(nodes)
+        assert abs(w13 @ p_n - exact) <= 1e-14
+
+
+def test_damped_panel_costs_15_evaluations(monkeypatch):
+    spacing = np.array([math.pi])
+    tol = 1e-9
+    calls = []
+    wynn = quadrature._wynn_rows
+    monkeypatch.setattr(quadrature, "_wynn_rows", lambda p: calls.append(1) or wynn(p))
+    r = integrate_semiinfinite_damped(_row_integrand, _ROW_EPS, spacing, tol)
+    first = tanh_sinh(_row_integrand, np.zeros(1), spacing, tol * 1e-2)
+    # Wynn runs from panel 6 to the stop; panels come in blocks of 8
+    panels = 8 * math.ceil((5 + len(calls)) / 8)
+    assert r.converged and r.evaluations == first.evaluations + 15 * panels
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_damped_error_estimate_bounds_the_error(tol):
+    # int_0^inf k^p e^{-eps k} sin(c k) dk = Gamma(p+1) Im (eps - i c)^{-(p+1)}
+    exact = np.array([
+        math.gamma(p + 1.0) * ((_ROW_EPS - 1j * c) ** -(p + 1.0)).imag
+        for c, p in zip(_ROW_C, _ROW_P)
+    ])
+    r = integrate_semiinfinite_damped(_row_integrand, _ROW_EPS, math.pi / _ROW_C, tol)
+    assert r.converged
+    assert np.all(np.abs(r.value - exact) <= r.error_estimate)
+
+
 def test_row_batch_growing_row_raises():
     growth = np.array([-0.2, -0.2, 0.05])
     c = np.array([1.0, 1.5, 1.0])
