@@ -8,9 +8,14 @@ package of this checkout and once on the package under DIR/src (a
 checkout of the commit to compare with, e.g. made by `git archive`), each
 in its own interpreter.  Per case and per eps it records the
 `_direct_rows` calls and rows and the semi-infinite quadrature
-evaluations, which do not depend on the machine, and the wall time of the
+evaluations, and per case the points of K's base pair per route (each
+`_k_pair_*` function of `specfun.besselk`: Temme's series, the Taylor
+lattice, CF2 and Horner, or whatever routes the tree has; CF2 and Horner
+count the Taylor nodes they serve too) and the points of `bessel_j`; none of
+these depend on the machine.  It also records the wall time of each
 pairing, which does.  The eps_trace digest of each case shows whether the
-two trees agree bit for bit.
+two trees agree bit for bit, and its largest absolute difference how far
+apart they are when they do not.
 
     python scripts/bench_oracle.py --tree DIR
 
@@ -36,6 +41,7 @@ def measure(tree):
     """The four cases on the package under tree/src, counted per eps."""
     sys.path.insert(0, str(Path(tree) / "src"))
     from wsdist import oracle
+    from wsdist.specfun import besselk
     from wsdist.distributions import TestFunction
     from wsdist.quadrature import DEFAULT_EPS_SCHEDULE
     from wsdist.weber_schafheitlin import OrderPair
@@ -44,6 +50,18 @@ def measure(tree):
         oracle._direct_rows, oracle.integrate_semiinfinite_damped, oracle._pairing_at_eps
     )
     steps = []
+    points = {}
+
+    def counted(key, fn):
+        """fn, adding the size of its second argument to points[key]."""
+        def wrapper(*args):
+            points[key] = points.get(key, 0) + args[1].size
+            return fn(*args)
+        return wrapper
+
+    for name in [n for n in vars(besselk) if n.startswith("_k_pair_")]:
+        setattr(besselk, name, counted("k_" + name[len("_k_pair_"):], getattr(besselk, name)))
+    oracle.bessel_j = counted("j", oracle.bessel_j)
 
     def counted_rows(orders, s, eps, tol):
         steps[-1]["direct_rows_calls"] += 1
@@ -70,6 +88,7 @@ def measure(tree):
     for prop, mu, nu in CASES:
         run = oracle.pairing_oracle if prop == 1 else oracle.jj_pairing_oracle
         steps.clear()
+        points.clear()
         t0 = time.perf_counter()
         report = run(OrderPair(mu, nu), TestFunction(*BUMP), DEFAULT_EPS_SCHEDULE)
         wall = time.perf_counter() - t0
@@ -79,9 +98,12 @@ def measure(tree):
             "direct_rows_calls": sum(s["direct_rows_calls"] for s in per_eps),
             "rows": sum(s["rows"] for s in per_eps),
             "semiinfinite_evaluations": sum(s["semiinfinite_evaluations"] for s in per_eps),
+            "k_points": {k[2:]: v for k, v in sorted(points.items()) if k != "j"},
+            "j_points": points.get("j", 0),
             "wall_s": round(wall, 4),
             "rel_deviation": report.rel_deviation,
             "eps_trace_sha256": hashlib.sha256(repr(report.eps_trace).encode()).hexdigest(),
+            "eps_trace": [[e, complex(v).real, complex(v).imag] for e, v in report.eps_trace],
             "per_eps": per_eps,
         })
     return cases
@@ -114,8 +136,15 @@ def main():
             "rows": [p["rows"], c["rows"]],
             "semiinfinite_evaluations": [p["semiinfinite_evaluations"],
                                          c["semiinfinite_evaluations"]],
+            "k_points": [p["k_points"], c["k_points"]],
+            "j_points": [p["j_points"], c["j_points"]],
             "wall_s": [p["wall_s"], c["wall_s"]],
             "eps_trace_identical": p["eps_trace_sha256"] == c["eps_trace_sha256"],
+            "eps_trace_max_abs_diff": max(
+                abs(complex(*a[1:]) - complex(*b[1:]))
+                for a, b in zip(p["eps_trace"], c["eps_trace"])
+            ),
+            "rel_deviation": [p["rel_deviation"], c["rel_deviation"]],
         })
     doc = {
         "script": "scripts/bench_oracle.py",

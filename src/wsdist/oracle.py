@@ -88,11 +88,16 @@ def _direct_rows(orders, s, eps, tol):
     orders.require_hankel_bessel()
     z = s + 1j * eps
     mu, nu = orders.mu, orders.nu
+    spacing = math.pi / np.maximum(s, 1.0)
 
     def f(k, rows):
-        return k * hankel1_complex(mu, z[rows, None] * k) * bessel_j(nu, k)
+        # the engine forms a row's nodes from its spacing and the panel
+        # index that all live rows share, so rows of equal spacing (every
+        # s <= 1) have the same k: J once per distinct spacing
+        _, first, back = np.unique(spacing[rows], return_index=True, return_inverse=True)
+        return k * hankel1_complex(mu, z[rows, None] * k) * bessel_j(nu, k[first])[back]
 
-    res = integrate_semiinfinite_damped(f, eps, math.pi / np.maximum(s, 1.0), tol)
+    res = integrate_semiinfinite_damped(f, eps, spacing, tol)
     if not res.converged:
         raise NonConvergenceError(
             f"direct quadrature stalled at orders={orders}, eps={eps}, "

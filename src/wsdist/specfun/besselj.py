@@ -13,12 +13,8 @@ Real order, positive real argument.  Three regimes:
 The switch points were chosen so neighbouring regimes overlap with
 agreement well below 1e-10; see tests.
 
-The four loops shared with the modified functions in besselk live
-here: the ascending series (_ascending: J at z = -x^2/4, I at
-z = +w^2/4), the integer-order logarithmic series (_log_sweep: Y_0, Y_1
-or K_0, K_1 by the sign of z), the Hankel asymptotic series
-(_hankel_sums: the P and Q sums of J and Y, the one sum of K) and the
-order recurrence (_recur_up).
+The order recurrence (_recur_up) is shared with K in besselk, which
+climbs it the other way.
 """
 
 import math
@@ -40,24 +36,18 @@ def _as_array(x, dtype):
 
 
 def _max_abs(x):
-    """Largest modulus in a long-double array, taken in double: the
-    80-bit complex hypot costs more than a whole series step, a real
-    array needs none, and a stopping test needs no more."""
-    if x.dtype.kind == "c":
-        x = x.astype(complex)
+    """Largest modulus in a long-double array, as a double: a stopping
+    test needs no more."""
     return float(np.abs(x).max())  # the method skips np.max's dispatch
 
 
-def _ascending(q, z, first):
-    """sum_k first z^k / (k! (q+1)_k), accumulated in the 80-bit dtype
-    of z (longdouble or clongdouble); q not a negative integer.  The
-    divisor (k+1)(q+k+1) is formed in long double as well: in double it
-    is exact only for integer and half-integer q, and its rounding is
-    amplified by the series' cancellation toward x = 15.
-
-    With z = -x^2/4 this is the series of J_q, with z = +w^2/4 that of
-    I_q, each up to its prefactor."""
-    term = np.full(z.shape, first, dtype=z.dtype)
+def _ascending(q, z):
+    """sum_k z^k / (k! (q+1)_k), the series of J_q at z = -x^2/4 up to
+    its prefactor, accumulated in long double like z; q not a negative
+    integer.  The divisor (k+1)(q+k+1) is formed in long double as well:
+    in double it is exact only for integer and half-integer q, and its
+    rounding is amplified by the series' cancellation toward x = 15."""
+    term = np.ones_like(z)
     acc = term.copy()
     for k in range(200):
         term = term * z / ((_LD(k) + 1) * (_LD(q) + (k + 1)))
@@ -72,7 +62,7 @@ def _j_series(nu, x):
     a negative integer.  A value past the double range (large negative
     nu at tiny x) raises DomainError."""
     xl = x.astype(_LD)
-    acc = _ascending(nu, -0.25 * xl * xl, 1.0)
+    acc = _ascending(nu, -0.25 * xl * xl)
     pref = np.power(0.5 * xl, _LD(nu)) / _LD(gamma(nu + 1.0))
     with np.errstate(over="ignore"):  # reported below, as a DomainError
         out = (pref * acc).astype(float)
@@ -81,53 +71,54 @@ def _j_series(nu, x):
     return out
 
 
-def _hankel_sums(q, inv8, cycle):
-    """The Hankel asymptotic series of order q (DLMF 10.17.3, 10.40.2):
-    term k is prod_{j<k} (4q^2 - (2j+1)^2) inv8 / (j+1), term 0 is 1.
+def _hankel_sums(q, inv8):
+    """The P and Q sums of the Hankel asymptotic series of order q
+    (DLMF 10.17.3): term k is prod_{j<k} (4q^2 - (2j+1)^2) inv8 / (j+1),
+    term 0 is 1.  At w = -ix the series splits by i^k into P (even k)
+    and Q (odd k), with signs + + - - + + - - ...
 
-    Term k goes, with its sign, into the sum that cycle[k % len(cycle)]
-    = (index, sign) names; term 0 is (0, +1).  Each element adds terms
-    until its own term magnitude starts to grow (optimal truncation) or
-    drops below 1e-17; its bound is the first omitted term.  Returns the
-    sums and the bound (relative to 1).
+    Each element adds terms until its own term magnitude starts to grow
+    (optimal truncation) or drops below 1e-17; its bound is the first
+    omitted term.  The elements still adding are carried compacted.
+    Returns (P, Q) and the bound (relative to 1).
     """
     mu = 4.0 * q * q
-    sums = [np.ones_like(inv8)]  # term 0
-    sums += [np.zeros_like(inv8) for _ in range(max(i for i, _ in cycle))]
-    term = np.ones_like(inv8)
-    prev_mag = np.full(inv8.shape, np.inf)
-    bound = np.full(inv8.shape, np.inf)
-    active = np.ones(inv8.shape, dtype=bool)
-    # the masked updates below work in place, without temporaries
+    flat = np.ravel(inv8)
+    out_p, out_q, bound = np.empty_like(flat), np.empty_like(flat), np.empty_like(flat)
+    live = np.arange(flat.size)
+    p, q_sum = np.ones_like(flat), np.zeros_like(flat)  # term 0 in P
+    term = np.ones_like(flat)
+    prev_mag = np.full(flat.shape, np.inf)
     for k in range(80):
-        term = term * ((mu - (2 * k + 1) ** 2) * inv8 / (k + 1.0))
+        term = term * ((mu - (2 * k + 1) ** 2) * flat / (k + 1.0))
         mag = np.abs(term)
-        grown = active & (mag >= prev_mag)
-        np.copyto(bound, mag, where=grown)
-        active &= ~grown
-        if not active.any():
-            break
-        i, sign = cycle[(k + 1) % len(cycle)]
-        (np.add if sign > 0 else np.subtract)(sums[i], term, out=sums[i], where=active)
-        tiny = active & (mag < 1e-17)
-        np.copyto(bound, mag, where=tiny)
-        active &= ~tiny
-        if not active.any():
-            break
-        np.copyto(prev_mag, mag, where=active)
-    bound = np.where(np.isinf(bound), np.abs(term), bound)
-    return sums, bound
-
-
-# the series at w = -ix splits by i^k into P (even k) and Q (odd k),
-# with signs + + - - + + - - ...
-_PQ_CYCLE = ((0, 1.0), (1, 1.0), (0, -1.0), (1, -1.0))
+        grown = mag >= prev_mag
+        n = k + 1  # the index of this term; a grown one is left out
+        step = np.where(grown, 0.0, term if n % 4 < 2 else -term)
+        if n % 2:
+            q_sum = q_sum + step
+        else:
+            p = p + step
+        done = np.flatnonzero(grown | (mag < 1e-17))
+        if done.size:
+            at = live[done]
+            out_p[at], out_q[at], bound[at] = p[done], q_sum[done], mag[done]
+            keep = np.ones(live.size, dtype=bool)
+            keep[done] = False
+            live, flat, term, mag, p, q_sum = (v[keep] for v in (live, flat, term, mag, p, q_sum))
+            if not live.size:
+                break
+        prev_mag = mag
+    else:
+        out_p[live], out_q[live], bound[live] = p, q_sum, np.abs(term)
+    shape = np.shape(inv8)
+    return (out_p.reshape(shape), out_q.reshape(shape)), bound.reshape(shape)
 
 
 def _jy_asymptotic(nu, x):
     """Hankel expansion J, Y and a bound on the truncation error of the
     modulus functions (relative to 1)."""
-    (p, q), bound = _hankel_sums(nu, 1.0 / (8.0 * x), _PQ_CYCLE)
+    (p, q), bound = _hankel_sums(nu, 1.0 / (8.0 * x))
     chi = x - (0.5 * nu + 0.25) * math.pi
     amp = np.sqrt(2.0 / (math.pi * x))
     cos_chi = np.cos(chi)
@@ -182,9 +173,8 @@ def _miller(nu, x):
 
 
 def _log_sweep(z):
-    """The four sums of the integer-order logarithmic series at
-    z = -x^2/4 (Y_0, Y_1) or z = +w^2/4 (K_0, K_1), accumulated in the
-    80-bit dtype of z:
+    """The four sums of the integer-order logarithmic series of Y_0 and
+    Y_1 at z = -x^2/4, accumulated in long double like z:
 
         c0 = sum z^k / (k!)^2,
         s0 = sum H_k z^k / (k!)^2,

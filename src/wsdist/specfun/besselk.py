@@ -1,31 +1,38 @@
 """Modified Bessel K of complex argument and the Hankel H1 identity.
 
-K_mu(w) is assembled from a base pair at reduced order mu0 in [-1/2, 1/2]
-plus the (upward stable) order recurrence, the loop Y also climbs
-(besselj._recur_up).  The base pair comes from one of four methods,
+K_mu(w) for Re w >= 0, w != 0, is assembled from a base pair at reduced
+order mu0 in [-1/2, 1/2] plus the (upward stable) order recurrence, the
+loop Y also climbs (besselj._recur_up); below |mu| = 3/2 the recurrence
+reads one member of the pair, and only that one is formed.  Everything
+runs in double precision; the base pair comes from one of four methods,
 chosen by where w sits:
 
-* power series in 80-bit complex floats for |w| <= 2 (4 at integer
-  order), and up to 14 at Re w < 0 -- the reflection combination
-  (pi/2)(I_{-q} - I_q)/sin(q pi) for non-integer order, the explicit
-  logarithmic series at integer order; both run the loops of J and Y
-  (_ascending, _log_sweep).
-* Steed's continued fraction CF2 with Temme's normalization (Temme,
-  J. Comput. Phys. 19 (1975) 324; Thompson & Barnett, J. Comput. Phys.
-  64 (1986) 490; the x >= 2 branch of Numerical Recipes' bessik) for
-  the rest of 2 < |w| < 24 with Re w >= 0: no cancellation, at most 141
-  steps (at |w| = 2, mu0 = 0; 73 past |w| = 4), and each point stops on
-  its own test.
-* the e^{-w} asymptotic series at a fixed 20 terms, summed by Horner's
-  rule, for |w| >= 24 and Re w >= 0, where CF2 would still take 8-24
-  steps of several times the work.
-* the same series truncated at its smallest term for Re w < 0 and
-  |w| > 14 (CF2 fails to converge near the negative axis); the loop of
-  J and Y (besselj._hankel_sums).
+* Temme's series (Temme, J. Comput. Phys. 19 (1975) 324; the x < 2
+  branch of Numerical Recipes' bessik; Amos's ZBKNU, ACM TOMS 12 (1986)
+  265, uses it for |z| <= 2) on |w| + Re w <= 4, at a fixed 16 terms,
+  as polynomials in w^2/4 whose coefficients depend on mu0 alone.
+  Its cancellation costs about e^{|w| + Re w}, so the region loses no
+  more than the disc |w| <= 2 does, and it reaches |w| = 4 along the
+  imaginary axis, near which the oracle's w = eps k - i s k lie.
+  1/Gamma(1 +- mu0) and the difference quotient gamma_1 come from the
+  Taylor series of 1/Gamma(1 + x), so no order near an integer loses
+  digits.
+* Taylor series about the nearest node w0 of the lattice (Z + iZ)/2 for
+  the rest of |w| < 24, at a fixed 22 terms: |w - w0| <= 0.36 and
+  |w0| >= 2.  The nodes' coefficients come from the Bessel ODE, started
+  from the base pair at w0 by Steed's continued fraction CF2 with
+  Temme's normalization (Temme, loc. cit.; Thompson & Barnett,
+  J. Comput. Phys. 64 (1986) 490; the x >= 2 branch of bessik), which
+  takes up to 80 steps near the imaginary axis: each point of a call
+  costs a Horner sum, each node in use one CF2.
+* CF2 itself at half-integer order (|mu0| = 1/2) on all of |w| < 24:
+  it stops after 2 steps with the closed form sqrt(pi/2w) e^{-w}.
+* the e^{-w} asymptotic series for |w| >= 24, summed by Horner's rule at
+  20 terms, 13 from |w| = 48 on and 9 from |w| = 128 on.
 
-Together they cover the plane off the cut (-inf, 0], more than the
-public Re(w) > 0 contract; hankel1_complex exploits that to reach its
-whole sector, including arg z in (-pi/2, 0] where -iz has Re <= 0.
+Every point's value is its own: no method's term count or stop depends
+on the other points of the call.  hankel1_complex needs exactly this
+half-plane: its sector 0 <= arg z <= pi is Re(-iz) >= 0.
 """
 
 import math
@@ -33,74 +40,174 @@ import math
 import numpy as np
 
 from ..errors import DomainError, NonConvergenceError
-from .besselj import _as_array, _ascending, _hankel_sums, _log_sweep, _recur_up
-from .gammafn import EULER_GAMMA, gamma
+from .besselj import _as_array, _recur_up
 
-_K_SERIES_ALL = 2.0
-# the integer-order logarithmic series divides by no sin(pi mu0): in
-# 80-bit floats it keeps double accuracy out to |w| = 4, where CF2 would
-# take 73-141 steps
-_K_LOG_SERIES_ALL = 4.0
-_K_SERIES_MAX = 14.0
-# from |w| = 24 on, Re w >= 0, the first 20 terms of the asymptotic series
-# leave a first neglected term below 1e-17 for every order |q| <= 3/2
-_K_HORNER_MIN = 24.0
-_K_HORNER_TERMS = 20
-# points per CF2 block: below numpy's 256 KiB threshold for reusing a
-# temporary in place, whose loops round differently, so a value does not
-# depend on how many points share the call
-_CF2_BLOCK = 4096
+# Temme's series on |w| + Re w <= 4: its terms fall like 4^i/(i!)^2, and
+# the first one left out after 16 is below 1e-17 of the sum everywhere
+# there, at every |mu0| < 1/2
+_K_TEMME_MAX = 4.0
+_K_TEMME_TERMS = 16
+# the asymptotic series from |w| = 24 on, Re w >= 0, in bands: from |w| =
+# r on, its first n terms leave a first neglected term below 1e-17 for
+# every order |q| <= 3/2, (r, n) for each band
+_K_HORNER_BANDS = ((24.0, 20), (48.0, 13), (128.0, 9))
+_K_HORNER_MIN = _K_HORNER_BANDS[0][0]
+# points per block of every route: its complex temporaries stay below
+# numpy's 256 KiB threshold for reusing a temporary in place, whose loops
+# round differently, so a value does not depend on how many points share
+# the call, and a call's memory does not grow with its size
+_K_BLOCK = 8192
 _CF2_MAX_STEPS = 300
+# Taylor nodes on the lattice _K_TAYLOR_STEP (Z + iZ) between Temme's
+# series and the asymptotic series, 0 <= Re w0 <= 24 and |Im w0| <= 24.
+# Every node in use has |w0| >= 2 and |w - w0| <= 0.36, so |(w - w0)/w0|
+# <= 0.18, and 0.18^22 < 5e-17
+_K_TAYLOR_STEP = 0.5
+_K_TAYLOR_TERMS = 22
+_TAYLOR_HALF = int(round(_K_HORNER_MIN / _K_TAYLOR_STEP))
+_TAYLOR_ROWS = _TAYLOR_HALF + 1
+_TAYLOR_COLS = 2 * _TAYLOR_HALF + 1
 MAX_ORDER_K = 10.0  # |mu| of K and H1; also the mu range of OrderPair
 
-_CLD = np.clongdouble
-_LD = np.longdouble
+# Taylor coefficients of 1/Gamma(1 + x) at x = 0 (DLMF 5.7.1 shifted by
+# one); for |x| <= 1/2 the first one left out adds below 1e-21.  Made by
+#     import mpmath as mp
+#     mp.mp.dps = 40
+#     [float(c) for c in mp.taylor(lambda x: 1 / mp.gamma(1 + x), 0, 23)]
+_RGAMMA1_TAYLOR = (
+    1.0,
+    0.5772156649015329,
+    -0.6558780715202539,
+    -0.04200263503409524,
+    0.16653861138229148,
+    -0.04219773455554433,
+    -0.009621971527876973,
+    0.0072189432466631,
+    -0.0011651675918590652,
+    -0.00021524167411495098,
+    0.0001280502823881162,
+    -2.013485478078824e-05,
+    -1.2504934821426706e-06,
+    1.133027231981696e-06,
+    -2.056338416977607e-07,
+    6.116095104481416e-09,
+    5.002007644469223e-09,
+    -1.18127457048702e-09,
+    1.0434267116911005e-10,
+    7.782263439905071e-12,
+    -3.696805618642206e-12,
+    5.100370287454476e-13,
+    -2.0583260535665066e-14,
+    -5.348122539423018e-15,
+)
 
 
-def _i_series_cld(q, w):
-    """I_q(w) as clongdouble, w an ndarray off the cut, q real (not a
-    negative integer)."""
-    wl = w.astype(_CLD)
-    acc = _ascending(q, 0.25 * wl * wl, _CLD(1.0 / gamma(q + 1.0)))
-    pref = np.exp(_CLD(q) * np.log(0.5 * wl))
-    return pref * acc
+def _temme_gammas(mu0):
+    """gamma_1 = (1/Gamma(1-mu0) - 1/Gamma(1+mu0)) / (2 mu0) and
+    gamma_2 = (1/Gamma(1-mu0) + 1/Gamma(1+mu0)) / 2, from the odd and
+    even parts of the Taylor series of 1/Gamma(1 + x): no cancellation
+    as mu0 -> 0, where gamma_1 -> -Euler's gamma."""
+    m2 = mu0 * mu0
+    even = odd = 0.0
+    for j in range(len(_RGAMMA1_TAYLOR) - 2, -1, -2):
+        even = even * m2 + _RGAMMA1_TAYLOR[j]
+        odd = odd * m2 + _RGAMMA1_TAYLOR[j + 1]
+    return -odd, even
 
 
-def _k_pair_series(mu0, w):
-    """(K_mu0, K_mu0+1) by the reflection formula, or by the logarithmic
-    series (DLMF 10.31.1) at integer order; |w| <= 16."""
-    if abs(mu0) < 1e-10:  # snap to the integer-order series
-        wl = w.astype(_CLD)
-        i0, s0, i1sum, s1 = _log_sweep(0.25 * wl * wl)
-        lw = np.log(0.5 * wl)
-        k0 = -(lw + _LD(EULER_GAMMA)) * i0 + s0
-        k1 = 1.0 / wl + lw * (0.5 * wl * i1sum) - 0.25 * wl * s1
-        return k0.astype(complex), k1.astype(complex)
-    out = []
-    for q in (mu0, mu0 + 1.0):
-        ip = _i_series_cld(q, w)
-        im = _i_series_cld(-q, w)
-        s = math.sin(math.pi * q)
-        val = (0.5 * math.pi) * (im - ip) / _CLD(s)
-        out.append(val.astype(complex))
-    return out[0], out[1]
+def _temme_polynomials(mu0):
+    """Coefficients of z^0 .. z^_K_TEMME_TERMS of the six polynomials
+    A, B, C, D, E, F with K_mu0 = f_0 A(z) + p_0 B(z) + q_0 C(z) and
+    (w/2) K_mu0+1 = f_0 D(z) + p_0 E(z) + q_0 F(z), one row each: the
+    f_i, p_i and q_i of Temme's series are linear in f_0, p_0 and q_0,
+    with coefficients alpha_i, beta_i, gamma_i (and P_i, Q_i) that
+    depend on mu0 alone."""
+    rows = np.empty((6, _K_TEMME_TERMS + 1))
+    alpha, beta, gamma, p, q, fact = 1.0, 0.0, 0.0, 1.0, 1.0, 1.0
+    for i in range(_K_TEMME_TERMS + 1):
+        if i:
+            den = 1.0 / (i * i - mu0 * mu0)
+            alpha, beta, gamma = i * alpha * den, (i * beta + p) * den, (i * gamma + q) * den
+            p, q, fact = p / (i - mu0), q / (i + mu0), fact * i
+        rows[:, i] = np.array([alpha, beta, gamma, -i * alpha, p - i * beta, -i * gamma]) / fact
+    return rows
 
 
-def _k_pair_cf2(mu0, w):
-    """(K_mu0, K_mu0+1), |mu0| <= 1/2, |w| > 2, Re w >= 0: Steed's CF2 h
+def _poly(coefs, z):
+    """sum_i coefs[i] z^i by Horner's rule."""
+    acc = np.full(z.shape, coefs[-1], dtype=complex)
+    for c in coefs[-2::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def _k_pair_temme(mu0, w, need=(0, 1)):
+    """(K_mu0, K_mu0+1), |mu0| < 1/2, Re w >= 0, |w| + Re w <= 4, by
+    Temme's series (Numerical Recipes' bessik, x < 2) at a fixed
+    _K_TEMME_TERMS terms: a point's value is its own, and no step tests
+    convergence.
+
+    With z = w^2/4, K_mu0 = sum_i f_i z^i/i! and K_mu0+1 = (2/w) sum_i
+    (p_i - i f_i) z^i/i!, where p_0 = Gamma(1+mu0) (w/2)^-mu0 / 2,
+    q_0 = Gamma(1-mu0) (w/2)^mu0 / 2, p_i = p_{i-1}/(i - mu0),
+    q_i = q_{i-1}/(i + mu0) and f_i = (i f_{i-1} + p_{i-1} + q_{i-1}) /
+    (i^2 - mu0^2), from f_0 = (pi mu0/sin(pi mu0)) (gamma_1 cosh e +
+    gamma_2 d sinh(e)/e) with d = -log(w/2) and e = mu0 d.  The sums are
+    polynomials in z weighted by f_0, p_0 and q_0 (_temme_polynomials);
+    at mu0 = 0, where f_0 = gamma_1 + gamma_2 d and p_0 = q_0 = 1/2,
+    they fold into two weighted by d and 1.  Only the sums of the
+    orders mu0 + j, j in need, are formed.
+    """
+    gam1, gam2 = _temme_gammas(mu0)
+    p_scale = 0.5 / (gam2 - mu0 * gam1)  # Gamma(1+mu0)/2
+    q_scale = 0.5 / (gam2 + mu0 * gam1)  # Gamma(1-mu0)/2
+    polys = _temme_polynomials(mu0)
+    if mu0 == 0.0:
+        pa, pb, pc, pd, pe, pf = polys  # A .. F
+        polys = np.array([gam2 * pa, gam1 * pa + p_scale * pb + q_scale * pc,
+                          gam2 * pd, gam1 * pd + p_scale * pe + q_scale * pf])
+    else:
+        fact = math.pi * mu0 / math.sin(math.pi * mu0)
+    m = len(polys) // 2  # the rows of K_mu0, then those of K_mu0+1
+    out = tuple(np.empty(w.shape, dtype=complex) for _ in need)
+    for start in range(0, w.size, _K_BLOCK):
+        block = slice(start, start + _K_BLOCK)
+        half = 0.5 * w[block]
+        d = -(np.log(np.abs(half)) + 1j * np.angle(half))  # numpy's complex log is slower
+        if mu0 == 0.0:
+            weights = (d, 1.0)
+        else:
+            e = mu0 * d
+            sinhc = np.divide(np.sinh(e), e, out=np.ones_like(e), where=e != 0.0)
+            ex = np.exp(e)
+            exi = 1.0 / ex
+            f0 = fact * (gam1 * 0.5 * (ex + exi) + gam2 * sinhc * d)
+            weights = (f0, p_scale * ex, q_scale * exi)
+        z = half * half
+        for j, res in zip(need, out):
+            res[block] = sum(wt * _poly(c, z) for wt, c in zip(weights, polys[j * m:(j + 1) * m]))
+            if j:
+                res[block] /= half
+    return out
+
+
+def _k_pair_cf2(mu0, w, need=(0, 1)):
+    """(K_mu0, K_mu0+1), |mu0| <= 1/2, Re w >= 0 and |w| >= 2 (any w at
+    |mu0| = 1/2, where a_1 = 0 ends it after 2 steps): Steed's CF2 h
     gives K_mu0+1 / K_mu0 = (mu0 + 1/2 + w - (1/4 - mu0^2) h) / w and
     Temme's sum s gives K_mu0 = sqrt(pi/2w) e^-w / s (Numerical Recipes'
     bessik, x >= 2).
 
     Each point stops on its own |ds| < 1e-16 |s|; the points still
     running are carried compacted, and one still running after
-    _CF2_MAX_STEPS raises NonConvergenceError.
+    _CF2_MAX_STEPS raises NonConvergenceError.  Returns the orders
+    mu0 + j, j in need.
     """
     a1 = 0.25 - mu0 * mu0
     k0 = np.empty(w.shape, dtype=complex)
     k1 = np.empty(w.shape, dtype=complex)
-    for start in range(0, w.size, _CF2_BLOCK):
-        block = slice(start, start + _CF2_BLOCK)
+    for start in range(0, w.size, _K_BLOCK):
+        block = slice(start, start + _K_BLOCK)
         wb = w[block]
         h_end = np.empty_like(wb)
         s_end = np.empty_like(wb)
@@ -134,14 +241,14 @@ def _k_pair_cf2(mu0, w):
             raise NonConvergenceError(f"K_{mu0:g} CF2 did not converge at w={wb[live[0]]}")
         k0[block] = np.sqrt(0.5 * math.pi / wb) * np.exp(-wb) / s_end
         k1[block] = k0[block] * (mu0 + 0.5 + wb - a1 * h_end) / wb
-    return k0, k1
+    return tuple((k0, k1)[j] for j in need)
 
 
 def _asymptotic_coeffs(q):
-    """a_k(q) = prod_{j<=k} (4q^2 - (2j-1)^2) / (k! 8^k) for k below
-    _K_HORNER_TERMS, ending before the first zero (half-integer q)."""
+    """a_k(q) = prod_{j<=k} (4q^2 - (2j-1)^2) / (k! 8^k) for k below the
+    first band's term count, ending before the first zero (half-integer q)."""
     coeffs = [1.0]
-    for k in range(1, _K_HORNER_TERMS):
+    for k in range(1, _K_HORNER_BANDS[0][1]):
         a = coeffs[-1] * (4.0 * q * q - (2 * k - 1) ** 2) / (8.0 * k)
         if a == 0.0:
             break
@@ -149,59 +256,142 @@ def _asymptotic_coeffs(q):
     return coeffs
 
 
-def _k_pair_horner(mu0, w):
-    """(K_mu0, K_mu0+1), |w| >= _K_HORNER_MIN, Re w >= 0, by the
-    asymptotic K_q(w) ~ sqrt(pi/2w) e^-w sum a_k/w^k at a fixed number
-    of terms, summed by Horner's rule: a point's value is its own, and
-    no step tests convergence."""
-    pref = np.sqrt(0.5 * math.pi / w) * np.exp(-w)
-    inv = 1.0 / w
-    out = []
-    for q in (mu0, mu0 + 1.0):
-        coeffs = _asymptotic_coeffs(q)
-        acc = np.full(w.shape, coeffs[-1], dtype=complex)
-        for a in reversed(coeffs[:-1]):
-            acc = acc * inv + a
-        out.append(pref * acc)
-    return out[0], out[1]
+def _k_pair_horner(mu0, w, need=(0, 1)):
+    """K_mu0+j, j in need, |w| >= _K_HORNER_MIN, Re w >= 0, by the
+    asymptotic K_q(w) ~ sqrt(pi/2w) e^-w sum a_k/w^k at the number of
+    terms of the band of |w| (_K_HORNER_BANDS), summed by Horner's rule
+    in 1/w: a point's value is its own, and no step tests convergence."""
+    coeffs = [_asymptotic_coeffs(mu0 + j) for j in need]
+    tops = [r for r, _ in _K_HORNER_BANDS[1:]] + [math.inf]
+    out = tuple(np.empty(w.shape, dtype=complex) for _ in need)
+    for start in range(0, w.size, _K_BLOCK):
+        block = slice(start, start + _K_BLOCK)
+        wb = w[block]
+        pref = np.sqrt(0.5 * math.pi / wb) * np.exp(-wb)
+        inv = 1.0 / wb
+        bands = None
+        for c, res in zip(coeffs, out):
+            if len(c) <= _K_HORNER_BANDS[-1][1]:  # every band sums all of them
+                acc = _poly(c, inv)
+            else:
+                if bands is None:
+                    mag = np.abs(wb)
+                    bands = [((mag >= r) & (mag < top), n)
+                             for (r, n), top in zip(_K_HORNER_BANDS, tops)]
+                acc = np.empty_like(inv)
+                for band, n in bands:
+                    acc[band] = _poly(c[:n], inv[band])
+            res[block] = pref * acc
+    return out
 
 
-def _k_pair_asymptotic(mu0, w):
-    """(K_mu0, K_mu0+1) by the asymptotic K_q(w) ~ sqrt(pi/2w) e^-w
-    sum a_k/(8w)^k, adaptive truncation at the smallest term."""
-    pref = np.sqrt(0.5 * math.pi / w) * np.exp(-w)
-    inv8 = 1.0 / (8.0 * w)
-    (acc0,), _ = _hankel_sums(mu0, inv8, ((0, 1.0),))
-    (acc1,), _ = _hankel_sums(mu0 + 1.0, inv8, ((0, 1.0),))
-    return pref * acc0, pref * acc1
+def _lattice_index(w):
+    """Index of the node of _K_TAYLOR_STEP (Z + iZ) nearest to each w,
+    |w| < _K_HORNER_MIN and Re w >= 0, in a grid of _TAYLOR_ROWS x
+    _TAYLOR_COLS nodes (real part by row, imaginary part by column)."""
+    row = np.rint(w.real * (1.0 / _K_TAYLOR_STEP))
+    col = np.rint(w.imag * (1.0 / _K_TAYLOR_STEP)) + _TAYLOR_HALF
+    return (row * _TAYLOR_COLS + col).astype(np.intp)
+
+
+def _taylor_coefficients(q, w0, y0, y1):
+    """Taylor coefficients a_k of K_q about each node w0, from a_0 = y0 =
+    K_q(w0) and a_1 = y1 = K_q'(w0), as an array of shape
+    (_K_TAYLOR_TERMS, len(w0)).  The Bessel ODE w^2 y'' + w y' -
+    (w^2 + q^2) y = 0 at w = w0 + h gives
+
+        w0^2 (k+1)(k+2) a_{k+2} = -w0 (k+1)(2k+1) a_{k+1}
+            - (k^2 - q^2 - w0^2) a_k + 2 w0 a_{k-1} + a_{k-2}.
+
+    At the orders |q| <= 3/2 used here it is stable forward: the
+    coefficients of K fall like |w0|^-k, those of I no slower."""
+    a = np.zeros((_K_TAYLOR_TERMS + 2, w0.size), dtype=complex)  # a[k + 2] is a_k
+    a[2], a[3] = y0, y1
+    inv_w02 = 1.0 / (w0 * w0)
+    c = q * q + w0 * w0
+    for k in range(_K_TAYLOR_TERMS - 2):
+        a[k + 4] = (-(k + 1) * (2 * k + 1) * w0 * a[k + 3] + (c - k * k) * a[k + 2]
+                    + 2.0 * w0 * a[k + 1] + a[k]) * (inv_w02 * (1.0 / ((k + 1) * (k + 2))))
+    return a[2:]
+
+
+def _k_pair_taylor(mu0, w, need=(0, 1)):
+    """K_mu0+j, j in need, |mu0| < 1/2, Re w >= 0, |w| + Re w > 4 and
+    |w| < _K_HORNER_MIN, by the Taylor series about the nearest node w0
+    of the lattice _K_TAYLOR_STEP (Z + iZ), summed by Horner's rule at a
+    fixed _K_TAYLOR_TERMS terms in h = w - w0, which is exact.  A node's
+    coefficients come from its own base pair (_k_node_pair) and
+    derivatives K_q' = q K_q / w - K_q+1 = -K_q-1 - q K_q / w, so a
+    point's value is its own, however many points share the call."""
+    cell = _lattice_index(w)
+    used = np.zeros(_TAYLOR_ROWS * _TAYLOR_COLS, dtype=bool)
+    used[cell] = True
+    nodes = np.flatnonzero(used)
+    slot = np.zeros(used.size, dtype=np.intp)
+    slot[nodes] = np.arange(nodes.size)
+    row, col = np.divmod(nodes, _TAYLOR_COLS)
+    w0 = _K_TAYLOR_STEP * (row + 1j * (col - _TAYLOR_HALF))
+    y0, y1 = _k_node_pair(mu0, w0)
+    slopes = ((mu0 * y0 - w0 * y1) / w0, -y0 - (mu0 + 1.0) * y1 / w0)
+    coef = [_taylor_coefficients(mu0 + j, w0, (y0, y1)[j], slopes[j]) for j in need]
+    out = tuple(np.empty(w.shape, dtype=complex) for _ in need)
+    for start in range(0, w.size, _K_BLOCK):
+        block = slice(start, start + _K_BLOCK)
+        at = slot[cell[block]]
+        h = w[block] - w0[at]
+        for a, res in zip(coef, out):
+            acc = a[-1][at]
+            for k in range(_K_TAYLOR_TERMS - 2, -1, -1):
+                acc = acc * h + a[k][at]
+            res[block] = acc
+    return out
+
+
+def _routes(mu0, w):
+    """(mask, route) for each base-pair route over w: Temme's series on
+    |w| + Re w <= 4, the Taylor series up to |w| = _K_HORNER_MIN and the
+    asymptotic series past it; at half-integer order CF2, the closed form
+    there, up to _K_HORNER_MIN."""
+    mag = np.abs(w)
+    horner = mag >= _K_HORNER_MIN
+    if abs(mu0) == 0.5:
+        return ((~horner, _k_pair_cf2), (horner, _k_pair_horner))
+    temme = mag + w.real <= _K_TEMME_MAX
+    return ((temme, _k_pair_temme), (~temme & ~horner, _k_pair_taylor), (horner, _k_pair_horner))
+
+
+def _k_node_pair(mu0, w0):
+    """The base pair at the Taylor nodes w0 (|w0| >= 2): CF2, or the
+    asymptotic series from |w0| = _K_HORNER_MIN on.  Temme's series would
+    serve the nodes inside its region, but with its cancellation."""
+    k0 = np.empty(w0.shape, dtype=complex)
+    k1 = np.empty(w0.shape, dtype=complex)
+    horner = np.abs(w0) >= _K_HORNER_MIN
+    for mask, pair in ((~horner, _k_pair_cf2), (horner, _k_pair_horner)):
+        if mask.any():
+            k0[mask], k1[mask] = pair(mu0, w0[mask])
+    return k0, k1
 
 
 def _k_core(mu, w):
-    """K_mu on an ndarray of finite arguments off the cut; no Re(w)
-    gate.  A value outside the double range raises DomainError."""
+    """K_mu on an ndarray of finite arguments w != 0 with Re w >= 0 (the
+    public functions gate it).  A value outside the double range raises
+    DomainError."""
     mu = abs(float(mu))
     if mu > MAX_ORDER_K:
         raise DomainError(f"order |mu|={mu} outside supported range <= {MAX_ORDER_K:g}")
     n = int(round(mu))
     mu0 = mu - n  # in [-1/2, 1/2]
 
+    # the recurrence climbs from K_mu0 and K_mu0+1; below n = 2 it is one of them
+    need = (n,) if n < 2 else (0, 1)
     out = np.empty(w.shape, dtype=complex)
-    mag = np.abs(w)
-    right = w.real >= 0.0
-    horner = right & (mag >= _K_HORNER_MIN)
-    # an order within the snap but off the integer keeps the small disc:
-    # the series takes it as the integer (an error of order mu0)
-    series_all = _K_LOG_SERIES_ALL if mu0 == 0.0 else _K_SERIES_ALL
-    cf2 = right & (mag > series_all) & ~horner
-    asymptotic = ~right & (mag > _K_SERIES_MAX)
-    series = ~cf2 & ~horner & ~asymptotic
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, as a DomainError
-        for mask, pair in ((series, _k_pair_series), (cf2, _k_pair_cf2),
-                           (horner, _k_pair_horner), (asymptotic, _k_pair_asymptotic)):
+        for mask, pair in _routes(mu0, w):
             if mask.any():
                 ws = w[mask]
-                base0, base1 = pair(mu0, ws)
-                out[mask] = _recur_up(base0, base1, mu0, n, ws, 1.0)
+                base = pair(mu0, ws, need)
+                out[mask] = base[0] if n < 2 else _recur_up(base[0], base[1], mu0, n, ws, 1.0)
     if not np.isfinite(out).all():
         raise DomainError(f"K_{mu:g}(w) is outside the double range")
     return out
@@ -212,9 +402,8 @@ def bessel_k_complex(mu, w):
     |mu| <= 10.
 
     Scalar or ndarray w; relative error against 30-digit references
-    about 3e-15 for |w| > 2 and 5e-15 for |w| <= 2 (and for |w| <= 4 at
-    integer order), where orders within 1e-2 of an integer lose up to
-    6e-13 (the series divides by sin(pi mu0)).
+    below 2e-14 on |w| + Re w <= 4 (Temme's series) at every order,
+    orders next to an integer included, and about 3e-15 elsewhere.
     """
     arr, scalar = _as_array(w, complex)
     if not np.isfinite(arr).all() or np.any(arr.real <= 0.0):
@@ -226,19 +415,14 @@ def bessel_k_complex(mu, w):
 def hankel1_complex(mu, z):
     """Hankel function H^(1)_mu(z) = (2/(i pi)) e^{-i pi mu/2} K_mu(-iz).
 
-    Valid for finite z on the sector -pi/2 < arg z <= pi; the boundary
-    arg z = pi and the real axis go through the continuation of K across
-    Re(w) = 0.  Relative accuracy as bessel_k_complex's for Im z >= 0.
+    Valid for finite z != 0 on the sector 0 <= arg z <= pi, where
+    w = -iz has Re w >= 0: the real axis of z is the imaginary axis of w,
+    served like its interior.  Relative accuracy as bessel_k_complex's.
     """
     arr, scalar = _as_array(z, complex)
-    ang = np.angle(arr)
-    if (
-        not np.isfinite(arr).all()
-        or np.any(arr == 0.0)
-        or np.any(ang <= -0.5 * math.pi)
-        or np.any(ang > math.pi + 1e-15)
-    ):
-        raise DomainError("hankel1_complex requires finite z, -pi/2 < arg z <= pi, z != 0")
+    # np.angle is in [-pi, pi]; -pi is the lower side of the cut
+    if not np.isfinite(arr).all() or np.any(arr == 0.0) or np.any(np.angle(arr) < 0.0):
+        raise DomainError("hankel1_complex requires finite z, 0 <= arg z <= pi, z != 0")
     w = -1j * arr
     pref = (2.0 / (1j * math.pi)) * complex(
         math.cos(0.5 * math.pi * mu), -math.sin(0.5 * math.pi * mu)

@@ -139,3 +139,14 @@ def test_y_against_scipy(nu):
     envelope = np.sqrt(2.0 / (math.pi * xs))
     err = np.abs(got - ref) / np.maximum(np.abs(ref), envelope)
     assert err.max() < 5e-11
+
+
+def test_asymptotic_sums_of_a_point_do_not_depend_on_its_batch_mates():
+    # each point leaves the Hankel sums on its own test, and the points
+    # still adding terms are carried compacted
+    xs = 15.0 + np.geomspace(1e-3, 1e4, 200)
+    for nu in (0.0, 1.0, 1.5, 7.3, 40.0):
+        j, y, bound = _jy_asymptotic(nu, xs)
+        for i in (0, 57, 120, 199):
+            j1, y1, b1 = _jy_asymptotic(nu, xs[i:i + 1])
+            assert (j1[0], y1[0], b1[0]) == (j[i], y[i], bound[i])

@@ -9,6 +9,7 @@ from wsdist.errors import DomainError
 from wsdist.quadrature import integrate_finite
 from wsdist.specfun import bessel_k_complex, hankel1_complex, bessel_j
 from wsdist.specfun.besselj import _bessel_y
+from wsdist.specfun import besselk
 from wsdist.specfun.besselk import _k_core
 
 K0_AT_1 = 0.42102443824070834  # frozen from the cosh-kernel quadrature below
@@ -69,14 +70,15 @@ def test_k_against_mpmath(mu):
 
 
 # away from the axis, 2 < |w| <= 14 and Re w >= 0.22 |w| (every point
-# below, and both batch mates): the continued-fraction (CF2) region, but
-# for 3.1 - 2.4j at integer order, which the logarithmic series takes
+# below, and both batch mates): the region of the Taylor series about
+# lattice nodes (CF2 at half-integer order), with |w| + Re w > 4 at every
+# point, so Temme's series takes none of them
 _INTERIOR = [5.0 + 3.0j, 9.0 - 6.0j, 12.0 + 1.0j, 3.1 - 2.4j, 2.6 + 11.0j]
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.3, 1.5, 4.0])
 def test_interior_k_independent_of_batch_mates(mu):
-    # mates near the axis take more CF2 steps than the point's own stop
+    # mates near the axis bring Taylor nodes of their own into the call
     mates = [2.6 + 11.0j, 2.2 - 9.5j]
     for w in _INTERIOR[:4]:
         alone = bessel_k_complex(mu, np.array([w]))[0]
@@ -93,8 +95,8 @@ def test_interior_k_against_mpmath(mu):
         assert abs(g - ref) <= 1e-12 * abs(ref), f"w={w}"
 
 
-# orders within 0.01 of an integer, where the reflection series divides
-# by a small sin(pi mu0): CF2 serves all of these points, near the axis too
+# orders within 0.01 of an integer: the Taylor series serves all of these
+# points, near the axis too
 _NEAR_INT_ORDERS = [0.005, 1.003, 2.0099]
 _NEAR_INT_INTERIOR = [5.0 + 3.0j, 12.0 + 1.0j, 3.1 - 2.4j, 0.5 + 10.0j, 0.3 - 5.0j, 0.4 + 13.5j]
 _NEAR_INT_AXIS = [0.1 + 10.0j, 0.2 + 13.0j, 0.1 - 13.9j]
@@ -117,12 +119,13 @@ def test_near_integer_order_near_axis_against_mpmath(mu):
     assert _worst_k_error(mu, _NEAR_INT_AXIS) <= 1e-12
 
 
-# K off the small disc, |w| > 2 and Re w >= 0: CF2, the logarithmic series
-# to |w| = 4 at integer order and the fixed-degree asymptotic series from
-# |w| = 24 on, both sides of each edge and of |w| = 14, on the imaginary
-# axis exactly (hankel1_complex's real axis; the public K gates it off) and
-# just off it, like the oracle's w = eps k - i s k; Re w <= 600 keeps K
-# inside the double range
+# K off the small disc, |w| > 2 and Re w >= 0: Temme's series to |w| = 4
+# along the imaginary axis (|w| + Re w <= 4), the Taylor series past it
+# (CF2 at half-integer order) and the fixed-degree asymptotic series from
+# |w| = 24 on, both sides of each edge
+# and of |w| = 14, on the imaginary axis exactly (hankel1_complex's real
+# axis; the public K gates it off) and just off it, like the oracle's
+# w = eps k - i s k; Re w <= 600 keeps K inside the double range
 _CF2_ORDERS = [0.0, 0.3, 0.5, 1.0, 1.5, 0.005, 1.003, 2.0099, 3.5, 7.0, 10.0]
 _CF2_RADII = (2.01, 3.3, 3.99, 4.01, 7.9, 13.99, 14.01, 23.99, 24.0, 61.0, 480.0, 2000.0)
 _CF2_AXIS = [sign * 1j * r for r in _CF2_RADII for sign in (1.0, -1.0)]
@@ -141,7 +144,9 @@ def test_cf2_region_against_mpmath(mu):
 
 # from |w| = 24 on, Re w >= 0, K is a fixed 20-term asymptotic sum whose
 # first omitted term is below 1e-17 there: the values sit at rounding
-# level, where 14 terms would leave 6e-15 at |w| = 24 on the axis
+# level, where 14 terms would leave 6e-15 at |w| = 24 on the axis.  From
+# |w| = 48 on it sums 13 terms, from |w| = 128 on 9, each band's first
+# omitted term below 1e-17 at its own edge
 _HORNER_EDGE = [r * cmath.exp(1j * math.radians(deg)) for r in (24.0, 25.0, 30.0)
                 for deg in (90.0, 89.97, -89.97, -90.0, 45.0, 0.0)]
 
@@ -149,6 +154,125 @@ _HORNER_EDGE = [r * cmath.exp(1j * math.radians(deg)) for r in (24.0, 25.0, 30.0
 @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0, 1.25, 3.5])
 def test_fixed_degree_asymptotic_edge_at_rounding_level(mu):
     assert _worst_k_error(mu, _HORNER_EDGE, _k_core) <= 3e-15
+
+
+# both sides of the asymptotic series' band edges |w| = 48 and 128, where
+# it drops to 13 and to 9 terms
+_HORNER_BAND_EDGES = [r * cmath.exp(1j * math.radians(deg))
+                      for r in (47.99, 48.0, 127.99, 128.0)
+                      for deg in (90.0, 89.97, -89.97, -90.0, 45.0, 0.0)]
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 1.0, 1.25, 3.5])
+def test_asymptotic_band_edges_at_rounding_level(mu):
+    assert _worst_k_error(mu, _HORNER_BAND_EDGES, _k_core) <= 3e-15
+
+
+# the Taylor series about the nearest node w0 of the lattice (Z + iZ)/2,
+# |w| + Re w > 4 and |w| < 24: points on nodes, on the lines halfway
+# between nodes (where the nearest node changes) and next to them, at
+# the nodes nearest the origin (|w0| = 2), just past Temme's edge and
+# just inside |w| = 24, on the imaginary axis and off it, and random ones
+def _taylor_points():
+    ws = [2.0 + 0j, 3.0 - 1.5j, 6.0j, -23.5j, 12.5 + 12.5j, 0.5 - 4.5j]
+    ws += [2.25 + 0.25j, 2.2499999 + 0.2500001j, 0.25 + 4.75j, 0.2500001 - 4.7499999j,
+           10.75 - 3.25j, 1.75 + 1.75j, 2.01 + 0.01j, 2.1 - 0.4j]
+    ws += [w * (1.0 + 1e-9) for w in (4.0j, -4.0j, 0.4 + 3.5777j, 1.6 - 1.7889j, 2.0 + 0j)]
+    ws += [23.999 * cmath.exp(1j * math.radians(deg)) for deg in (90.0, 89.97, 45.0, 0.0, -90.0)]
+    rng = np.random.default_rng(29)
+    r, th = rng.uniform(2.0, 24.0, 60), rng.uniform(-0.5, 0.5, 60) * math.pi
+    ws += list(r * np.exp(1j * th))
+    return [w for w in ws if abs(w) + w.real > 4.0 and abs(w) < 24.0]
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-7, 0.3, 0.4999, 0.5001, 1.0, 1.003, 1.4999, 2.0099,
+                                3.3, 7.0, 10.0])
+def test_taylor_region_against_mpmath(monkeypatch, mu):
+    ws = _taylor_points()
+    assert len(ws) > 60
+    assert set(_route_of(monkeypatch, mu, ws)) == {"_k_pair_taylor"}
+    monkeypatch.undo()
+    assert _worst_k_error(mu, ws, _k_core) <= 4e-15
+
+
+@pytest.mark.parametrize("name, ws", [
+    ("_k_pair_temme", [0.3 + 0.1j, 1.0 - 2.0j, 3.9j]),
+    ("_k_pair_cf2", [2.5 + 0.1j, 6.0 - 8.0j, 20.0j]),
+    ("_k_pair_taylor", [2.5 + 0.1j, 6.0 - 8.0j, 20.0j]),
+    ("_k_pair_horner", [30.0 + 0.1j, 60.0 - 80.0j, 200.0j]),
+])
+def test_route_values_do_not_depend_on_the_orders_asked(name, ws):
+    # below |mu| = 3/2 _k_core asks a route for one order of the pair only
+    route = getattr(besselk, name)
+    w = np.array(ws)
+    for mu0 in (0.0, 0.3, -0.4999):
+        both = route(mu0, w, (0, 1))
+        assert np.array_equal(route(mu0, w, (0,))[0], both[0])
+        assert np.array_equal(route(mu0, w, (1,))[0], both[1])
+
+
+# Temme's series, |w| + Re w <= 4 and Re w >= 0: radii from 1e-3 to 4 at
+# angles from the positive real axis to the imaginary one (exactly on it
+# too, through _k_core), and random ones; orders at and near
+# integers (2 + 5e-11 once sat inside a 1e-10 snap to the integer), near
+# +-1/2 and a few generic ones
+_TEMME_ORDERS = [0.0, 3e-9, -1e-7, 1e-7, 2 + 1e-7, 1 + 5e-11, 2 + 5e-11, 5 - 3e-9,
+                 0.4999, 1.5001, 0.3, 2.75, 6.2, 10.0]
+
+
+def _temme_points():
+    ws = [r * cmath.exp(1j * math.radians(deg))
+          for r in (1e-3, 0.05, 0.4, 1.0, 1.7, 2.0, 2.6, 3.3, 3.9, 4.0)
+          for deg in (0.0, 30.0, -45.0, 60.0, -75.0, 85.0, -89.9)]
+    ws += [r * 1j for r in (0.3, 1.9, 3.2, 4.0)] + [-3.99j, 2.0 + 0j]
+    rng = np.random.default_rng(17)
+    r, th = 4.0 * np.sqrt(rng.uniform(size=100)), rng.uniform(-0.5, 0.5, 100) * math.pi
+    ws += list(r * np.exp(1j * th))
+    return [w for w in ws if abs(w) + w.real <= 4.0]
+
+
+@pytest.mark.parametrize("mu", _TEMME_ORDERS)
+def test_temme_region_against_mpmath(mu):
+    assert _worst_k_error(mu, _temme_points(), _k_core) <= 2e-14
+
+
+def _route_of(monkeypatch, mu, ws):
+    """The name of the base-pair route that serves each point: the first
+    to see it (the Taylor route hands its lattice nodes to CF2 after)."""
+    seen = {}
+    for name in ("_k_pair_temme", "_k_pair_cf2", "_k_pair_taylor", "_k_pair_horner"):
+        def spy(mu0, w, *need, fn=getattr(besselk, name), name=name):
+            for x in w:
+                seen.setdefault(complex(x), name)
+            return fn(mu0, w, *need)
+        monkeypatch.setattr(besselk, name, spy)
+    _k_core(mu, np.array(ws))
+    return [seen[complex(w)] for w in ws]
+
+
+@pytest.mark.parametrize("mu", [0.0, 2 + 5e-11, 0.4999, 3.3])
+def test_temme_edge_both_sides(monkeypatch, mu):
+    # the edge |w| + Re w = 4 runs from w = 2 to w = +-4i: x + iy with
+    # y^2 = 16 - 8x; each point moved 1e-9 in and out along its ray
+    edge = [x + 1j * sign * math.sqrt(16.0 - 8.0 * x)
+            for x in (0.0, 0.4, 1.0, 1.6, 2.0) for sign in (1.0, -1.0)]
+    inside = [w * (1.0 - 1e-9) for w in edge]
+    outside = [w * (1.0 + 1e-9) for w in edge]
+    assert all(abs(w) + w.real < 4.0 for w in inside)
+    assert all(abs(w) + w.real > 4.0 for w in outside)
+    routes = _route_of(monkeypatch, mu, inside + outside)
+    assert routes == ["_k_pair_temme"] * len(inside) + ["_k_pair_taylor"] * len(outside)
+    monkeypatch.undo()
+    assert _worst_k_error(mu, inside + outside, _k_core) <= 2e-14
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.5, 9.5])
+def test_half_integer_order_takes_cf2_on_the_small_disc(monkeypatch, mu):
+    ws = [1e-3 + 0j, 0.5 - 0.5j, 2.0j, 3.9 + 0.01j, 30.0 - 1.0j]
+    routes = _route_of(monkeypatch, mu, ws)
+    assert routes == ["_k_pair_cf2"] * 4 + ["_k_pair_horner"]
+    monkeypatch.undo()
+    assert _worst_k_error(mu, ws, _k_core) <= 3e-15
 
 
 def test_k_domain_errors():
@@ -209,17 +333,21 @@ def test_hankel_upper_half_plane_and_negative_axis():
 
 
 def test_hankel_value_does_not_depend_on_call_size():
-    # off the small disc every point stops on its own, so a point's value
-    # must be the same bit for bit however many points share its call; a
-    # large temporary reused in place by numpy rounds differently.  The
-    # first 100 points of each call have w = -iz with Re w >= 0 and
-    # |w| about 20 (CF2), 30 (the fixed-degree asymptotic series), 2.5
-    # (CF2, the logarithmic series at order 1) and 4.5 (CF2).
+    # every point stops on its own test or sums a fixed number of terms,
+    # so a point's value must be the same bit for bit however many points
+    # share its call; a large temporary reused in place by numpy rounds
+    # differently.  The first 100 points of each call have w = -iz with
+    # Re w >= 0 and |w| about 20 (the Taylor series, CF2 at order 0.5),
+    # 30 (the fixed-degree asymptotic series), 2.5 (Temme's series, CF2
+    # at order 0.5), 4.5 (the Taylor series about nodes that the rest of
+    # the call shares) and 0.5 (Temme's series, as is every point of that
+    # call).
     for z in ((1.0 + 0.1j) * np.linspace(20.0, 400.0, 40000),
               (1.0 + 0.1j) * np.linspace(30.0, 400.0, 40000),
               (1.0 + 0.05j) * np.linspace(2.5, 13.5, 20000),
-              (1.0 + 0.05j) * np.linspace(4.5, 13.5, 20000)):
-        assert z.size > 16384 and np.all(np.abs(z) > 2.0)
+              (1.0 + 0.05j) * np.linspace(4.5, 13.5, 20000),
+              (1.0 + 0.05j) * np.linspace(0.5, 3.7, 20000)):
+        assert z.size > 16384
         for mu in (1.0, 0.5, 3.3):
             assert np.array_equal(hankel1_complex(mu, z)[:100], hankel1_complex(mu, z[:100]))
 
@@ -231,3 +359,17 @@ def test_hankel_sector_errors():
         hankel1_complex(0.0, cmath.exp(-0.5j * math.pi) * 2.0)  # arg z = -pi/2
     with pytest.raises(DomainError):
         hankel1_complex(0.0, -1.0 - 0.5j)
+
+
+@pytest.mark.parametrize("z", [
+    1.0 - 0.5j,
+    2.0 * cmath.exp(-0.1j),
+    complex(3.0, -1e-300),  # arg z just below 0
+    -4.0 - 1e-12j,  # just below the negative axis
+    complex(-4.0, -0.0),  # its lower side, arg z = -pi
+    np.array([1.0 + 1.0j, 2.0 - 0.01j]),
+])
+def test_hankel_lower_half_plane_is_a_domain_error(z):
+    # H1 is served on 0 <= arg z <= pi only, where w = -iz has Re w >= 0
+    with pytest.raises(DomainError):
+        hankel1_complex(0.0, z)
