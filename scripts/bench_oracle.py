@@ -10,16 +10,21 @@ in its own interpreter.  Per case and per eps it records the
 `_direct_rows` calls and rows and the semi-infinite quadrature
 evaluations, and per case the points of K's base pair per route (each
 `_k_pair_*` function of `specfun.besselk`: Temme's series, the Taylor
-lattice, CF2 and Horner, or whatever routes the tree has; CF2 and Horner
-count the Taylor nodes they serve too) and the points of `bessel_j`; none of
-these depend on the machine.  It also records the wall time of each
-pairing, which does.  The eps_trace digest of each case shows whether the
+lattice, CF2 and Horner, or whatever routes the tree has; here CF2 counts
+only the Taylor nodes it seeds, and at half-integer order every point
+counts under Horner) and the points of `bessel_j`; none of these depend
+on the machine.  It also records the wall time of each pairing, which
+does.  The eps_trace digest of each case shows whether the
 two trees agree bit for bit, and its largest absolute difference how far
 apart they are when they do not.
 
     python scripts/bench_oracle.py --tree DIR
 
 prints the measurement of the package under DIR/src as one JSON object.
+CI runs it on the checkout itself (`--tree .`): a rename of a name it
+wraps (`oracle._direct_rows`, `oracle._pairing_at_eps`,
+`oracle.integrate_semiinfinite_damped`, `oracle.bessel_j`) fails there,
+and so does a case in which no `besselk._k_pair_*` route is called.
 """
 
 import argparse
@@ -92,6 +97,8 @@ def measure(tree):
         t0 = time.perf_counter()
         report = run(OrderPair(mu, nu), TestFunction(*BUMP), DEFAULT_EPS_SCHEDULE)
         wall = time.perf_counter() - t0
+        if set(points) <= {"j"}:
+            sys.exit(f"case prop {prop} ({mu}, {nu}): no besselk._k_pair_* route was called")
         per_eps = [dict(s) for s in steps]
         cases.append({
             "prop": prop, "mu": mu, "nu": nu,

@@ -38,8 +38,10 @@ class PoleOnBoundaryError(WsdistError):
 
 
 class NonConvergenceError(WsdistError):
-    """An iteration did not converge: a semi-infinite panel sequence
-    failed the decay test, or K's continued fraction its step cap."""
+    """A quadrature did not converge: a semi-infinite panel sequence
+    failed the decay test, or the oracle's direct quadrature stalled or
+    was given an eps too small for its panel budget.  No special function
+    raises it."""
 
 
 class InsufficientDataError(WsdistError):

@@ -46,14 +46,27 @@ def _ascending(q, z):
     its prefactor, accumulated in long double like z; q not a negative
     integer.  The divisor (k+1)(q+k+1) is formed in long double as well:
     in double it is exact only for integer and half-integer q, and its
-    rounding is amplified by the series' cancellation toward x = 15."""
+    rounding is amplified by the series' cancellation toward x = 15.
+
+    It stops at the first term below 1e-26 of the largest |acc| with no
+    pass over the arrays per term: z is real, so the largest term is the
+    one at the largest |z|, and its modulus tmax is carried as a scalar;
+    amax bounds the largest |acc| by its last reading plus the terms
+    added since, and the arrays are read again only when tmax falls
+    below 1e-26 of that bound."""
     term = np.ones_like(z)
     acc = term.copy()
+    zmax = _max_abs(z)
+    tmax = amax = 1.0  # the first term, and acc as it starts
     for k in range(200):
         term = term * z / ((_LD(k) + 1) * (_LD(q) + (k + 1)))
         acc += term
-        if _max_abs(term) < 1e-26 * max(_max_abs(acc), 1e-280):
-            break
+        tmax *= zmax / abs((k + 1) * (q + k + 1))
+        amax += tmax
+        if tmax < 1e-26 * amax:
+            amax = max(_max_abs(acc), 1e-280)
+            if tmax < 1e-26 * amax:
+                break
     return acc
 
 

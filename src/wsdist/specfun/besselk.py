@@ -4,8 +4,8 @@ K_mu(w) for Re w >= 0, w != 0, is assembled from a base pair at reduced
 order mu0 in [-1/2, 1/2] plus the (upward stable) order recurrence, the
 loop Y also climbs (besselj._recur_up); below |mu| = 3/2 the recurrence
 reads one member of the pair, and only that one is formed.  Everything
-runs in double precision; the base pair comes from one of four methods,
-chosen by where w sits:
+runs in double precision; the base pair comes from one of three routes,
+chosen by where w sits, at every order:
 
 * Temme's series (Temme, J. Comput. Phys. 19 (1975) 324; the x < 2
   branch of Numerical Recipes' bessik; Amos's ZBKNU, ACM TOMS 12 (1986)
@@ -22,24 +22,26 @@ chosen by where w sits:
   |w0| >= 2.  The nodes' coefficients come from the Bessel ODE, started
   from the base pair at w0 by Steed's continued fraction CF2 with
   Temme's normalization (Temme, loc. cit.; Thompson & Barnett,
-  J. Comput. Phys. 64 (1986) 490; the x >= 2 branch of bessik), which
-  takes up to 80 steps near the imaginary axis: each point of a call
-  costs a Horner sum, each node in use one CF2.
-* CF2 itself at half-integer order (|mu0| = 1/2) on all of |w| < 24:
-  it stops after 2 steps with the closed form sqrt(pi/2w) e^{-w}.
+  J. Comput. Phys. 64 (1986) 490; the x >= 2 branch of bessik) at a
+  fixed 150 steps: each point of a call costs a Horner sum, each node in
+  use one CF2.
 * the e^{-w} asymptotic series for |w| >= 24, summed by Horner's rule at
-  20 terms, 13 from |w| = 48 on and 9 from |w| = 128 on.
+  20 terms, 13 from |w| = 48 on and 9 from |w| = 128 on.  At
+  half-integer order (|mu0| = 1/2) it terminates, as sqrt(pi/2w) e^{-w}
+  at q = +-1/2 and that times (1 + 1/w) at q = 3/2, so it is the closed
+  form and serves all of Re w >= 0.
 
-Every point's value is its own: no method's term count or stop depends
-on the other points of the call.  hankel1_complex needs exactly this
-half-plane: its sector 0 <= arg z <= pi is Re(-iz) >= 0.
+Every route is a fixed-length sum fixed by the point alone: no step
+tests convergence, and no point's value depends on the other points of
+the call.  hankel1_complex needs exactly this half-plane: its sector
+0 <= arg z <= pi is Re(-iz) >= 0.
 """
 
 import math
 
 import numpy as np
 
-from ..errors import DomainError, NonConvergenceError
+from ..errors import DomainError
 from .besselj import _as_array, _recur_up
 
 # Temme's series on |w| + Re w <= 4: its terms fall like 4^i/(i!)^2, and
@@ -55,9 +57,13 @@ _K_HORNER_MIN = _K_HORNER_BANDS[0][0]
 # points per block of every route: its complex temporaries stay below
 # numpy's 256 KiB threshold for reusing a temporary in place, whose loops
 # round differently, so a value does not depend on how many points share
-# the call, and a call's memory does not grow with its size
+# the call, and a call's memory does not grow with its size.  CF2 runs on
+# the Taylor nodes of one call, at most _TAYLOR_ROWS x _TAYLOR_COLS = 4753
+# (76 KB of complex data), so it needs no blocks
 _K_BLOCK = 8192
-_CF2_MAX_STEPS = 300
+# CF2 steps at every node: the slowest nodes, +-2i, converge in 141, and
+# the step coefficient c grows like (i-1)!, past the double range after 170
+_CF2_STEPS = 150
 # Taylor nodes on the lattice _K_TAYLOR_STEP (Z + iZ) between Temme's
 # series and the asymptotic series, 0 <= Re w0 <= 24 and |Im w0| <= 24.
 # Every node in use has |w0| >= 2 and |w - w0| <= 0.36, so |(w - w0)/w0|
@@ -191,62 +197,37 @@ def _k_pair_temme(mu0, w, need=(0, 1)):
     return out
 
 
-def _k_pair_cf2(mu0, w, need=(0, 1)):
-    """(K_mu0, K_mu0+1), |mu0| <= 1/2, Re w >= 0 and |w| >= 2 (any w at
-    |mu0| = 1/2, where a_1 = 0 ends it after 2 steps): Steed's CF2 h
-    gives K_mu0+1 / K_mu0 = (mu0 + 1/2 + w - (1/4 - mu0^2) h) / w and
-    Temme's sum s gives K_mu0 = sqrt(pi/2w) e^-w / s (Numerical Recipes'
-    bessik, x >= 2).
-
-    Each point stops on its own |ds| < 1e-16 |s|; the points still
-    running are carried compacted, and one still running after
-    _CF2_MAX_STEPS raises NonConvergenceError.  Returns the orders
-    mu0 + j, j in need.
+def _k_pair_cf2(mu0, w):
+    """(K_mu0, K_mu0+1), |mu0| <= 1/2, at the Taylor nodes w (Re w >= 0,
+    |w| >= 2): Steed's CF2 h gives K_mu0+1 / K_mu0 = (mu0 + 1/2 + w -
+    (1/4 - mu0^2) h) / w and Temme's sum s gives K_mu0 = sqrt(pi/2w)
+    e^-w / s (Numerical Recipes' bessik, x >= 2).  Every point takes a
+    fixed _CF2_STEPS steps, enough for every node of the lattice.
     """
     a1 = 0.25 - mu0 * mu0
-    k0 = np.empty(w.shape, dtype=complex)
-    k1 = np.empty(w.shape, dtype=complex)
-    for start in range(0, w.size, _K_BLOCK):
-        block = slice(start, start + _K_BLOCK)
-        wb = w[block]
-        h_end = np.empty_like(wb)
-        s_end = np.empty_like(wb)
-        live = np.arange(wb.size)
-        b = 2.0 * (1.0 + wb)
-        h = dh = d = 1.0 / b
-        q1, q2, q = np.zeros_like(b), np.ones_like(b), np.full_like(b, a1)
-        a, c = -a1, a1
-        s = 1.0 + q * dh
-        for i in range(2, _CF2_MAX_STEPS):
-            a -= 2.0 * (i - 1)
-            c = -a * c / i
-            q1, q2 = q2, (q1 - b * q2) / a
-            q = q + c * q2
-            b = b + 2.0
-            d = 1.0 / (b + a * d)
-            dh = (b * d - 1.0) * dh
-            h = h + dh
-            ds = q * dh
-            s = s + ds
-            done = np.abs(ds) < 1e-16 * np.abs(s)
-            if done.any():
-                h_end[live[done]] = h[done]
-                s_end[live[done]] = s[done]
-                keep = ~done
-                if not keep.any():
-                    break
-                live, b, d, h, dh, q1, q2, q, s = (
-                    v[keep] for v in (live, b, d, h, dh, q1, q2, q, s))
-        else:
-            raise NonConvergenceError(f"K_{mu0:g} CF2 did not converge at w={wb[live[0]]}")
-        k0[block] = np.sqrt(0.5 * math.pi / wb) * np.exp(-wb) / s_end
-        k1[block] = k0[block] * (mu0 + 0.5 + wb - a1 * h_end) / wb
-    return tuple((k0, k1)[j] for j in need)
+    b = 2.0 * (1.0 + w)
+    h = dh = d = 1.0 / b
+    q1, q2, q = np.zeros_like(b), np.ones_like(b), np.full_like(b, a1)
+    a, c = -a1, a1
+    s = 1.0 + q * dh
+    for i in range(2, _CF2_STEPS + 1):
+        a -= 2.0 * (i - 1)
+        c = -a * c / i
+        q1, q2 = q2, (q1 - b * q2) / a
+        q = q + c * q2
+        b = b + 2.0
+        d = 1.0 / (b + a * d)
+        dh = (b * d - 1.0) * dh
+        h = h + dh
+        s = s + q * dh
+    k0 = np.sqrt(0.5 * math.pi / w) * np.exp(-w) / s
+    return k0, k0 * (mu0 + 0.5 + w - a1 * h) / w
 
 
 def _asymptotic_coeffs(q):
     """a_k(q) = prod_{j<=k} (4q^2 - (2j-1)^2) / (k! 8^k) for k below the
-    first band's term count, ending before the first zero (half-integer q)."""
+    first band's term count, ending before the first zero: at half-integer
+    q the list is the whole series, [1] at q = +-1/2 and [1, 1] at 3/2."""
     coeffs = [1.0]
     for k in range(1, _K_HORNER_BANDS[0][1]):
         a = coeffs[-1] * (4.0 * q * q - (2 * k - 1) ** 2) / (8.0 * k)
@@ -257,10 +238,13 @@ def _asymptotic_coeffs(q):
 
 
 def _k_pair_horner(mu0, w, need=(0, 1)):
-    """K_mu0+j, j in need, |w| >= _K_HORNER_MIN, Re w >= 0, by the
-    asymptotic K_q(w) ~ sqrt(pi/2w) e^-w sum a_k/w^k at the number of
-    terms of the band of |w| (_K_HORNER_BANDS), summed by Horner's rule
-    in 1/w: a point's value is its own, and no step tests convergence."""
+    """K_mu0+j, j in need, Re w >= 0 and |w| >= _K_HORNER_MIN (any w at
+    |mu0| = 1/2), by the asymptotic K_q(w) ~ sqrt(pi/2w) e^-w sum a_k/w^k
+    at the number of terms of the band of |w| (_K_HORNER_BANDS), summed by
+    Horner's rule in 1/w: a point's value is its own, and no step tests
+    convergence.  At half-integer order the series terminates within
+    every band's term count, so it is summed whole at every |w|: the
+    closed form."""
     coeffs = [_asymptotic_coeffs(mu0 + j) for j in need]
     tops = [r for r, _ in _K_HORNER_BANDS[1:]] + [math.inf]
     out = tuple(np.empty(w.shape, dtype=complex) for _ in need)
@@ -320,7 +304,7 @@ def _k_pair_taylor(mu0, w, need=(0, 1)):
     |w| < _K_HORNER_MIN, by the Taylor series about the nearest node w0
     of the lattice _K_TAYLOR_STEP (Z + iZ), summed by Horner's rule at a
     fixed _K_TAYLOR_TERMS terms in h = w - w0, which is exact.  A node's
-    coefficients come from its own base pair (_k_node_pair) and
+    coefficients come from its own base pair (_k_pair_cf2) and
     derivatives K_q' = q K_q / w - K_q+1 = -K_q-1 - q K_q / w, so a
     point's value is its own, however many points share the call."""
     cell = _lattice_index(w)
@@ -331,7 +315,7 @@ def _k_pair_taylor(mu0, w, need=(0, 1)):
     slot[nodes] = np.arange(nodes.size)
     row, col = np.divmod(nodes, _TAYLOR_COLS)
     w0 = _K_TAYLOR_STEP * (row + 1j * (col - _TAYLOR_HALF))
-    y0, y1 = _k_node_pair(mu0, w0)
+    y0, y1 = _k_pair_cf2(mu0, w0)
     slopes = ((mu0 * y0 - w0 * y1) / w0, -y0 - (mu0 + 1.0) * y1 / w0)
     coef = [_taylor_coefficients(mu0 + j, w0, (y0, y1)[j], slopes[j]) for j in need]
     out = tuple(np.empty(w.shape, dtype=complex) for _ in need)
@@ -348,29 +332,14 @@ def _k_pair_taylor(mu0, w, need=(0, 1)):
 
 
 def _routes(mu0, w):
-    """(mask, route) for each base-pair route over w: Temme's series on
-    |w| + Re w <= 4, the Taylor series up to |w| = _K_HORNER_MIN and the
-    asymptotic series past it; at half-integer order CF2, the closed form
-    there, up to _K_HORNER_MIN."""
+    """(mask, route) for each base-pair route over w, at every order:
+    Temme's series on |w| + Re w <= 4, the Taylor series up to |w| =
+    _K_HORNER_MIN and the asymptotic series past it, and on all of w at
+    half-integer order, where it is the closed form."""
     mag = np.abs(w)
-    horner = mag >= _K_HORNER_MIN
-    if abs(mu0) == 0.5:
-        return ((~horner, _k_pair_cf2), (horner, _k_pair_horner))
-    temme = mag + w.real <= _K_TEMME_MAX
+    horner = (mag >= _K_HORNER_MIN) | (abs(mu0) == 0.5)
+    temme = ~horner & (mag + w.real <= _K_TEMME_MAX)
     return ((temme, _k_pair_temme), (~temme & ~horner, _k_pair_taylor), (horner, _k_pair_horner))
-
-
-def _k_node_pair(mu0, w0):
-    """The base pair at the Taylor nodes w0 (|w0| >= 2): CF2, or the
-    asymptotic series from |w0| = _K_HORNER_MIN on.  Temme's series would
-    serve the nodes inside its region, but with its cancellation."""
-    k0 = np.empty(w0.shape, dtype=complex)
-    k1 = np.empty(w0.shape, dtype=complex)
-    horner = np.abs(w0) >= _K_HORNER_MIN
-    for mask, pair in ((~horner, _k_pair_cf2), (horner, _k_pair_horner)):
-        if mask.any():
-            k0[mask], k1[mask] = pair(mu0, w0[mask])
-    return k0, k1
 
 
 def _k_core(mu, w):

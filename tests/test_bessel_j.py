@@ -8,6 +8,7 @@ from scipy.special import jv, yv
 
 from wsdist.errors import DomainError
 from wsdist.specfun import bessel_j
+from wsdist.specfun import besselj
 from wsdist.specfun.besselj import _bessel_y, _jy_asymptotic
 
 
@@ -150,3 +151,40 @@ def test_asymptotic_sums_of_a_point_do_not_depend_on_its_batch_mates():
         for i in (0, 57, 120, 199):
             j1, y1, b1 = _jy_asymptotic(nu, xs[i:i + 1])
             assert (j1[0], y1[0], b1[0]) == (j[i], y[i], bound[i])
+
+
+def _ascending_reading_every_term(q, z):
+    """The ascending series stopped by reading the largest |term| and
+    |acc| after every term: the rule the scalar stop must reproduce."""
+    ld = np.longdouble
+    term = np.ones_like(z)
+    acc = term.copy()
+    for k in range(200):
+        term = term * z / ((ld(k) + 1) * (ld(q) + (k + 1)))
+        acc += term
+        if float(np.abs(term).max()) < 1e-26 * max(float(np.abs(acc).max()), 1e-280):
+            break
+    return acc
+
+
+# an oracle-shaped batch: 384 rows of 120 k-nodes, all on the series
+_SERIES_ROWS = np.linspace(1e-3, 15.0, 384 * 120).reshape(384, 120)
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0, 1.5, 0.3])
+def test_ascending_series_reads_the_arrays_a_few_times_per_batch(monkeypatch, nu):
+    # the stop carries the largest term as a scalar; a reduction per term
+    # would make 2 calls per term, about 80 here
+    calls = []
+    real = besselj._max_abs
+    monkeypatch.setattr(besselj, "_max_abs", lambda x: calls.append(1) or real(x))
+    bessel_j(nu, _SERIES_ROWS)
+    assert 0 < len(calls) <= 4
+
+
+@pytest.mark.parametrize("q", [0.0, 1.5, 7.3, 40.0, -0.7, -2.5, -30.6, -49.9])
+def test_ascending_series_stops_where_a_reading_per_term_would(q):
+    rng = np.random.default_rng(11)
+    for x in (_SERIES_ROWS.ravel()[::7], 10 ** rng.uniform(-3.0, 1.17, 300), np.array([14.2])):
+        z = -0.25 * x.astype(np.longdouble) ** 2
+        assert np.array_equal(besselj._ascending(q, z), _ascending_reading_every_term(q, z))

@@ -71,8 +71,8 @@ def test_k_against_mpmath(mu):
 
 # away from the axis, 2 < |w| <= 14 and Re w >= 0.22 |w| (every point
 # below, and both batch mates): the region of the Taylor series about
-# lattice nodes (CF2 at half-integer order), with |w| + Re w > 4 at every
-# point, so Temme's series takes none of them
+# lattice nodes (the terminating asymptotic series at half-integer order),
+# with |w| + Re w > 4 at every point, so Temme's series takes none of them
 _INTERIOR = [5.0 + 3.0j, 9.0 - 6.0j, 12.0 + 1.0j, 3.1 - 2.4j, 2.6 + 11.0j]
 
 
@@ -121,8 +121,8 @@ def test_near_integer_order_near_axis_against_mpmath(mu):
 
 # K off the small disc, |w| > 2 and Re w >= 0: Temme's series to |w| = 4
 # along the imaginary axis (|w| + Re w <= 4), the Taylor series past it
-# (CF2 at half-integer order) and the fixed-degree asymptotic series from
-# |w| = 24 on, both sides of each edge
+# and the fixed-degree asymptotic series from |w| = 24 on (at every |w| at
+# half-integer order, where it terminates), both sides of each edge
 # and of |w| = 14, on the imaginary axis exactly (hankel1_complex's real
 # axis; the public K gates it off) and just off it, like the oracle's
 # w = eps k - i s k; Re w <= 600 keeps K inside the double range
@@ -197,10 +197,9 @@ def test_taylor_region_against_mpmath(monkeypatch, mu):
 
 @pytest.mark.parametrize("name, ws", [
     ("_k_pair_temme", [0.3 + 0.1j, 1.0 - 2.0j, 3.9j]),
-    ("_k_pair_cf2", [2.5 + 0.1j, 6.0 - 8.0j, 20.0j]),
     ("_k_pair_taylor", [2.5 + 0.1j, 6.0 - 8.0j, 20.0j]),
     ("_k_pair_horner", [30.0 + 0.1j, 60.0 - 80.0j, 200.0j]),
-])
+], ids=["_k_pair_temme-ws0", "_k_pair_taylor-ws2", "_k_pair_horner-ws3"])
 def test_route_values_do_not_depend_on_the_orders_asked(name, ws):
     # below |mu| = 3/2 _k_core asks a route for one order of the pair only
     route = getattr(besselk, name)
@@ -238,7 +237,7 @@ def test_temme_region_against_mpmath(mu):
 
 def _route_of(monkeypatch, mu, ws):
     """The name of the base-pair route that serves each point: the first
-    to see it (the Taylor route hands its lattice nodes to CF2 after)."""
+    to see it (CF2 sees only the Taylor route's lattice nodes, after it)."""
     seen = {}
     for name in ("_k_pair_temme", "_k_pair_cf2", "_k_pair_taylor", "_k_pair_horner"):
         def spy(mu0, w, *need, fn=getattr(besselk, name), name=name):
@@ -248,6 +247,33 @@ def _route_of(monkeypatch, mu, ws):
         monkeypatch.setattr(besselk, name, spy)
     _k_core(mu, np.array(ws))
     return [seen[complex(w)] for w in ws]
+
+
+# CF2 takes a fixed _CF2_STEPS steps at every Taylor node: the slowest
+# nodes (+-2i, then the others near |w0| = 2 and the imaginary axis) and
+# every 8th node of the outermost ring, 23 <= |w0| < 24.5, where it used
+# to hand over to the asymptotic series.  Overflow or an invalid operation
+# (the step coefficient c grows like (i-1)!) fails the test
+def _cf2_nodes():
+    ws = [2.0j, -2.0j, 1.5 + 1.5j, 1.5 - 1.5j, 0.5 + 2.0j, 0.5 - 2.0j, 2.0 + 0j]
+    row, col = np.divmod(np.arange(besselk._TAYLOR_ROWS * besselk._TAYLOR_COLS),
+                         besselk._TAYLOR_COLS)
+    w0 = besselk._K_TAYLOR_STEP * (row + 1j * (col - besselk._TAYLOR_HALF))
+    ring = w0[(np.abs(w0) >= 23.0) & (np.abs(w0) < 24.5)]
+    return ws + list(ring[::8])
+
+
+@pytest.mark.parametrize("mu0", [0.0, 1e-9, 0.3, -0.4999])
+def test_cf2_fixed_steps_at_the_taylor_nodes(mu0):
+    mp.mp.dps = 30
+    ws = _cf2_nodes()
+    assert len(ws) > 40
+    with np.errstate(over="raise", invalid="raise"):
+        k0, k1 = besselk._k_pair_cf2(mu0, np.array(ws))
+    for j, got in enumerate((k0, k1)):
+        for w, g in zip(ws, got):
+            ref = complex(mp.besselk(mu0 + j, mp.mpc(w)))
+            assert abs(g - ref) <= 2e-15 * abs(ref), f"order {mu0 + j}, w={w}"
 
 
 @pytest.mark.parametrize("mu", [0.0, 2 + 5e-11, 0.4999, 3.3])
@@ -267,10 +293,11 @@ def test_temme_edge_both_sides(monkeypatch, mu):
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.5, 9.5])
-def test_half_integer_order_takes_cf2_on_the_small_disc(monkeypatch, mu):
+def test_half_integer_order_takes_the_terminating_series_everywhere(monkeypatch, mu):
+    # the asymptotic series ends after one or two terms there: the closed form
     ws = [1e-3 + 0j, 0.5 - 0.5j, 2.0j, 3.9 + 0.01j, 30.0 - 1.0j]
     routes = _route_of(monkeypatch, mu, ws)
-    assert routes == ["_k_pair_cf2"] * 4 + ["_k_pair_horner"]
+    assert routes == ["_k_pair_horner"] * 5
     monkeypatch.undo()
     assert _worst_k_error(mu, ws, _k_core) <= 3e-15
 
@@ -333,15 +360,15 @@ def test_hankel_upper_half_plane_and_negative_axis():
 
 
 def test_hankel_value_does_not_depend_on_call_size():
-    # every point stops on its own test or sums a fixed number of terms,
-    # so a point's value must be the same bit for bit however many points
-    # share its call; a large temporary reused in place by numpy rounds
-    # differently.  The first 100 points of each call have w = -iz with
-    # Re w >= 0 and |w| about 20 (the Taylor series, CF2 at order 0.5),
-    # 30 (the fixed-degree asymptotic series), 2.5 (Temme's series, CF2
-    # at order 0.5), 4.5 (the Taylor series about nodes that the rest of
-    # the call shares) and 0.5 (Temme's series, as is every point of that
-    # call).
+    # every point sums a fixed number of terms, so a point's value must
+    # be the same bit for bit however many points share its call; a large
+    # temporary reused in place by numpy rounds differently.  The first
+    # 100 points of each call have w = -iz with Re w >= 0 and |w| about
+    # 20 (the Taylor series), 30 (the fixed-degree asymptotic series),
+    # 2.5 (Temme's series), 4.5 (the Taylor series about nodes that the
+    # rest of the call shares) and 0.5 (Temme's series, as is every point
+    # of that call); at order 0.5 the asymptotic series, which terminates
+    # there, serves every point of every call.
     for z in ((1.0 + 0.1j) * np.linspace(20.0, 400.0, 40000),
               (1.0 + 0.1j) * np.linspace(30.0, 400.0, 40000),
               (1.0 + 0.05j) * np.linspace(2.5, 13.5, 20000),
