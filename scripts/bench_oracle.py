@@ -12,8 +12,11 @@ evaluations, and per case the points of K's base pair per route (each
 `_k_pair_*` function of `specfun.besselk`: Temme's series, the Taylor
 lattice, CF2 and Horner, or whatever routes the tree has; here CF2 counts
 only the Taylor nodes it seeds, and at half-integer order every point
-counts under Horner) and the points of `bessel_j`; none of these depend
-on the machine.  It also records the wall time of each pairing, which
+counts under Horner), the points of `bessel_j` and the calls of the
+semi-infinite engine's Wynn epsilon table (each `quadrature._wynn_*`
+function: one per block of panels, or one per panel in a tree that
+rebuilt the table after every panel); none of these depend on the
+machine.  It also records the wall time of each pairing, which
 does.  The eps_trace digest of each case shows whether the
 two trees agree bit for bit, and its largest absolute difference how far
 apart they are when they do not.
@@ -24,7 +27,8 @@ prints the measurement of the package under DIR/src as one JSON object.
 CI runs it on the checkout itself (`--tree .`): a rename of a name it
 wraps (`oracle._direct_rows`, `oracle._pairing_at_eps`,
 `oracle.integrate_semiinfinite_damped`, `oracle.bessel_j`) fails there,
-and so does a case in which no `besselk._k_pair_*` route is called.
+and so does a case in which no `besselk._k_pair_*` route or no
+`quadrature._wynn_*` table function is called.
 """
 
 import argparse
@@ -45,7 +49,7 @@ BUMP = (1.0, 0.5, 1.0)
 def measure(tree):
     """The four cases on the package under tree/src, counted per eps."""
     sys.path.insert(0, str(Path(tree) / "src"))
-    from wsdist import oracle
+    from wsdist import oracle, quadrature
     from wsdist.specfun import besselk
     from wsdist.distributions import TestFunction
     from wsdist.quadrature import DEFAULT_EPS_SCHEDULE
@@ -67,6 +71,17 @@ def measure(tree):
     for name in [n for n in vars(besselk) if n.startswith("_k_pair_")]:
         setattr(besselk, name, counted("k_" + name[len("_k_pair_"):], getattr(besselk, name)))
     oracle.bessel_j = counted("j", oracle.bessel_j)
+    calls = {}
+
+    def called(fn):
+        """fn, counting its calls in calls["wynn"]."""
+        def wrapper(*args):
+            calls["wynn"] = calls.get("wynn", 0) + 1
+            return fn(*args)
+        return wrapper
+
+    for name in [n for n in vars(quadrature) if n.startswith("_wynn_")]:
+        setattr(quadrature, name, called(getattr(quadrature, name)))
 
     def counted_rows(orders, s, eps, tol):
         steps[-1]["direct_rows_calls"] += 1
@@ -94,11 +109,14 @@ def measure(tree):
         run = oracle.pairing_oracle if prop == 1 else oracle.jj_pairing_oracle
         steps.clear()
         points.clear()
+        calls.clear()
         t0 = time.perf_counter()
         report = run(OrderPair(mu, nu), TestFunction(*BUMP), DEFAULT_EPS_SCHEDULE)
         wall = time.perf_counter() - t0
         if set(points) <= {"j"}:
             sys.exit(f"case prop {prop} ({mu}, {nu}): no besselk._k_pair_* route was called")
+        if not calls:
+            sys.exit(f"case prop {prop} ({mu}, {nu}): no quadrature._wynn_* function was called")
         per_eps = [dict(s) for s in steps]
         cases.append({
             "prop": prop, "mu": mu, "nu": nu,
@@ -107,6 +125,7 @@ def measure(tree):
             "semiinfinite_evaluations": sum(s["semiinfinite_evaluations"] for s in per_eps),
             "k_points": {k[2:]: v for k, v in sorted(points.items()) if k != "j"},
             "j_points": points.get("j", 0),
+            "wynn_calls": calls["wynn"],
             "wall_s": round(wall, 4),
             "rel_deviation": report.rel_deviation,
             "eps_trace_sha256": hashlib.sha256(repr(report.eps_trace).encode()).hexdigest(),
@@ -145,6 +164,7 @@ def main():
                                          c["semiinfinite_evaluations"]],
             "k_points": [p["k_points"], c["k_points"]],
             "j_points": [p["j_points"], c["j_points"]],
+            "wynn_calls": [p["wynn_calls"], c["wynn_calls"]],
             "wall_s": [p["wall_s"], c["wall_s"]],
             "eps_trace_identical": p["eps_trace_sha256"] == c["eps_trace_sha256"],
             "eps_trace_max_abs_diff": max(

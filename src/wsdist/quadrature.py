@@ -9,7 +9,8 @@ Four devices cover everything the closed forms and their oracles need:
 * a panel-plus-acceleration scheme for semi-infinite oscillatory
   integrands with exponential damping (`integrate_semiinfinite_damped`:
   15-point Gauss panels, each checked against the interpolatory rule on
-  13 of its own nodes),
+  13 of its own nodes, and Wynn's epsilon table extended once per block
+  of panels from its carried last antidiagonal),
 * symmetric-subtraction Cauchy principal values (`integrate_pv`),
 
 plus Richardson extrapolation of epsilon-indexed sequences to 0.
@@ -235,36 +236,63 @@ def tanh_sinh(f, a, b, tol):
     return QuadratureResult(result, err, evaluations, bool(np.all(converged)))
 
 
-def _wynn_rows(partial):
-    """Wynn epsilon table on a window of partial sums, one row each.
+def _wynn_extend(diag, last_tiny, panels, n):
+    """Extend each row's Wynn epsilon table by nb new partial sums.
 
-    Returns, per row, the last entry of the highest even column that
-    stays numerically sane, together with the change from the previous
-    even column (used as the acceleration error estimate).  A row whose
-    column meets a zero difference keeps its last even column with
-    change 0; its later columns hold inf/nan and are not read.
+    diag (15, rows) is the table's last antidiagonal e_0 .. e_14 at the
+    partial sum S_n: e_k = eps_k^(n-k), e_0 = S_n, nan where the table
+    has no entry yet.  last_tiny (14, rows) holds, per column c, the
+    index of the last partial sum whose arrival made a difference in
+    column c smaller than 1e-300 (-1 if none).  panels (rows, nb) are
+    the next nb panel values.  Only the nb new antidiagonals are formed,
+    column by column, each entry from the rhombus rule
+
+        eps_{k+1}^(i) = eps_{k-1}^(i+1) + 1 / (eps_k^(i+1) - eps_k^(i)),
+
+    and an entry depends only on S_i .. S_{i+k+1}, never on which sums
+    are kept.  For every new partial sum S_m the table is read as the
+    table on the window of the last min(m + 1, 16) sums: a column
+    counts as broken when it meets a difference below 1e-300 inside the
+    window; the estimate is the last entry of the highest even column
+    formed in the window, at most the first broken one, and the change
+    from the previous even column is the acceleration error estimate, 0
+    in a row with a broken column (its later columns hold inf/nan and
+    are not read).
+
+    Returns the new diag and last_tiny, and (rows, nb) arrays of the
+    estimate and change at S_{n+1} .. S_{n+nb}.
     """
-    cur = partial
-    prev_col = None  # odd predecessor
-    best = cur[:, -1]
-    change = np.abs(cur[:, -1] - cur[:, -2])
-    sane = np.ones(len(cur), dtype=bool)
-    col = 0
+    rows, nb = panels.shape
+    table = np.empty((15, rows, nb + 1), dtype=complex)
+    table[:, :, 0] = diag
+    table[0] = np.add.accumulate(np.column_stack((diag[0], panels)), axis=1)
+    tiny = np.empty((14, rows, nb + 1), dtype=int)
+    tiny[:, :, 0] = last_tiny
+    sums = np.arange(n + 1, n + nb + 1)  # index of each new partial sum
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while cur.shape[1] >= 3:
-            diff = cur[:, 1:] - cur[:, :-1]
-            broken = sane & (np.abs(diff) < 1e-300).any(axis=1)
-            change = np.where(broken, 0.0, change)
-            sane &= ~broken
+        for k in range(14):
+            diff = table[k, :, 1:] - table[k, :, :-1]
+            tiny[k, :, 1:] = np.where(np.abs(diff) < 1e-300, sums, -1)
             inv = 1.0 / diff
-            nxt = inv if prev_col is None else prev_col[:, 1:-1] + inv
-            prev_col = cur
-            cur = nxt
-            col += 1
-            if col % 2 == 0:
-                change = np.where(sane, np.abs(cur[:, -1] - best), change)
-                best = np.where(sane, cur[:, -1], best)
-    return best, change
+            table[k + 1, :, 1:] = inv if k == 0 else table[k - 1, :, :-1] + inv
+        np.maximum.accumulate(tiny, axis=2, out=tiny)
+        width = np.minimum(sums + 1, 16)
+        cols = np.arange(14)[:, None]
+        # at S_m, column c of the window holds the differences whose
+        # last sum is m - width + c + 2 or later, and is checked only
+        # when c <= width - 3
+        broken = (tiny[:, :, 1:] >= (sums - width + 2 + cols)[:, None]) & (
+            cols <= width - 3
+        )[:, None]
+        any_broken = broken.any(axis=0)
+        top = np.where(any_broken, broken.argmax(axis=0), width - 2)
+        top -= top % 2
+        new = table[:, :, 1:]
+        est = np.take_along_axis(new, top[None], axis=0)[0]
+        below = np.take_along_axis(new, np.maximum(top - 2, 0)[None], axis=0)[0]
+        below = np.where(top >= 2, below, table[0, :, :-1])
+        change = np.where(any_broken, 0.0, np.abs(est - below))
+    return table[:, :, -1].copy(), tiny[:, :, -1].copy(), est, change
 
 
 def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
@@ -274,10 +302,14 @@ def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
     oscillation for the intended Bessel-product kernels), each panel is
     integrated by the 15-point Gauss rule, and the sequence of partial
     sums is accelerated by Wynn's epsilon algorithm, which both speeds
-    up convergence and supplies the truncation error estimate.  A
-    panel's error estimate compares its Gauss value with the degree-13
-    interpolatory rule on 13 of the same 15 nodes, so a panel costs 15
-    evaluations; only error_estimate reads it, never the stop test.
+    up convergence and supplies the truncation error estimate.  Each
+    row carries its table's last antidiagonal, and a block of panels
+    forms only the block's new antidiagonals (`_wynn_extend`); the
+    estimate at every panel is that of the table on the last 16 partial
+    sums.  A panel's error estimate compares its Gauss value with the
+    degree-13 interpolatory rule on 13 of the same 15 nodes, so a panel
+    costs 15 evaluations; only error_estimate reads it, never the stop
+    test.
     The first panel uses tanh-sinh since the integrand may have an
     integrable singularity at 0.
 
@@ -307,7 +339,11 @@ def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
     # state of the running rows; `rows` maps them to their input index
     rows = np.arange(n_rows)
     panel_err = first.error_estimate.copy()
-    partial = first.value[:, None]  # the last 16 partial sums
+    # the epsilon table's last antidiagonal, and per column the last sum
+    # at which it met a tiny difference (see _wynn_extend)
+    diag = np.full((15, n_rows), complex(np.nan, np.nan))
+    diag[0] = first.value
+    last_tiny = np.full((14, n_rows), -1)
     mags = np.abs(first.value)[:, None]  # the last 4 panel magnitudes
     head = np.zeros(n_rows)  # largest magnitude of panels 1-4
     best = first.value.copy()
@@ -335,18 +371,18 @@ def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
             evaluations += xs.size
             v15 = half * (vals @ w15)
             v13 = half * (vals @ w13)
+            diag, last_tiny, ests, changes = _wynn_extend(diag, last_tiny, v15, j - 1)
             for i in range(nb):
                 jj = j + i
                 spent = running & (n_panels[rows] <= jj)
                 finish(spent, best_change + panel_err + mags[:, -1], False)
                 running &= ~spent
                 panel_err = panel_err + np.abs(v15[:, i] - v13[:, i]) * 0.1
-                partial = np.column_stack((partial[:, -15:], partial[:, -1] + v15[:, i]))
                 mags = np.column_stack((mags[:, -3:], np.abs(v15[:, i])))
                 if jj == 4:
                     head = mags.max(axis=1)
                 if jj >= 6:
-                    est, change = _wynn_rows(partial)
+                    est, change = ests[:, i], changes[:, i]
                     scale = np.maximum(np.abs(est), 1e-300)
                     steady = (np.abs(est - best) <= 0.5 * tol * scale) & (
                         change <= tol * scale
@@ -370,9 +406,8 @@ def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
                     break
             j += nb
         rows = rows[running]
-        panel_err, partial, mags, head = (
-            panel_err[running], partial[running], mags[running], head[running]
-        )
+        panel_err, mags, head = panel_err[running], mags[running], head[running]
+        diag, last_tiny = diag[:, running], last_tiny[:, running]
         best, best_change, stable = best[running], best_change[running], stable[running]
 
     return QuadratureResult(value, error, evaluations, bool(np.all(converged)))
