@@ -12,8 +12,10 @@ evaluations, and per case the points of K's base pair per route (each
 `_k_pair_*` function of `specfun.besselk`: Temme's series, the Taylor
 lattice, CF2 and Horner, or whatever routes the tree has; here CF2 counts
 only the Taylor nodes it seeds, and at half-integer order every point
-counts under Horner), the points of `bessel_j` and the calls of the
-semi-infinite engine's Wynn epsilon table (each `quadrature._wynn_*`
+counts under Horner), the points of `bessel_j`, in all and per route
+(`specfun.besselj`'s ascending series `_j_series`, Hankel asymptotic
+series `_jy_asymptotic` and Miller's recurrence `_miller`), and the calls
+of the semi-infinite engine's Wynn epsilon table (each `quadrature._wynn_*`
 function: one per block of panels, or one per panel in a tree that
 rebuilt the table after every panel); none of these depend on the
 machine.  It also records the wall time of each pairing, which
@@ -27,8 +29,8 @@ prints the measurement of the package under DIR/src as one JSON object.
 CI runs it on the checkout itself (`--tree .`): a rename of a name it
 wraps (`oracle._direct_rows`, `oracle._pairing_at_eps`,
 `oracle.integrate_semiinfinite_damped`, `oracle.bessel_j`) fails there,
-and so does a case in which no `besselk._k_pair_*` route or no
-`quadrature._wynn_*` table function is called.
+and so does a case in which no `besselk._k_pair_*` route, no
+`quadrature._wynn_*` table function or J's asymptotic route is called.
 """
 
 import argparse
@@ -44,13 +46,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CASES = [(1, 0.0, 1.0), (1, 0.5, 1.5), (2, 1.0, 1.0), (2, 0.0, 1.0)]
 BUMP = (1.0, 0.5, 1.0)
+# J's routes, by the name of the function of specfun.besselj that serves each
+J_ROUTES = {"series": "_j_series", "asymptotic": "_jy_asymptotic", "miller": "_miller"}
 
 
 def measure(tree):
     """The four cases on the package under tree/src, counted per eps."""
     sys.path.insert(0, str(Path(tree) / "src"))
     from wsdist import oracle, quadrature
-    from wsdist.specfun import besselk
+    from wsdist.specfun import besselj, besselk
     from wsdist.distributions import TestFunction
     from wsdist.quadrature import DEFAULT_EPS_SCHEDULE
     from wsdist.weber_schafheitlin import OrderPair
@@ -71,6 +75,8 @@ def measure(tree):
     for name in [n for n in vars(besselk) if n.startswith("_k_pair_")]:
         setattr(besselk, name, counted("k_" + name[len("_k_pair_"):], getattr(besselk, name)))
     oracle.bessel_j = counted("j", oracle.bessel_j)
+    for route, name in J_ROUTES.items():
+        setattr(besselj, name, counted("j_" + route, getattr(besselj, name)))
     calls = {}
 
     def called(fn):
@@ -113,8 +119,10 @@ def measure(tree):
         t0 = time.perf_counter()
         report = run(OrderPair(mu, nu), TestFunction(*BUMP), DEFAULT_EPS_SCHEDULE)
         wall = time.perf_counter() - t0
-        if set(points) <= {"j"}:
+        if not any(k.startswith("k_") for k in points):
             sys.exit(f"case prop {prop} ({mu}, {nu}): no besselk._k_pair_* route was called")
+        if not points.get("j_asymptotic"):
+            sys.exit(f"case prop {prop} ({mu}, {nu}): J never reached besselj._jy_asymptotic")
         if not calls:
             sys.exit(f"case prop {prop} ({mu}, {nu}): no quadrature._wynn_* function was called")
         per_eps = [dict(s) for s in steps]
@@ -123,8 +131,9 @@ def measure(tree):
             "direct_rows_calls": sum(s["direct_rows_calls"] for s in per_eps),
             "rows": sum(s["rows"] for s in per_eps),
             "semiinfinite_evaluations": sum(s["semiinfinite_evaluations"] for s in per_eps),
-            "k_points": {k[2:]: v for k, v in sorted(points.items()) if k != "j"},
+            "k_points": {k[2:]: v for k, v in sorted(points.items()) if k.startswith("k_")},
             "j_points": points.get("j", 0),
+            "j_route_points": {r: points.get("j_" + r, 0) for r in J_ROUTES},
             "wynn_calls": calls["wynn"],
             "wall_s": round(wall, 4),
             "rel_deviation": report.rel_deviation,
@@ -164,6 +173,7 @@ def main():
                                          c["semiinfinite_evaluations"]],
             "k_points": [p["k_points"], c["k_points"]],
             "j_points": [p["j_points"], c["j_points"]],
+            "j_route_points": [p["j_route_points"], c["j_route_points"]],
             "wynn_calls": [p["wynn_calls"], c["wynn_calls"]],
             "wall_s": [p["wall_s"], c["wall_s"]],
             "eps_trace_identical": p["eps_trace_sha256"] == c["eps_trace_sha256"],

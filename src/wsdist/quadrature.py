@@ -316,7 +316,8 @@ def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
     Each entry of the 1-D array zero_spacing is one integral, a row; all
     share damping and tol.  f(k, rows) gets a (len(rows), n) array of
     abscissae for the rows still running, rows their indices into
-    zero_spacing, and a row leaves the batch when it stops.
+    zero_spacing, and a row leaves the batch when it stops; no row gets
+    an abscissa past its cap of panels, which it ends unconverged.
 
     Raises NonConvergenceError when the panel magnitudes of a row fail
     to decay (wrong damping / spacing hints).
@@ -362,21 +363,28 @@ def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
         spent = n_panels[rows] <= j
         finish(spent, best_change + panel_err + mags[:, -1], False)
         running = ~spent
-        if running.any():
-            nb = min(block, int(n_panels[rows].max()) - j)
+        if running.all():  # else the spent rows leave before the next block
+            # blocks keep to a grid of `block` panels from panel 1 and end
+            # early at the smallest panel cap, so no row is evaluated past
+            # its own
+            off = (j - 1) % block
+            nb = min(block - off, int(n_panels[rows].min()) - j)
             half = 0.5 * spacing[rows, None]
             mids = (np.arange(j, j + nb) + 0.5) * spacing[rows, None]
             xs = (mids[:, :, None] + half[:, :, None] * n15).reshape(rows.size, -1)
             vals = f(xs, rows).reshape(rows.size, nb, 15)
             evaluations += xs.size
-            v15 = half * (vals @ w15)
-            v13 = half * (vals @ w13)
+            if nb < block:
+                # matmul rounds a panel by its place among `block` panels:
+                # a short block takes its places on the grid, as in a lone
+                # row's call, so a row's panels keep their bits however
+                # the blocks of its batch fall
+                vals = np.pad(vals, ((0, 0), (off, block - off - nb), (0, 0)))
+            v15 = half * (vals @ w15)[:, off:off + nb]
+            v13 = half * (vals @ w13)[:, off:off + nb]
             diag, last_tiny, ests, changes = _wynn_extend(diag, last_tiny, v15, j - 1)
             for i in range(nb):
                 jj = j + i
-                spent = running & (n_panels[rows] <= jj)
-                finish(spent, best_change + panel_err + mags[:, -1], False)
-                running &= ~spent
                 panel_err = panel_err + np.abs(v15[:, i] - v13[:, i]) * 0.1
                 mags = np.column_stack((mags[:, -3:], np.abs(v15[:, i])))
                 if jj == 4:

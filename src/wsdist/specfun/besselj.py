@@ -4,19 +4,26 @@ Real order, positive real argument.  Three regimes:
 
 * ascending series, accumulated in 80-bit floats so the alternating-sum
   cancellation stays below ~1e-13 up to x ~ 18;
-* Hankel asymptotic expansion for large x, truncated adaptively at the
-  smallest term, accepted only when that term is small enough;
+* the Hankel asymptotic series for x > 15, the one K sums at large |w|
+  (_hankel_sum): at w = -ix its sum is P + iQ.  It runs in bands of x
+  whose edges grow by a ratio 1.25 from 15 on, and per order each band
+  sums a fixed number of terms, the count its lower edge needs
+  (_hankel_table); a band whose edge cannot reach 1e-12 is not served;
 * Miller's backward recurrence, normalized with the Neumann identity
-  (x/2)^a = sum_k w_k J_{a+2k}(x), for whatever the first two regimes
-  do not cover (large order at moderate-to-large argument).
+  (x/2)^a = sum_k w_k J_{a+2k}(x), for the x > 15 that the series does
+  not serve (large order at moderate argument).
 
-The switch points were chosen so neighbouring regimes overlap with
-agreement well below 1e-10; see tests.
+A point's route and term count follow from (nu, x) alone: no step of
+the asymptotic series tests convergence.  The switch points were chosen
+so neighbouring regimes overlap with agreement well below 1e-10; see
+tests.
 
 The order recurrence (_recur_up) is shared with K in besselk, which
-climbs it the other way.
+climbs it the other way, and so are the Hankel series and its Horner
+sum (_poly).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -25,6 +32,12 @@ from ..errors import DomainError
 from .gammafn import EULER_GAMMA, gamma
 
 _SERIES_MAX_X = 15.0
+# bands of the Hankel series past the ascending series, |w| from each edge
+# on up to the next (the last one open above), each summing a number of
+# terms fixed per order
+_HANKEL_RATIO = 1.25
+_HANKEL_EDGES = tuple(_SERIES_MAX_X * _HANKEL_RATIO ** i for i in range(24))
+_HANKEL_MAX_TERMS = 80  # coefficients per order; no band at |q| <= 50 sums over 40
 MAX_ORDER_J = 50.0  # |nu| of J; also the nu range of OrderPair
 
 _LD = np.longdouble
@@ -84,61 +97,80 @@ def _j_series(nu, x):
     return out
 
 
-def _hankel_sums(q, inv8):
-    """The P and Q sums of the Hankel asymptotic series of order q
-    (DLMF 10.17.3): term k is prod_{j<k} (4q^2 - (2j+1)^2) inv8 / (j+1),
-    term 0 is 1.  At w = -ix the series splits by i^k into P (even k)
-    and Q (odd k), with signs + + - - + + - - ...
+def _poly(coefs, z):
+    """sum_i coefs[i] z^i by Horner's rule."""
+    acc = np.full(z.shape, coefs[-1], dtype=complex)
+    for c in coefs[-2::-1]:
+        acc = acc * z + c
+    return acc
 
-    Each element adds terms until its own term magnitude starts to grow
-    (optimal truncation) or drops below 1e-17; its bound is the first
-    omitted term.  The elements still adding are carried compacted.
-    Returns (P, Q) and the bound (relative to 1).
-    """
-    mu = 4.0 * q * q
-    flat = np.ravel(inv8)
-    out_p, out_q, bound = np.empty_like(flat), np.empty_like(flat), np.empty_like(flat)
-    live = np.arange(flat.size)
-    p, q_sum = np.ones_like(flat), np.zeros_like(flat)  # term 0 in P
-    term = np.ones_like(flat)
-    prev_mag = np.full(flat.shape, np.inf)
-    for k in range(80):
-        term = term * ((mu - (2 * k + 1) ** 2) * flat / (k + 1.0))
-        mag = np.abs(term)
-        grown = mag >= prev_mag
-        n = k + 1  # the index of this term; a grown one is left out
-        step = np.where(grown, 0.0, term if n % 4 < 2 else -term)
-        if n % 2:
-            q_sum = q_sum + step
-        else:
-            p = p + step
-        done = np.flatnonzero(grown | (mag < 1e-17))
-        if done.size:
-            at = live[done]
-            out_p[at], out_q[at], bound[at] = p[done], q_sum[done], mag[done]
-            keep = np.ones(live.size, dtype=bool)
-            keep[done] = False
-            live, flat, term, mag, p, q_sum = (v[keep] for v in (live, flat, term, mag, p, q_sum))
-            if not live.size:
-                break
-        prev_mag = mag
-    else:
-        out_p[live], out_q[live], bound[live] = p, q_sum, np.abs(term)
-    shape = np.shape(inv8)
-    return (out_p.reshape(shape), out_q.reshape(shape)), bound.reshape(shape)
+
+@functools.lru_cache(maxsize=None)
+def _hankel_table(q):
+    """The Hankel asymptotic series K_q(w) ~ sqrt(pi/2w) e^-w sum_k a_k(q)
+    w^-k (DLMF 10.40.2): its coefficients a_k(q) = prod_{j<=k} (4q^2 -
+    (2j-1)^2) / (k! 8^k), ending before the first zero, and per band of
+    |w| from _HANKEL_EDGES[i] on the number of terms it sums.
+
+    At the band's lower edge x the terms a_k x^-k are summed up to the
+    first one that grows or falls below 1e-17, which is left out; where
+    that term is above 1e-12 the band is not served (count 0).  A list
+    that terminates (half-integer q) before either is summed whole: at
+    |q| = 1/2 and 3/2 in every band, where it is the closed form at any
+    w.  At a larger x every term ratio is smaller, so the bands past a
+    served one are served too."""
+    a = [1.0]
+    for k in range(1, _HANKEL_MAX_TERMS):
+        c = a[-1] * (4.0 * q * q - (2 * k - 1) ** 2) / (8.0 * k)
+        if c == 0.0:
+            break
+        a.append(c)
+    counts = []
+    for x in _HANKEL_EDGES:
+        terms = [abs(c) / x ** k for k, c in enumerate(a)] + [0.0]  # 0: past the end
+        n = next(k for k in range(1, len(terms)) if not 1e-17 <= terms[k] < terms[k - 1])
+        counts.append(0 if terms[n] > 1e-12 else n)
+    return tuple(a), np.array(counts)
+
+
+def _hankel_band(mag):
+    """The band of each |w| = mag >= _HANKEL_EDGES[0]: floor of the log of
+    mag/15 to the base _HANKEL_RATIO (a binary search of the edges costs
+    about ten times as much)."""
+    band = np.log(mag * (1.0 / _SERIES_MAX_X)) * (1.0 / math.log(_HANKEL_RATIO))
+    return np.minimum(band.astype(np.intp), len(_HANKEL_EDGES) - 1)
+
+
+def _hankel_sum(q, w):
+    """sum_k a_k(q) w^-k over the first n terms, n the count of the band
+    of |w| (_hankel_table), by Horner's rule in 1/w: a fixed-length sum
+    fixed by the point alone.  Every |w| lies in a band served at order
+    q, or every band sums the whole list, which holds at any w."""
+    a, counts = _hankel_table(q)
+    inv = 1.0 / w
+    if counts.min() == len(a):  # a terminating list, summed whole
+        return _poly(a, inv)
+    n = counts[_hankel_band(np.abs(w))]
+    out = np.empty_like(inv)
+    for m in np.flatnonzero(np.bincount(n)):
+        band = n == m
+        out[band] = _poly(a[:m], inv[band])
+    return out
 
 
 def _jy_asymptotic(nu, x):
-    """Hankel expansion J, Y and a bound on the truncation error of the
-    modulus functions (relative to 1)."""
-    (p, q), bound = _hankel_sums(nu, 1.0 / (8.0 * x))
+    """J_nu and Y_nu by the Hankel series at w = -ix, every x in a band
+    served at order nu: J + iY = sqrt(2/(pi x)) e^{i chi} (P + iQ), and
+    the sum at w = -ix is P + iQ (DLMF 10.17.3)."""
+    s = _hankel_sum(nu, -1j * x)
+    p, q = s.real, s.imag
     chi = x - (0.5 * nu + 0.25) * math.pi
     amp = np.sqrt(2.0 / (math.pi * x))
     cos_chi = np.cos(chi)
     sin_chi = np.sin(chi)
     j = amp * (p * cos_chi - q * sin_chi)
     y = amp * (p * sin_chi + q * cos_chi)
-    return j, y, bound
+    return j, y
 
 
 def _miller(nu, x):
@@ -268,10 +300,9 @@ def _bessel_y(nu, x):
     if np.any(~small):
         xl = arr[~small]
         a0 = nu - math.floor(nu)
-        _, ybase0, b0 = _jy_asymptotic(a0, xl)
-        _, ybase1, b1 = _jy_asymptotic(a0 + 1.0, xl)
-        if float(np.max(b0)) > 1e-11 or float(np.max(b1)) > 1e-11:
-            raise DomainError("bessel_y asymptotic base failed; x too small")
+        # orders below 2: the Hankel series serves every x > 15
+        _, ybase0 = _jy_asymptotic(a0, xl)
+        _, ybase1 = _jy_asymptotic(a0 + 1.0, xl)
         steps = int(round(nu - a0))
         out[~small] = _recur_up(ybase0, ybase1, a0, steps, xl, -1.0)
     return float(out[()]) if scalar else out
@@ -316,11 +347,11 @@ def bessel_j(nu, x):
     rest = ~small
     if np.any(rest):
         xr = arr[rest]
-        ja, _, bound = _jy_asymptotic(nu, xr)
-        ok = bound <= 1e-12
+        counts = _hankel_table(nu)[1]
+        series = counts[_hankel_band(xr)] > 0
         sub = np.empty_like(xr)
-        sub[ok] = ja[ok]
-        hard = ~ok
+        sub[series] = _jy_asymptotic(nu, xr[series])[0]
+        hard = ~series
         if np.any(hard):
             xh = xr[hard]
             if nu >= 0.0:

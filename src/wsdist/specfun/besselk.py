@@ -25,11 +25,13 @@ chosen by where w sits, at every order:
   J. Comput. Phys. 64 (1986) 490; the x >= 2 branch of bessik) at a
   fixed 150 steps: each point of a call costs a Horner sum, each node in
   use one CF2.
-* the e^{-w} asymptotic series for |w| >= 24, summed by Horner's rule at
-  20 terms, 13 from |w| = 48 on and 9 from |w| = 128 on.  At
-  half-integer order (|mu0| = 1/2) it terminates, as sqrt(pi/2w) e^{-w}
-  at q = +-1/2 and that times (1 + 1/w) at q = 3/2, so it is the closed
-  form and serves all of Re w >= 0.
+* the e^{-w} asymptotic series for |w| >= 24, the one J and Y sum at
+  w = -ix (besselj._hankel_sum), by Horner's rule at the term count the
+  order fixes for the band of |w| (edges a ratio 1.25 apart from 15 on:
+  at order 0, 21 terms from |w| = 23.4 on, 13 from 45.8, 5 from 2033).
+  At half-integer order (|mu0| = 1/2) it terminates, as sqrt(pi/2w)
+  e^{-w} at q = +-1/2 and that times (1 + 1/w) at q = 3/2, so it is the
+  closed form and serves all of Re w >= 0.
 
 Every route is a fixed-length sum fixed by the point alone: no step
 tests convergence, and no point's value depends on the other points of
@@ -42,18 +44,15 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from .besselj import _as_array, _recur_up
+from .besselj import _as_array, _hankel_sum, _poly, _recur_up
 
 # Temme's series on |w| + Re w <= 4: its terms fall like 4^i/(i!)^2, and
 # the first one left out after 16 is below 1e-17 of the sum everywhere
 # there, at every |mu0| < 1/2
 _K_TEMME_MAX = 4.0
 _K_TEMME_TERMS = 16
-# the asymptotic series from |w| = 24 on, Re w >= 0, in bands: from |w| =
-# r on, its first n terms leave a first neglected term below 1e-17 for
-# every order |q| <= 3/2, (r, n) for each band
-_K_HORNER_BANDS = ((24.0, 20), (48.0, 13), (128.0, 9))
-_K_HORNER_MIN = _K_HORNER_BANDS[0][0]
+# the asymptotic series (besselj._hankel_sum) from |w| = 24 on, Re w >= 0
+_K_HORNER_MIN = 24.0
 # points per block of every route: its complex temporaries stay below
 # numpy's 256 KiB threshold for reusing a temporary in place, whose loops
 # round differently, so a value does not depend on how many points share
@@ -139,14 +138,6 @@ def _temme_polynomials(mu0):
     return rows
 
 
-def _poly(coefs, z):
-    """sum_i coefs[i] z^i by Horner's rule."""
-    acc = np.full(z.shape, coefs[-1], dtype=complex)
-    for c in coefs[-2::-1]:
-        acc = acc * z + c
-    return acc
-
-
 def _k_pair_temme(mu0, w, need=(0, 1)):
     """(K_mu0, K_mu0+1), |mu0| < 1/2, Re w >= 0, |w| + Re w <= 4, by
     Temme's series (Numerical Recipes' bessik, x < 2) at a fixed
@@ -224,48 +215,20 @@ def _k_pair_cf2(mu0, w):
     return k0, k0 * (mu0 + 0.5 + w - a1 * h) / w
 
 
-def _asymptotic_coeffs(q):
-    """a_k(q) = prod_{j<=k} (4q^2 - (2j-1)^2) / (k! 8^k) for k below the
-    first band's term count, ending before the first zero: at half-integer
-    q the list is the whole series, [1] at q = +-1/2 and [1, 1] at 3/2."""
-    coeffs = [1.0]
-    for k in range(1, _K_HORNER_BANDS[0][1]):
-        a = coeffs[-1] * (4.0 * q * q - (2 * k - 1) ** 2) / (8.0 * k)
-        if a == 0.0:
-            break
-        coeffs.append(a)
-    return coeffs
-
-
 def _k_pair_horner(mu0, w, need=(0, 1)):
     """K_mu0+j, j in need, Re w >= 0 and |w| >= _K_HORNER_MIN (any w at
     |mu0| = 1/2), by the asymptotic K_q(w) ~ sqrt(pi/2w) e^-w sum a_k/w^k
-    at the number of terms of the band of |w| (_K_HORNER_BANDS), summed by
-    Horner's rule in 1/w: a point's value is its own, and no step tests
-    convergence.  At half-integer order the series terminates within
-    every band's term count, so it is summed whole at every |w|: the
-    closed form."""
-    coeffs = [_asymptotic_coeffs(mu0 + j) for j in need]
-    tops = [r for r, _ in _K_HORNER_BANDS[1:]] + [math.inf]
+    at the number of terms of the band of |w| (besselj._hankel_sum),
+    summed by Horner's rule in 1/w: a point's value is its own, and no
+    step tests convergence.  At half-integer order the series terminates,
+    so it is summed whole at every |w|: the closed form."""
     out = tuple(np.empty(w.shape, dtype=complex) for _ in need)
     for start in range(0, w.size, _K_BLOCK):
         block = slice(start, start + _K_BLOCK)
         wb = w[block]
         pref = np.sqrt(0.5 * math.pi / wb) * np.exp(-wb)
-        inv = 1.0 / wb
-        bands = None
-        for c, res in zip(coeffs, out):
-            if len(c) <= _K_HORNER_BANDS[-1][1]:  # every band sums all of them
-                acc = _poly(c, inv)
-            else:
-                if bands is None:
-                    mag = np.abs(wb)
-                    bands = [((mag >= r) & (mag < top), n)
-                             for (r, n), top in zip(_K_HORNER_BANDS, tops)]
-                acc = np.empty_like(inv)
-                for band, n in bands:
-                    acc[band] = _poly(c[:n], inv[band])
-            res[block] = pref * acc
+        for j, res in zip(need, out):
+            res[block] = pref * _hankel_sum(mu0 + j, wb)
     return out
 
 

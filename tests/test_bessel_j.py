@@ -9,7 +9,7 @@ from scipy.special import jv, yv
 from wsdist.errors import DomainError
 from wsdist.specfun import bessel_j
 from wsdist.specfun import besselj
-from wsdist.specfun.besselj import _bessel_y, _jy_asymptotic
+from wsdist.specfun.besselj import _HANKEL_EDGES, _bessel_y, _hankel_table, _jy_asymptotic
 
 
 def _j0_ascending_series(x):
@@ -118,13 +118,17 @@ def test_y_integer_order_past_double_range_is_a_domain_error(nu, x):
 
 
 @pytest.mark.parametrize("nu", [-20.5, -30.3, -49.9])
-def test_negative_noninteger_order_past_the_asymptotic_region(nu):
-    # the Hankel bound rejects these x, so J_nu = J_a cos(a pi) - Y_a sin(a pi),
-    # a = -nu, with J_a from Miller's recurrence
+def test_negative_noninteger_order_past_the_asymptotic_region(monkeypatch, nu):
+    # the Hankel series serves none of these x at these orders, so J_nu =
+    # J_a cos(a pi) - Y_a sin(a pi), a = -nu, with J_a from Miller's
+    # recurrence
     mp.mp.dps = 30
     xs = np.array([16.0, 20.0, 33.3, 50.0, 80.0])
-    assert np.all(_jy_asymptotic(nu, xs)[2] > 1e-12)
+    seen = []
+    miller = besselj._miller
+    monkeypatch.setattr(besselj, "_miller", lambda a, x: seen.extend(x) or miller(a, x))
     got = bessel_j(nu, xs)
+    assert seen == list(xs)
     ref = np.array([float(mp.besselj(nu, x)) for x in xs])
     envelope = np.sqrt(2.0 / (math.pi * xs))
     err = np.abs(got - ref) / np.maximum(np.abs(ref), envelope)
@@ -142,15 +146,82 @@ def test_y_against_scipy(nu):
     assert err.max() < 5e-11
 
 
+def _served(nu, xs):
+    counts = _hankel_table(nu)[1]
+    return xs[counts[besselj._hankel_band(xs)] > 0]
+
+
 def test_asymptotic_sums_of_a_point_do_not_depend_on_its_batch_mates():
-    # each point leaves the Hankel sums on its own test, and the points
-    # still adding terms are carried compacted
-    xs = 15.0 + np.geomspace(1e-3, 1e4, 200)
-    for nu in (0.0, 1.0, 1.5, 7.3, 40.0):
-        j, y, bound = _jy_asymptotic(nu, xs)
-        for i in (0, 57, 120, 199):
-            j1, y1, b1 = _jy_asymptotic(nu, xs[i:i + 1])
-            assert (j1[0], y1[0], b1[0]) == (j[i], y[i], bound[i])
+    # every point sums the fixed number of terms of its band, so J and Y
+    # of a point are the same bit for bit alone and in a batch, also one
+    # of 40,000 points, past K's block of 8192 and numpy's 256 KiB
+    # threshold for reusing a temporary in place
+    for size in (200, 40000):
+        for nu in (0.0, 1.0, 1.5, 7.3, 40.0):
+            xs = _served(nu, 15.0 + np.geomspace(1e-3, 1e4, size))
+            assert xs.size >= size // 8
+            j, y = _jy_asymptotic(nu, xs)
+            for i in np.linspace(0, xs.size - 1, 9).astype(int):
+                j1, y1 = _jy_asymptotic(nu, xs[i:i + 1])
+                assert (j1[0], y1[0]) == (j[i], y[i])
+    xs = 15.0 + np.geomspace(1e-3, 1e4, 40000)
+    for nu in (0.0, 1.0, 1.5):  # the series serves every x > 15 here
+        j, y = bessel_j(nu, xs), _bessel_y(nu, xs)
+        for i in range(0, xs.size, 4999):
+            assert (bessel_j(nu, xs[i]), _bessel_y(nu, xs[i])) == (j[i], y[i])
+
+
+# orders across |q| <= 50: near and at half-integers, negative ones
+_BAND_ORDERS = [0.0, 0.3, 0.4999, 0.5, 0.5001, 1.0, 1.4999, 1.5, -1.3, -1.9, 1.99, 3.7, 7.0,
+                15.5, 22.2, 33.0, -40.6, 49.5, 50.0]
+
+
+@pytest.mark.parametrize("q", _BAND_ORDERS)
+def test_hankel_band_table(q):
+    a, counts = _hankel_table(q)
+    if (2 * q) % 2 == 1:  # a half-integer order: the series terminates
+        assert len(a) == abs(q) + 0.5
+    if abs(q) in (0.5, 1.5):  # K's closed form: the whole list at any |w|
+        assert counts.min() == len(a)
+    served = counts > 0
+    # the served bands are those from the first served one on, and at
+    # |q| < 2 (Y's base orders, and J at the oracle's orders) all of them
+    assert np.array_equal(served, np.cumsum(served) > 0)
+    assert served.all() or abs(q) >= 2.0
+    for x, n in zip(_HANKEL_EDGES, counts):
+        if n:
+            terms = [abs(c) / x ** k for k, c in enumerate(a[:n])]
+            stop = abs(a[n]) / x ** n if n < len(a) else 0.0  # 0: past the end
+            # summed up to the first term that falls below 1e-17 or grows
+            assert all(1e-17 <= t1 < t0 for t0, t1 in zip(terms, terms[1:]))
+            assert stop < 1e-17 or terms[-1] <= stop <= 1e-12
+
+
+def test_hankel_band_of_a_point_is_that_of_its_edges():
+    edges = np.array(_HANKEL_EDGES)
+    assert np.array_equal(besselj._hankel_band(edges * (1.0 + 1e-12)), np.arange(edges.size))
+    assert np.array_equal(besselj._hankel_band(edges[1:] * (1.0 - 1e-12)), np.arange(edges.size - 1))
+    assert besselj._hankel_band(np.array([1e300]))[0] == edges.size - 1  # the last band is open
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 1.5, -1.3, -1.5])
+def test_every_x_past_the_series_takes_the_hankel_series_at_low_order(monkeypatch, nu):
+    # |nu| <= 3/2, J's orders in the oracle: Miller's recurrence is never used
+    monkeypatch.setattr(besselj, "_miller", None)
+    xs = 15.0 + np.geomspace(1e-12, 1e5, 500)
+    assert np.all(np.isfinite(bessel_j(nu, xs)))
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 1.5, 7.0, 15.5, 33.0, 49.5, 50.0, -1.3, -1.9])
+def test_j_at_the_hankel_band_edges_against_mpmath(nu):
+    # each band sums the term count of its lower edge, so the edge is its
+    # worst point; both sides of every edge, the series or Miller on each
+    mp.mp.dps = 30
+    xs = np.array([e * f for e in _HANKEL_EDGES for f in (1.0 - 1e-9, 1.0 + 1e-9)])
+    ref = np.array([float(mp.besselj(nu, mp.mpf(float(x)))) for x in xs])
+    envelope = np.sqrt(2.0 / (math.pi * xs))
+    err = np.abs(bessel_j(nu, xs) - ref) / np.maximum(np.abs(ref), envelope)
+    assert err.max() <= 2e-13
 
 
 def _ascending_reading_every_term(q, z):

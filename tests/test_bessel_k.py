@@ -8,7 +8,7 @@ import pytest
 from wsdist.errors import DomainError
 from wsdist.quadrature import integrate_finite
 from wsdist.specfun import bessel_k_complex, hankel1_complex, bessel_j
-from wsdist.specfun.besselj import _bessel_y
+from wsdist.specfun.besselj import _HANKEL_EDGES, _bessel_y
 from wsdist.specfun import besselk
 from wsdist.specfun.besselk import _k_core
 
@@ -142,12 +142,13 @@ def test_cf2_region_against_mpmath(mu):
     assert _worst_k_error(mu, _CF2_AXIS + _CF2_OFF_AXIS, _k_core) <= 1e-13
 
 
-# from |w| = 24 on, Re w >= 0, K is a fixed 20-term asymptotic sum whose
-# first omitted term is below 1e-17 there: the values sit at rounding
-# level, where 14 terms would leave 6e-15 at |w| = 24 on the axis.  From
-# |w| = 48 on it sums 13 terms, from |w| = 128 on 9, each band's first
-# omitted term below 1e-17 at its own edge
-_HORNER_EDGE = [r * cmath.exp(1j * math.radians(deg)) for r in (24.0, 25.0, 30.0)
+# from |w| = 24 on, Re w >= 0, K is a fixed-length asymptotic sum: the
+# band of |w| from 23.4375 to 29.296875 sums 20 or 21 terms at the orders
+# below, the count its lower edge needs for a first omitted term below
+# 1e-17, so the values sit at rounding level at the route's edge |w| = 24
+# and just below the band's upper edge
+_HORNER_EDGE = [r * cmath.exp(1j * math.radians(deg))
+                for r in (24.0, 25.0, _HANKEL_EDGES[3] * (1.0 - 1e-9))
                 for deg in (90.0, 89.97, -89.97, -90.0, 45.0, 0.0)]
 
 
@@ -156,10 +157,12 @@ def test_fixed_degree_asymptotic_edge_at_rounding_level(mu):
     assert _worst_k_error(mu, _HORNER_EDGE, _k_core) <= 3e-15
 
 
-# both sides of the asymptotic series' band edges |w| = 48 and 128, where
-# it drops to 13 and to 9 terms
-_HORNER_BAND_EDGES = [r * cmath.exp(1j * math.radians(deg))
-                      for r in (47.99, 48.0, 127.99, 128.0)
+# both sides of band edges of the asymptotic series, |w| = 29.3, 45.8 and
+# 139.7 (edges 3, 5 and 10 of _HANKEL_EDGES), where the term count drops:
+# each band's first omitted term is below 1e-17 at its own lower edge
+_HORNER_BAND_EDGES = [r * f * cmath.exp(1j * math.radians(deg))
+                      for r in (_HANKEL_EDGES[3], _HANKEL_EDGES[5], _HANKEL_EDGES[10])
+                      for f in (1.0 - 1e-9, 1.0)
                       for deg in (90.0, 89.97, -89.97, -90.0, 45.0, 0.0)]
 
 

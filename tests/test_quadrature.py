@@ -229,6 +229,23 @@ def test_repeated_partial_sums_take_the_broken_column_path(monkeypatch):
     assert batch.error_estimate.tolist() == [o.error_estimate[0] for o in ones]
 
 
+def test_no_row_is_evaluated_past_its_panel_cap():
+    # the cut row runs to its cap of ceil(50 / pi) = 16 panels at damping
+    # 1, which ends inside a block of 8 panels of the batch: a block ends
+    # at the smallest cap of the rows still running
+    spacing = math.pi / np.array([1.0, 1.5, 3.0])
+    seen = np.zeros(3)
+
+    def spy(k, rows):
+        seen[rows] = np.maximum(seen[rows], k.max(axis=1))
+        return _cut_integrand(k, rows)
+
+    integrate_semiinfinite_damped(spy, 1.0, spacing, 1e-12)
+    caps = np.minimum(np.ceil(50.0 / spacing), quadrature._MAX_OSC_PANELS) * spacing
+    assert seen[0] > 15 * spacing[0]  # the cut row reaches its last panel
+    assert np.all(seen <= caps)
+
+
 def _wynn_rows(partial):
     """Reference: the whole Wynn epsilon table on a window of partial
     sums, one row each, as the engine built it after every panel before
