@@ -13,12 +13,13 @@ evaluations, and per case the points of K's base pair per route (each
 lattice, CF2 and Horner, or whatever routes the tree has; here CF2 counts
 only the Taylor nodes it seeds, and at half-integer order every point
 counts under Horner), the points of `bessel_j`, in all and per route
-(`specfun.besselj`'s ascending series `_j_series`, Hankel asymptotic
-series `_jy_asymptotic` and Miller's recurrence `_miller`), and the calls
-of the semi-infinite engine's Wynn epsilon table (each `quadrature._wynn_*`
-function: one per block of panels, or one per panel in a tree that
-rebuilt the table after every panel); none of these depend on the
-machine.  It also records the wall time of each pairing, which
+(`J_ROUTES`: `specfun.besselj`'s ascending series `_j_series` on
+x^2/4 <= |nu| + 1, the Hankel asymptotic series `_jy_asymptotic` on the
+bands past x = 15 that it serves, and Miller's recurrence `_miller` on
+the rest), and the calls of the semi-infinite engine's Wynn epsilon
+table (each `quadrature._wynn_*` function: one per block of panels, or
+one per panel in a tree that rebuilt the table after every panel); none
+of these depend on the machine.  It also records the wall time of each pairing, which
 does.  The eps_trace digest of each case shows whether the
 two trees agree bit for bit, and its largest absolute difference how far
 apart they are when they do not.
@@ -29,8 +30,9 @@ prints the measurement of the package under DIR/src as one JSON object.
 CI runs it on the checkout itself (`--tree .`): a rename of a name it
 wraps (`oracle._direct_rows`, `oracle._pairing_at_eps`,
 `oracle.integrate_semiinfinite_damped`, `oracle.bessel_j`) fails there,
-and so does a case in which no `besselk._k_pair_*` route, no
-`quadrature._wynn_*` table function or J's asymptotic route is called.
+and so does a case in which no `besselk._k_pair_*` route or no
+`quadrature._wynn_*` table function is called, or, on this checkout, a
+case in which J reaches no point on one of `J_ROUTES`.
 """
 
 import argparse
@@ -121,8 +123,10 @@ def measure(tree):
         wall = time.perf_counter() - t0
         if not any(k.startswith("k_") for k in points):
             sys.exit(f"case prop {prop} ({mu}, {nu}): no besselk._k_pair_* route was called")
-        if not points.get("j_asymptotic"):
-            sys.exit(f"case prop {prop} ({mu}, {nu}): J never reached besselj._jy_asymptotic")
+        for route, name in J_ROUTES.items():
+            # an older tree may predate a route: its Miller served no oracle point
+            if Path(tree).resolve() == ROOT and not points.get("j_" + route):
+                sys.exit(f"case prop {prop} ({mu}, {nu}): J never reached besselj.{name}")
         if not calls:
             sys.exit(f"case prop {prop} ({mu}, {nu}): no quadrature._wynn_* function was called")
         per_eps = [dict(s) for s in steps]

@@ -1,26 +1,33 @@
 """Bessel functions of the first (and, internally, second) kind.
 
-Real order, positive real argument.  Three regimes:
+Real order, positive real argument.  J takes three routes, all in
+double precision:
 
-* ascending series, accumulated in 80-bit floats so the alternating-sum
-  cancellation stays below ~1e-13 up to x ~ 18;
+* the ascending series at a fixed 40 terms, on x^2/4 <= |nu| + 1, where
+  its terms do not cancel;
 * the Hankel asymptotic series for x > 15, the one K sums at large |w|
   (_hankel_sum): at w = -ix its sum is P + iQ.  It runs in bands of x
   whose edges grow by a ratio 1.25 from 15 on, and per order each band
   sums a fixed number of terms, the count its lower edge needs
   (_hankel_table); a band whose edge cannot reach 1e-12 is not served;
-* Miller's backward recurrence, normalized with the Neumann identity
-  (x/2)^a = sum_k w_k J_{a+2k}(x), for the x > 15 that the series does
-  not serve (large order at moderate argument).
+* Miller's backward recurrence in the order, normalized with the
+  Neumann identity (x/2)^a = sum_k w_k J_{a+2k}(x), for every other
+  point: the rest of x <= 15, and the bands past it that the Hankel
+  series does not serve (large order at moderate argument).  It starts
+  at an order fixed by nu and the upper edge of the point's band, and at
+  a negative order runs on below a, where J is the dominant solution.
 
-A point's route and term count follow from (nu, x) alone: no step of
-the asymptotic series tests convergence.  The switch points were chosen
-so neighbouring regimes overlap with agreement well below 1e-10; see
-tests.
+A point's route and step count follow from (nu, x) alone, so its value
+does not depend on its batch mates: no step of J tests convergence or
+rescales.  Neighbouring routes agree to about 1e-14 across each switch;
+see tests.
 
-The order recurrence (_recur_up) is shared with K in besselk, which
-climbs it the other way, and so are the Hankel series and its Horner
-sum (_poly).
+Y, a reference for H1 that only selftest and tests read, takes the
+Hankel series and the upward order recurrence past x = 15, and below it
+its integer-order logarithmic series in long double or the reflection
+of J at non-integer order.  The order recurrence (_recur_up) is shared
+with K in besselk, which climbs it the other way, and so are the Hankel
+series and its Horner sum (_poly).
 """
 
 import functools
@@ -31,12 +38,13 @@ import numpy as np
 from ..errors import DomainError
 from .gammafn import EULER_GAMMA, gamma
 
-_SERIES_MAX_X = 15.0
-# bands of the Hankel series past the ascending series, |w| from each edge
+_HANKEL_MIN_X = 15.0  # J and Y take the Hankel series only past it
+_SERIES_TERMS = 40  # J's ascending series: rounding level wherever it serves
+# bands of the Hankel series from x = 15 on, |w| from each edge
 # on up to the next (the last one open above), each summing a number of
 # terms fixed per order
 _HANKEL_RATIO = 1.25
-_HANKEL_EDGES = tuple(_SERIES_MAX_X * _HANKEL_RATIO ** i for i in range(24))
+_HANKEL_EDGES = tuple(_HANKEL_MIN_X * _HANKEL_RATIO ** i for i in range(24))
 _HANKEL_MAX_TERMS = 80  # coefficients per order; no band at |q| <= 50 sums over 40
 MAX_ORDER_J = 50.0  # |nu| of J; also the nu range of OrderPair
 
@@ -54,44 +62,28 @@ def _max_abs(x):
     return float(np.abs(x).max())  # the method skips np.max's dispatch
 
 
-def _ascending(q, z):
-    """sum_k z^k / (k! (q+1)_k), the series of J_q at z = -x^2/4 up to
-    its prefactor, accumulated in long double like z; q not a negative
-    integer.  The divisor (k+1)(q+k+1) is formed in long double as well:
-    in double it is exact only for integer and half-integer q, and its
-    rounding is amplified by the series' cancellation toward x = 15.
-
-    It stops at the first term below 1e-26 of the largest |acc| with no
-    pass over the arrays per term: z is real, so the largest term is the
-    one at the largest |z|, and its modulus tmax is carried as a scalar;
-    amax bounds the largest |acc| by its last reading plus the terms
-    added since, and the arrays are read again only when tmax falls
-    below 1e-26 of that bound."""
-    term = np.ones_like(z)
-    acc = term.copy()
-    zmax = _max_abs(z)
-    tmax = amax = 1.0  # the first term, and acc as it starts
-    for k in range(200):
-        term = term * z / ((_LD(k) + 1) * (_LD(q) + (k + 1)))
-        acc += term
-        tmax *= zmax / abs((k + 1) * (q + k + 1))
-        amax += tmax
-        if tmax < 1e-26 * amax:
-            amax = max(_max_abs(acc), 1e-280)
-            if tmax < 1e-26 * amax:
-                break
-    return acc
+@functools.lru_cache(maxsize=None)
+def _series_coefs(q):
+    """1 / (k! (q+1)_k) for k < _SERIES_TERMS, the coefficients of J_q's
+    ascending series in z = -x^2/4; q not a negative integer."""
+    c = [1.0]
+    for k in range(1, _SERIES_TERMS):
+        c.append(c[-1] / (k * (q + k)))
+    return tuple(c)
 
 
 def _j_series(nu, x):
-    """Ascending series of J_nu, 80-bit accumulation; x <= ~20, nu not
-    a negative integer.  A value past the double range (large negative
-    nu at tiny x) raises DomainError."""
-    xl = x.astype(_LD)
-    acc = _ascending(nu, -0.25 * xl * xl)
-    pref = np.power(0.5 * xl, _LD(nu)) / _LD(gamma(nu + 1.0))
+    """Ascending series of J_nu (DLMF 10.2.2) at a fixed _SERIES_TERMS
+    terms, nu not a negative integer.  It serves x^2/4 <= |nu| + 1, where
+    its terms do not cancel; up to 1.1 times that edge in x it still
+    agrees with Miller's recurrence to 1e-14.  A value past the double
+    range (large negative nu at tiny x) raises DomainError."""
+    acc = _poly(_series_coefs(nu), -0.25 * x * x)
     with np.errstate(over="ignore"):  # reported below, as a DomainError
-        out = (pref * acc).astype(float)
+        # (x/2)^nu in two halves: it may overflow where J, divided by a
+        # Gamma(nu + 1) above 1 near a negative integer, does not
+        half = np.power(0.5 * x, 0.5 * nu)
+        out = half * (acc / gamma(nu + 1.0)) * half
     if not np.isfinite(out).all():
         raise DomainError(f"J_{nu:g}(x) is outside the double range")
     return out
@@ -99,7 +91,7 @@ def _j_series(nu, x):
 
 def _poly(coefs, z):
     """sum_i coefs[i] z^i by Horner's rule."""
-    acc = np.full(z.shape, coefs[-1], dtype=complex)
+    acc = np.full(z.shape, coefs[-1], dtype=z.dtype)
     for c in coefs[-2::-1]:
         acc = acc * z + c
     return acc
@@ -137,7 +129,7 @@ def _hankel_band(mag):
     """The band of each |w| = mag >= _HANKEL_EDGES[0]: floor of the log of
     mag/15 to the base _HANKEL_RATIO (a binary search of the edges costs
     about ten times as much)."""
-    band = np.log(mag * (1.0 / _SERIES_MAX_X)) * (1.0 / math.log(_HANKEL_RATIO))
+    band = np.log(mag * (1.0 / _HANKEL_MIN_X)) * (1.0 / math.log(_HANKEL_RATIO))
     return np.minimum(band.astype(np.intp), len(_HANKEL_EDGES) - 1)
 
 
@@ -173,16 +165,20 @@ def _jy_asymptotic(nu, x):
     return j, y
 
 
-def _miller(nu, x):
-    """Backward recurrence for J_nu(x), nu >= 0, vectorized over x."""
+def _miller(nu, x, edge):
+    """J_nu(x) by Miller's backward recurrence in the order (Gautschi,
+    SIAM Rev. 9 (1967) 24), normalized with the Neumann identity
+    (x/2)^a0 = sum_k w_k J_{a0+2k}(x), a0 = nu - floor(nu).  It starts at
+    an order fixed by nu and the upper edge of the points' band, so a
+    point's value does not depend on its batch mates, from 1e-290 with
+    no rescale: at |nu| <= 50 its values stay below 1e-159 (at nu = 0,
+    x = 2).  At a negative nu it runs on below a0, the direction in which
+    J is the dominant solution."""
     a0 = nu - math.floor(nu)
     m = int(round(nu - a0))
-    xmax = float(np.max(x))
-    top = max(xmax, nu)
-    start = int(top + 17.0 * max(top, 1.0) ** (1.0 / 3.0) + 30)
-    start = max(start, m + 12)
-    if start % 2:
-        start += 1
+    top = max(edge, nu)
+    start = int(top + 17.0 * top ** (1.0 / 3.0) + 30)
+    start += start % 2
 
     # Neumann weights w_j for orders a0 + 2j, built without 0/0 at a0=0
     half = start // 2
@@ -197,24 +193,13 @@ def _miller(nu, x):
     y_up = np.zeros_like(x)
     y_cur = np.full_like(x, 1e-290)
     s = np.zeros_like(x)
-    y_target = np.zeros_like(x)
-    for k in range(start, -1, -1):
-        if k % 2 == 0:
+    for k in range(start, min(m, 0) - 1, -1):  # y_cur: order a0 + k
+        if k >= 0 and k % 2 == 0:
             s = s + w[k // 2] * y_cur
         if k == m:
-            y_target = y_cur.copy()
-        y_dn = (2.0 * (a0 + k)) * inv_x * y_cur - y_up
-        y_up = y_cur
-        y_cur = y_dn
-        big = np.abs(y_cur) > 1e250
-        if np.any(big):
-            scale = np.where(big, 1e-250, 1.0)
-            y_cur *= scale
-            y_up *= scale
-            s *= scale
-            y_target *= scale
-    lam = np.power(0.5 * x, a0) / s
-    return lam * y_target
+            y_target = y_cur
+        y_up, y_cur = y_cur, (2.0 * (a0 + k)) * inv_x * y_cur - y_up
+    return np.power(0.5 * x, a0) / s * y_target
 
 
 def _log_sweep(z):
@@ -274,13 +259,16 @@ def _y_int_base(x):
 
 
 def _bessel_y(nu, x):
-    """Bessel Y_nu(x) for nu >= 0 (internal; used by tests and by the
-    negative-order reflection for J)."""
+    """Bessel Y_nu(x) for nu >= 0 (internal: a reference for H1 that
+    selftest and tests read; J does not use it).  On x <= 15 at a
+    non-integer order it is the reflection (J_nu cos(nu pi) - J_-nu) /
+    sin(nu pi) of double-precision J, so near an integer order it loses
+    about 1e-16/|sin(pi nu)|; no caller reads it there."""
     arr, scalar = _as_array(x, float)
     if np.any(arr <= 0.0):
         raise DomainError("bessel_y requires x > 0")
     out = np.empty_like(arr)
-    small = arr <= _SERIES_MAX_X
+    small = arr <= _HANKEL_MIN_X
     n_int = round(nu)
     is_int = abs(nu - n_int) < 1e-12
 
@@ -294,8 +282,8 @@ def _bessel_y(nu, x):
                 raise DomainError(f"Y_{nu:g}(x) is outside the double range")
             out[small] = ys
         else:
-            jp = _j_series(nu, xs)
-            jm = _j_series(-nu, xs)
+            jp = bessel_j(nu, xs)
+            jm = bessel_j(-nu, xs)
             out[small] = (jp * math.cos(math.pi * nu) - jm) / math.sin(math.pi * nu)
     if np.any(~small):
         xl = arr[~small]
@@ -324,7 +312,10 @@ def bessel_j(nu, x):
     """Bessel function of the first kind, real order, x > 0.
 
     Scalar or ndarray x; |nu| <= 50.  Relative accuracy (with respect
-    to the envelope sqrt(2/(pi x)) near the zeros) around 1e-12.
+    to the envelope sqrt(2/(pi x)) near the zeros) about 1e-14 on x <= 20
+    and within 2e-13 past it; at a negative order near an integer n > x,
+    where J_nu - (-1)^n J_n is a small multiple of Y_n, up to about
+    1e-15/|sin(pi nu)|.
     """
     if abs(nu) > MAX_ORDER_J:
         raise DomainError(f"order |nu|={abs(nu)} outside supported range <= {MAX_ORDER_J:g}")
@@ -341,27 +332,17 @@ def bessel_j(nu, x):
             return float(res) if scalar else res
 
     out = np.empty_like(arr)
-    small = arr <= _SERIES_MAX_X
-    if np.any(small):
-        out[small] = _j_series(nu, arr[small])
-    rest = ~small
-    if np.any(rest):
-        xr = arr[rest]
-        counts = _hankel_table(nu)[1]
-        series = counts[_hankel_band(xr)] > 0
-        sub = np.empty_like(xr)
-        sub[series] = _jy_asymptotic(nu, xr[series])[0]
-        hard = ~series
-        if np.any(hard):
-            xh = xr[hard]
-            if nu >= 0.0:
-                sub[hard] = _miller(nu, xh)
-            else:
-                a = -nu
-                jpos = _miller(a, xh)
-                ypos = _bessel_y(a, xh)
-                sub[hard] = jpos * math.cos(math.pi * a) - ypos * math.sin(
-                    math.pi * a
-                )
-        out[rest] = sub
+    series = arr <= 2.0 * math.sqrt(abs(nu) + 1.0)  # x^2/4 <= |nu| + 1
+    out[series] = _j_series(nu, arr[series])
+    xr = arr[~series]
+    # the band of each x past 15, -1 for the others: band i ends at
+    # _HANKEL_EDGES[i + 1], and 15 ends band -1
+    band = np.where(xr > _HANKEL_MIN_X, _hankel_band(xr), -1)
+    served = (band >= 0) & (_hankel_table(nu)[1][band] > 0)
+    sub = np.empty_like(xr)
+    sub[served] = _jy_asymptotic(nu, xr[served])[0]
+    for i in np.unique(band[~served]):
+        pts = band == i
+        sub[pts] = _miller(nu, xr[pts], _HANKEL_EDGES[i + 1])
+    out[~series] = sub
     return float(out[()]) if scalar else out

@@ -60,8 +60,9 @@ def test_j_against_scipy(nu):
 
 @pytest.mark.parametrize("nu", [1.3, -1.3, 0.7, 0.3])
 def test_series_near_its_handover_at_non_half_integer_order(nu):
-    # the series cancels toward x = 15, where it hands over to the Hankel
-    # asymptotics; its divisor rounded in double cost up to 2.7e-11 here
+    # the ascending series hands over to Miller's recurrence at
+    # x = 2 sqrt(|nu| + 1) and Miller to the Hankel asymptotics at x = 15;
+    # the long-double series that served all of x <= 15 reached 2.6e-14 here
     mp.mp.dps = 30
     xs = np.linspace(8.0, 15.0, 281)
     ref = np.array([float(mp.besselj(nu, mp.mpf(float(x)))) for x in xs])
@@ -70,15 +71,14 @@ def test_series_near_its_handover_at_non_half_integer_order(nu):
 
 
 def test_method_overlap_agreement():
-    # the ascending series and the large-x methods must agree across the
-    # switch, evaluated at the same points just above it
-    from wsdist.specfun.besselj import _j_series
-
-    xs = np.linspace(15.05, 16.5, 7)
-    for nu in (0.0, 0.5, 2.0, 3.3):
-        series = _j_series(nu, xs)
-        dispatched = bessel_j(nu, xs)
-        assert np.max(np.abs(series - dispatched)) < 1e-10
+    # the ascending series and Miller's recurrence agree on both sides of
+    # the switch at x = 2 sqrt(|nu| + 1), the series read past its region
+    for nu in (0.0, 0.5, 1.0, 1.5, 2.0, 3.3, 15.5, 49.5, -0.7, -1.5, -7.3, -20.5, -42.5):
+        xs = 2.0 * math.sqrt(abs(nu) + 1.0) * np.linspace(0.9, 1.1, 41)
+        series = besselj._j_series(nu, xs)
+        miller = besselj._miller(nu, xs, 15.0)
+        envelope = np.sqrt(2.0 / (math.pi * xs))
+        assert np.max(np.abs(series - miller) / np.maximum(np.abs(series), envelope)) < 1e-14, nu
 
 
 def test_vectorized_matches_scalar():
@@ -99,8 +99,8 @@ def test_domain_errors():
 
 @pytest.mark.parametrize("nu, x", [(-49.9, 1e-6), (-20.5, 1e-20), (-49.9, np.array([1e-5, 1.0]))])
 def test_value_past_double_range_is_a_domain_error(nu, x):
-    # the ascending series' long-double result does not fit a double;
-    # no numpy overflow warning may leak out with the error
+    # the ascending series' (x/2)^nu / Gamma(nu + 1) overflows the double
+    # range, as J does; no numpy overflow warning may leak out with the error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="outside the double range"):
@@ -119,14 +119,15 @@ def test_y_integer_order_past_double_range_is_a_domain_error(nu, x):
 
 @pytest.mark.parametrize("nu", [-20.5, -30.3, -49.9])
 def test_negative_noninteger_order_past_the_asymptotic_region(monkeypatch, nu):
-    # the Hankel series serves none of these x at these orders, so J_nu =
-    # J_a cos(a pi) - Y_a sin(a pi), a = -nu, with J_a from Miller's
-    # recurrence
+    # the Hankel series serves none of these x at these orders, so
+    # Miller's recurrence runs on below its base order a0 in (0, 1) down
+    # to nu, the direction in which J is dominant; J never reads Y
     mp.mp.dps = 30
     xs = np.array([16.0, 20.0, 33.3, 50.0, 80.0])
     seen = []
     miller = besselj._miller
-    monkeypatch.setattr(besselj, "_miller", lambda a, x: seen.extend(x) or miller(a, x))
+    monkeypatch.setattr(besselj, "_miller", lambda q, x, edge: seen.extend(x) or miller(q, x, edge))
+    monkeypatch.setattr(besselj, "_bessel_y", None)
     got = bessel_j(nu, xs)
     assert seen == list(xs)
     ref = np.array([float(mp.besselj(nu, x)) for x in xs])
@@ -169,6 +170,20 @@ def test_asymptotic_sums_of_a_point_do_not_depend_on_its_batch_mates():
         j, y = bessel_j(nu, xs), _bessel_y(nu, xs)
         for i in range(0, xs.size, 4999):
             assert (bessel_j(nu, xs[i]), _bessel_y(nu, xs[i])) == (j[i], y[i])
+    # so do J's ascending series and Miller's recurrence, whose start is
+    # fixed by the order and the point's band: J on (0, 20], and on the
+    # bands past 15 that the Hankel series does not serve
+    near = np.linspace(5e-4, 20.0, 40000)
+    for nu in (0.0, 1.0, 1.5, -1.3, 7.3, 40.0, -30.3):
+        j = bessel_j(nu, near)
+        for i in range(0, near.size, 4999):
+            assert bessel_j(nu, near[i]) == j[i]
+    for nu in (7.3, 40.0, -30.3):
+        far = np.setdiff1d(xs, _served(nu, xs))
+        assert far.size >= 4000
+        j = bessel_j(nu, far)
+        for i in np.linspace(0, far.size - 1, 9).astype(int):
+            assert bessel_j(nu, far[i]) == j[i]
 
 
 # orders across |q| <= 50: near and at half-integers, negative ones
@@ -212,50 +227,39 @@ def test_every_x_past_the_series_takes_the_hankel_series_at_low_order(monkeypatc
     assert np.all(np.isfinite(bessel_j(nu, xs)))
 
 
-@pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 1.5, 7.0, 15.5, 33.0, 49.5, 50.0, -1.3, -1.9])
+@pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 1.5, 7.0, 15.5, 33.0, 49.5, 50.0, -1.3, -1.9,
+                                -0.7, -0.999, -1.5, -7.3, -20.5, -42.95, -49.9])
 def test_j_at_the_hankel_band_edges_against_mpmath(nu):
     # each band sums the term count of its lower edge, so the edge is its
-    # worst point; both sides of every edge, the series or Miller on each
+    # worst point; both sides of every edge, the Hankel series or Miller on
+    # each, and of J's other switches: the ascending series to Miller at
+    # 2 sqrt(|nu| + 1), Miller's start to that of the next band at 15
     mp.mp.dps = 30
-    xs = np.array([e * f for e in _HANKEL_EDGES for f in (1.0 - 1e-9, 1.0 + 1e-9)])
+    edges = (2.0 * math.sqrt(abs(nu) + 1.0),) + _HANKEL_EDGES
+    xs = np.array([e * f for e in edges for f in (1.0 - 1e-9, 1.0 + 1e-9)])
     ref = np.array([float(mp.besselj(nu, mp.mpf(float(x)))) for x in xs])
     envelope = np.sqrt(2.0 / (math.pi * xs))
     err = np.abs(bessel_j(nu, xs) - ref) / np.maximum(np.abs(ref), envelope)
     assert err.max() <= 2e-13
 
 
-def _ascending_reading_every_term(q, z):
-    """The ascending series stopped by reading the largest |term| and
-    |acc| after every term: the rule the scalar stop must reproduce."""
-    ld = np.longdouble
-    term = np.ones_like(z)
-    acc = term.copy()
-    for k in range(200):
-        term = term * z / ((ld(k) + 1) * (ld(q) + (k + 1)))
-        acc += term
-        if float(np.abs(term).max()) < 1e-26 * max(float(np.abs(acc).max()), 1e-280):
-            break
-    return acc
+def test_j_at_the_lower_edge_of_every_miller_band_is_finite():
+    # Miller's recurrence starts at 1e-290 with no rescale: its values stay
+    # inside the double range at every order, also at a band's lower edge,
+    # where its fixed start lies furthest above x
+    for nu in np.arange(-50.0, 50.5, 0.5):
+        counts = _hankel_table(nu)[1]
+        edges = [2.0 * math.sqrt(abs(nu) + 1.0)] + [e for e, n in zip(_HANKEL_EDGES, counts) if not n]
+        xs = np.array([e * f for e in edges for f in (1.0 - 1e-9, 1.0 + 1e-9)])
+        assert np.all(np.isfinite(bessel_j(nu, xs))), nu
 
 
-# an oracle-shaped batch: 384 rows of 120 k-nodes, all on the series
-_SERIES_ROWS = np.linspace(1e-3, 15.0, 384 * 120).reshape(384, 120)
-
-
-@pytest.mark.parametrize("nu", [0.0, 1.0, 1.5, 0.3])
-def test_ascending_series_reads_the_arrays_a_few_times_per_batch(monkeypatch, nu):
-    # the stop carries the largest term as a scalar; a reduction per term
-    # would make 2 calls per term, about 80 here
-    calls = []
-    real = besselj._max_abs
-    monkeypatch.setattr(besselj, "_max_abs", lambda x: calls.append(1) or real(x))
-    bessel_j(nu, _SERIES_ROWS)
-    assert 0 < len(calls) <= 4
-
-
-@pytest.mark.parametrize("q", [0.0, 1.5, 7.3, 40.0, -0.7, -2.5, -30.6, -49.9])
-def test_ascending_series_stops_where_a_reading_per_term_would(q):
-    rng = np.random.default_rng(11)
-    for x in (_SERIES_ROWS.ravel()[::7], 10 ** rng.uniform(-3.0, 1.17, 300), np.array([14.2])):
-        z = -0.25 * x.astype(np.longdouble) ** 2
-        assert np.array_equal(besselj._ascending(q, z), _ascending_reading_every_term(q, z))
+def test_j_reads_no_long_double(monkeypatch):
+    # where numpy's longdouble is the 64-bit double (MSVC, macOS arm64), J
+    # gives the same bits: no route of J runs in long double
+    xs = np.linspace(0.01, 20.0, 4002)[1:]
+    orders = (0.0, 1.0, 1.5, -1.3)
+    refs = [bessel_j(nu, xs) for nu in orders]
+    monkeypatch.setattr(besselj, "_LD", np.float64)
+    for nu, ref in zip(orders, refs):
+        assert np.array_equal(bessel_j(nu, xs), ref), nu
