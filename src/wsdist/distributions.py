@@ -22,7 +22,10 @@ two rows integrate the remainder on either side of s = 1.  When s = 1
 lies outside the support or within `pole_guard` of its ends, where g
 vanishes with every derivative, both are ordinary quadratures over the
 support.  The
-quadratures see g only as a callable and that interval.
+quadratures see g only as a callable and that interval.  The remainder
+reads h only at the nodes where g is nonzero (and the densities of
+weber_schafheitlin evaluate each distinct node once), so a density that
+is not finite where g vanishes does not reach the pairing.
 
 Test functions are the classical mollifier bumps
 amplitude * exp(-1/(1 - t^2)), t = (s - center)/halfwidth: compactly
@@ -148,9 +151,17 @@ def _pair_weighted(dist, weight, support, tol):
         return s**alpha / (1.0 / s - s) * weight(s)
 
     def remainder(s):
+        # h only where the weight is nonzero: elsewhere the product is 0
+        # whatever h is, and tanh-sinh puts many nodes where the bump has
+        # underflowed to 0
         s = np.asarray(s, dtype=float)
-        inner = np.power(s, -alpha) * dist.h(s) + _q_alpha(alpha, s)
-        return -(s ** (alpha + 1.0)) / (s + 1.0) * inner * weight(s)
+        g = weight(s)
+        live = g != 0.0
+        h_live = np.asarray(dist.h(s[live]))
+        h = np.zeros(s.shape, dtype=h_live.dtype)
+        h[live] = h_live
+        inner = np.power(s, -alpha) * h + _q_alpha(alpha, s)
+        return -(s ** (alpha + 1.0)) / (s + 1.0) * inner * g
 
     # a non-finite integrand is reported once, as the DomainError below
     with np.errstate(over="ignore", invalid="ignore"):

@@ -27,32 +27,40 @@ in the non-degenerate connection formulas (the usual near-degeneracy of
 the 1-z / 1/z transforms); the parameter families this package feeds in
 are exactly integral there and take the logarithmic forms.
 
-Per-parameter operands: everything in the two logarithmic series that
-does not depend on the argument comes from pure functions under
-functools.lru_cache.  A header, keyed on (a, b, m) for the 1-z series
-and (a, c, ell) for the 1/z series, holds the Gamma constants in front
-and the first term; the _LOG_SETS most recently used are kept.  A row,
-keyed on the same parameters and the term index k, holds the digamma
-values and term-ratio factors of term k in an array('d'), which keeps
-them compact (one buffer, not a tuple of float objects).  _LOG_ROWS rows
-are kept, at least the 500 terms one series can reach, so a series never
-evicts its own rows.  A row is computed only when some series reaches
-its term, so a term's digamma raises exactly where the per-point loop
-would (and at no term it never reaches).  A row is a pure function of
-its key, so no lock is needed: two threads that miss together compute
-the same bits.  Bit-identity rule: every output equals the per-point
-loop's to the last bit.  The loops keep their left-to-right expressions
-(`logw - d1 - d2 + d3 + d4`, `term * num / den * w`) and only their
-operands come from the cache: folding the four digammas into one sum,
-num/den into one ratio, or stepping psi by psi(x+1) = psi(x) + 1/x
-would each move last bits.
+Per-parameter operands: everything in a series that does not depend on
+the argument is kept per parameter set, for the _SETS sets most recently
+used of each kind (functools.lru_cache on the set).  The Maclaurin
+series keeps the real factors (a+k)(b+k) and (c+k)(k+1) of its term
+ratios; the logarithmic series keep a header, keyed on (a, b, m) for the
+1-z series and (a, c, ell) for the 1/z series, with the Gamma constants
+in front and the first term, and rows of digamma values and term-ratio
+factors; the non-degenerate connection formulas keep their Gamma
+products.  A series reads its rows from a _Terms table that grows by one
+row each time a series reaches past its end, so a row is computed only
+when some series reaches its term: a term's digamma raises exactly where
+the per-point loop would (and at no term it never reaches), and a set's
+table holds at most the 500 terms one series can reach.  A table is
+extended by publishing a longer tuple in one assignment, never by
+appending to the published one, so a thread reads a prefix of the rows
+with every row in place; rows are pure functions of the set and k, so
+two threads that extend a table together compute the same bits.
+Bit-identity rule: every output equals the per-point loop's to the last
+bit.  The loops keep their left-to-right expressions (`logw - d1 - d2 +
+d3 + d4`, `term * num / den * w`) and only their operands come from the
+tables: folding the four digammas into one sum, num/den into one ratio,
+or stepping psi by psi(x+1) = psi(x) + 1/x would each move last bits.
+The Gamma products are cached only as the leading factors the
+expressions already multiply first; t2 of the 1-z formula starts with
+exp(m log w), so it reads its Gamma values one by one.  The stop tests
+bound |acc| below by 1e-280 with a conditional expression, which keeps
+max()'s NaN behaviour.
 """
 
 import cmath
 import functools
 import math
-from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 from ..errors import CutError, DomainError, ParamError
 from .gammafn import digamma, gamma
@@ -60,9 +68,8 @@ from .gammafn import digamma, gamma
 _SERIES_RADIUS = 0.75
 _BOUNDARY_SPLIT = 1.6
 _INT_SNAP = 1e-10
-_MACLAURIN_TERMS = 500
-_LOG_SETS = 8  # parameter sets whose log-series headers stay cached
-_LOG_ROWS = 512  # log-series rows kept: at least the 500 terms one series can reach
+_SERIES_TERMS = 500  # the most terms a Maclaurin or logarithmic series sums
+_SETS = 8  # parameter sets whose operands stay cached, per kind of series
 
 
 @dataclass(frozen=True)
@@ -122,61 +129,102 @@ def _polynomial(a, b, c, z):
     return acc
 
 
+class _Terms:
+    """The argument-free operands of one series at one parameter set:
+    iterating yields row k = make(k) for k = 0, 1, ... up to
+    _SERIES_TERMS, the stored rows first.  A row past the stored ones is
+    made when an iteration reaches it and published with the rows before
+    it as one new tuple, in one assignment."""
+
+    __slots__ = ("rows", "make")
+
+    def __init__(self, make):
+        self.rows = ()
+        self.make = make
+
+    def __iter__(self):
+        rows = self.rows
+        return chain(rows, self._grow(rows))
+
+    def _grow(self, rows):
+        for k in range(len(rows), _SERIES_TERMS):
+            rows = rows + (self.make(k),)
+            self.rows = rows
+            yield rows[k]
+
+
+@functools.lru_cache(maxsize=_SETS)
+def _maclaurin_terms(a, b, c):
+    """Row k of the Maclaurin series at (a, b, c): (a+k)(b+k), (c+k)(k+1)."""
+    return _Terms(lambda k: ((a + k) * (b + k), (c + k) * (k + 1.0)))
+
+
 def _maclaurin(a, b, c, z):
     term = 1.0 + 0.0j
     acc = 1.0 + 0.0j
-    for k in range(_MACLAURIN_TERMS):
-        term = term * ((a + k) * (b + k)) / ((c + k) * (k + 1.0)) * z
+    for num, den in _maclaurin_terms(a, b, c):
+        term = term * num / den * z
         acc += term
-        if abs(term) < 1e-18 * max(abs(acc), 1e-280):
+        r = abs(acc)
+        if abs(term) < 1e-18 * (1e-280 if r < 1e-280 else r):
             return acc
     raise ValueError(f"2F1 series stalled at z={z}")
 
 
+@functools.lru_cache(maxsize=_SETS)
+def _one_minus_z_gammas(a, b, c):
+    """Gamma operands of the non-degenerate 1-z connection at (a, b, c),
+    m = c-a-b: t1's prefix Gamma(c) Gamma(m) / (Gamma(c-a) Gamma(c-b)),
+    and t2's Gamma(c), Gamma(-m), 1/Gamma(a), 1/Gamma(b)."""
+    m = c - a - b
+    return (
+        gamma(c) * gamma(m) * _rgamma(c - a) * _rgamma(c - b),
+        gamma(c),
+        gamma(-m),
+        _rgamma(a),
+        _rgamma(b),
+    )
+
+
 def _one_minus_z_nondegenerate(a, b, c, w, logw):
     m = c - a - b
-    t1 = (
-        gamma(c)
-        * gamma(m)
-        * _rgamma(c - a)
-        * _rgamma(c - b)
-        * _maclaurin(a, b, 1.0 - m, w)
-    )
+    pre1, gc, g_neg_m, rga, rgb = _one_minus_z_gammas(a, b, c)
+    t1 = pre1 * _maclaurin(a, b, 1.0 - m, w)
     t2 = (
         cmath.exp(m * logw)
-        * gamma(c)
-        * gamma(-m)
-        * _rgamma(a)
-        * _rgamma(b)
+        * gc
+        * g_neg_m
+        * rga
+        * rgb
         * _maclaurin(c - a, c - b, 1.0 + m, w)
     )
     return t1 + t2
 
 
-@functools.lru_cache(maxsize=_LOG_SETS)
-def _one_minus_z_head(a, b, m):
-    """Header of the degenerate 1-z series at (a, b, m): coef (m > 0),
-    pref and the first term."""
+@functools.lru_cache(maxsize=_SETS)
+def _one_minus_z_set(a, b, m):
+    """Operands of the degenerate 1-z series at (a, b, m): coef (m > 0),
+    pref, the first term and the _Terms whose row k holds psi(k+1),
+    psi(k+m+1), psi(a+m+k), psi(b+m+k), (a+m+k)(b+m+k), (k+1)(k+m+1)."""
     gc = gamma(a + b + m)
     coef = gc * _rgamma(a + m) * _rgamma(b + m) if m > 0 else None
     sign = -1.0 if m % 2 == 0 else 1.0  # (-1)^(m+1)
-    return coef, sign * gc * _rgamma(a) * _rgamma(b), (1.0 + 0.0j) / math.factorial(m)
 
-
-@functools.lru_cache(maxsize=_LOG_ROWS)
-def _one_minus_z_row(a, b, m, k):
-    """Term k of the degenerate 1-z series at (a, b, m): psi(k+1),
-    psi(k+m+1), psi(a+m+k), psi(b+m+k), (a+m+k)(b+m+k), (k+1)(k+m+1)."""
-    return array(
-        "d",
-        (
+    def row(k):
+        return (
             digamma(k + 1.0),
             digamma(k + m + 1.0),
             digamma(a + m + k),
             digamma(b + m + k),
             (a + m + k) * (b + m + k),
             (k + 1.0) * (k + m + 1.0),
-        ),
+        )
+
+    return (
+        coef,
+        sign * gc * _rgamma(a) * _rgamma(b),
+        (1.0 + 0.0j) / math.factorial(m),
+        _Terms(row),
     )
 
 
@@ -189,7 +237,7 @@ def _one_minus_z_log_parts(a, b, m, w, logw):
     logarithmic series including all its prefactors.  Returned as the
     pair (FIN, TAIL) so callers can form F - F(1) without cancellation.
     """
-    coef, pref, term0 = _one_minus_z_head(a, b, m)
+    coef, pref, term0, terms = _one_minus_z_set(a, b, m)
     fin = 0.0 + 0.0j
     if m > 0:
         term = 1.0 + 0.0j
@@ -202,11 +250,11 @@ def _one_minus_z_log_parts(a, b, m, w, logw):
 
     term = term0
     acc = 0.0 + 0.0j
-    for k in range(500):
-        psi_k, psi_km, psi_a, psi_b, num, den = _one_minus_z_row(a, b, m, k)
+    for k, (psi_k, psi_km, psi_a, psi_b, num, den) in enumerate(terms):
         bracket = logw - psi_k - psi_km + psi_a + psi_b
         acc += term * bracket
-        if abs(term) * (abs(bracket) + k + 10.0) < 1e-18 * max(abs(acc), 1e-280):
+        r = abs(acc)
+        if abs(term) * (abs(bracket) + k + 10.0) < 1e-18 * (1e-280 if r < 1e-280 else r):
             break
         term = term * num / den * w
     return fin, pref * acc
@@ -229,50 +277,37 @@ def _one_minus_z(a, b, c, z, logw=None):
     return _one_minus_z_nondegenerate(a, b, c, w, logw)
 
 
+@functools.lru_cache(maxsize=_SETS)
+def _inv_z_gammas(a, b, c):
+    """The Gamma prefixes of the two terms of the non-degenerate 1/z
+    connection at (a, b, c), ell = b-a: Gamma(c) Gamma(ell) / (Gamma(b)
+    Gamma(c-a)) and Gamma(c) Gamma(-ell) / (Gamma(a) Gamma(c-b))."""
+    ell = b - a
+    return (
+        gamma(c) * gamma(ell) * _rgamma(b) * _rgamma(c - a),
+        gamma(c) * gamma(-ell) * _rgamma(a) * _rgamma(c - b),
+    )
+
+
 def _inv_z_nondegenerate(a, b, c, t, lognegz):
     ell = b - a
-    t1 = (
-        gamma(c)
-        * gamma(ell)
-        * _rgamma(b)
-        * _rgamma(c - a)
-        * cmath.exp(-a * lognegz)
-        * _maclaurin(a, a - c + 1.0, 1.0 - ell, t)
-    )
-    t2 = (
-        gamma(c)
-        * gamma(-ell)
-        * _rgamma(a)
-        * _rgamma(c - b)
-        * cmath.exp(-b * lognegz)
-        * _maclaurin(b, b - c + 1.0, 1.0 + ell, t)
-    )
+    pre1, pre2 = _inv_z_gammas(a, b, c)
+    t1 = pre1 * cmath.exp(-a * lognegz) * _maclaurin(a, a - c + 1.0, 1.0 - ell, t)
+    t2 = pre2 * cmath.exp(-b * lognegz) * _maclaurin(b, b - c + 1.0, 1.0 + ell, t)
     return t1 + t2
 
 
-@functools.lru_cache(maxsize=_LOG_SETS)
-def _inv_z_head(a, c, ell):
-    """Header of the degenerate 1/z series at (a, c, ell): 1/Gamma(c-a-k)
-    for k < ell, Gamma(a+ell) (ell > 0), Gamma(a), Gamma(c) and the first
-    term."""
-    return (
-        tuple(_rgamma(c - a - k) for k in range(ell)),
-        gamma(a + ell) if ell > 0 else None,
-        gamma(a),
-        gamma(c),
-        (1.0 + 0.0j) / math.factorial(ell),
-    )
+@functools.lru_cache(maxsize=_SETS)
+def _inv_z_set(a, c, ell):
+    """Operands of the degenerate 1/z series at (a, c, ell): 1/Gamma(c-a-k)
+    for k < ell, Gamma(a+ell) (ell > 0), Gamma(a), Gamma(c), the first
+    term and the _Terms whose row k holds psi(k+1), psi(k+ell+1),
+    psi(a+k+ell), 1/Gamma(q) and psi(q)/Gamma(q) at q = c-a-ell-k,
+    a+ell+k and (k+1)(k+ell+1)."""
 
-
-@functools.lru_cache(maxsize=_LOG_ROWS)
-def _inv_z_row(a, c, ell, k):
-    """Term k of the degenerate 1/z series at (a, c, ell): psi(k+1),
-    psi(k+ell+1), psi(a+k+ell), 1/Gamma(q) and psi(q)/Gamma(q) at
-    q = c-a-ell-k, a+ell+k and (k+1)(k+ell+1)."""
-    q = c - a - ell - k
-    return array(
-        "d",
-        (
+    def row(k):
+        q = c - a - ell - k
+        return (
             digamma(k + 1.0),
             digamma(k + ell + 1.0),
             digamma(a + k + ell),
@@ -280,7 +315,15 @@ def _inv_z_row(a, c, ell, k):
             _psi_over_gamma(q),
             a + ell + k,
             (k + 1.0) * (k + ell + 1.0),
-        ),
+        )
+
+    return (
+        tuple(_rgamma(c - a - k) for k in range(ell)),
+        gamma(a + ell) if ell > 0 else None,
+        gamma(a),
+        gamma(c),
+        (1.0 + 0.0j) / math.factorial(ell),
+        _Terms(row),
     )
 
 
@@ -288,7 +331,7 @@ def _inv_z_log(a, c, ell, t, lognegz):
     """Degenerate 1/z connection for F(a, a+ell; c; z), integer ell >= 0;
     t = 1/z.  Poles of psi(c-a-ell-k) are cancelled by 1/Gamma via the
     finite psi/Gamma limit."""
-    fin_rgamma, gamma_a_ell, gamma_a, gamma_c, term0 = _inv_z_head(a, c, ell)
+    fin_rgamma, gamma_a_ell, gamma_a, gamma_c, term0, terms = _inv_z_set(a, c, ell)
     out = 0.0 + 0.0j
     if ell > 0:
         acc = 0.0 + 0.0j
@@ -300,12 +343,12 @@ def _inv_z_log(a, c, ell, t, lognegz):
         out += acc / gamma_a_ell
     acc = 0.0 + 0.0j
     term = term0
-    for k in range(500):
-        row = _inv_z_row(a, c, ell, k)
+    for k, row in enumerate(terms):
         psi_k, psi_kl, psi_a, rgamma_q, psi_over_gamma_q, num, den = row
         bracket = (lognegz + psi_k + psi_kl - psi_a) * rgamma_q - psi_over_gamma_q
         acc += term * bracket
-        if abs(term) * (abs(bracket) + k + 10.0) < 1e-18 * max(abs(acc), 1e-280):
+        r = abs(acc)
+        if abs(term) * (abs(bracket) + k + 10.0) < 1e-18 * (1e-280 if r < 1e-280 else r):
             break
         term = term * num / den * (-t)
     out += acc * (t**ell) / gamma_a

@@ -322,7 +322,10 @@ def _pointwise(kernel, mu, nu, dtype):
     """The array functions s -> F(s) and s -> h(s) of one scalar kernel
     s -> (F, h): arrays of the shape of s (the kernel's scalar for a
     scalar).  The kernels stay scalar: numpy does not reproduce the
-    last bits of their math/cmath calls.
+    last bits of their math/cmath calls.  Within one call the kernel
+    runs once per distinct point: the nodes of a quadrature repeat (a
+    tanh-sinh node next to s = 1 rounds onto 1 itself), and a pairing
+    asks only for the points where its test function is nonzero.
 
     The two functions share a one-slot memo of the last array's (F, h)
     pairs, keyed on its shape and bytes, so F(grid) then h(grid) runs
@@ -346,7 +349,11 @@ def _pointwise(kernel, mu, nu, dtype):
             if memo[0] == key:
                 pairs = memo[1]
             else:
-                pairs = [_kernel_at(kernel, mu, nu, x) for x in s.ravel().tolist()]
+                xs = s.ravel().tolist()
+                values = dict.fromkeys(xs)  # the distinct points, in first-seen order
+                for x in values:
+                    values[x] = _kernel_at(kernel, mu, nu, x)
+                pairs = [values[x] for x in xs]
                 last = (key, pairs)
             return np.array([p[i] for p in pairs], dtype=dtype).reshape(s.shape)
 

@@ -179,7 +179,50 @@ def test_branch_point_validation():
         BranchPoint(0.8)
 
 
-# --- the tabled log series against the per-term digamma loops ---------------
+# --- the tabled series against the per-term loops ---------------------------
+
+
+def _reference_maclaurin(a, b, c, z):
+    """The Maclaurin series as it was before its term factors were
+    tabled: (a+k)(b+k) and (c+k)(k+1) formed per term."""
+    term = 1.0 + 0.0j
+    acc = 1.0 + 0.0j
+    for k in range(500):
+        term = term * ((a + k) * (b + k)) / ((c + k) * (k + 1.0)) * z
+        acc += term
+        if abs(term) < 1e-18 * max(abs(acc), 1e-280):
+            return acc
+    raise ValueError(f"2F1 series stalled at z={z}")
+
+
+def _reference_one_minus_z_nondegenerate(a, b, c, w, logw):
+    """The non-degenerate 1-z connection with its Gamma factors formed
+    per point."""
+    m = c - a - b
+    t1 = (
+        gamma(c) * gamma(m) * hyp._rgamma(c - a) * hyp._rgamma(c - b)
+        * hyp._maclaurin(a, b, 1.0 - m, w)
+    )
+    t2 = (
+        cmath.exp(m * logw) * gamma(c) * gamma(-m) * hyp._rgamma(a) * hyp._rgamma(b)
+        * hyp._maclaurin(c - a, c - b, 1.0 + m, w)
+    )
+    return t1 + t2
+
+
+def _reference_inv_z_nondegenerate(a, b, c, t, lognegz):
+    """The non-degenerate 1/z connection with its Gamma factors formed
+    per point."""
+    ell = b - a
+    t1 = (
+        gamma(c) * gamma(ell) * hyp._rgamma(b) * hyp._rgamma(c - a)
+        * cmath.exp(-a * lognegz) * hyp._maclaurin(a, a - c + 1.0, 1.0 - ell, t)
+    )
+    t2 = (
+        gamma(c) * gamma(-ell) * hyp._rgamma(a) * hyp._rgamma(c - b)
+        * cmath.exp(-b * lognegz) * hyp._maclaurin(b, b - c + 1.0, 1.0 + ell, t)
+    )
+    return t1 + t2
 
 
 def _reference_one_minus_z_log_parts(a, b, m, w, logw):
@@ -245,7 +288,8 @@ def _reference_inv_z_log(a, c, ell, t, lognegz):
 
 
 def _clear_tables():
-    for cached in (hyp._one_minus_z_head, hyp._one_minus_z_row, hyp._inv_z_head, hyp._inv_z_row):
+    for cached in (hyp._maclaurin_terms, hyp._one_minus_z_set, hyp._inv_z_set,
+                   hyp._one_minus_z_gammas, hyp._inv_z_gammas):
         cached.cache_clear()
     ws._gamma_prefactor.cache_clear()
 
@@ -271,6 +315,17 @@ ONE_MINUS_Z_SETS, INV_Z_SETS = _degenerate_sets()
 # negative w and real t take the from-below logarithm of the cut.
 W_POINTS = [0.05, -0.1 + 0.02j, -0.3, 0.4 - 0.2j, -0.7 + 0.1j, -0.74]
 T_POINTS = [0.02, -0.1 + 0.05j, 0.3, 0.2 - 0.5j, 0.74]
+# Maclaurin arguments, the last reaching farthest; then one at |z| = 0.999,
+# where 500 terms do not reach the stop, and a NaN, which never stops
+Z_SERIES = [0.05, -0.3 + 0.2j, 0.6 - 0.4j, -0.7 - 0.1j, 0.74]
+Z_STALLED = [0.999 + 0.0j, complex(math.nan, 0.0)]
+
+
+def _maclaurin_or_error(series, a, b, c, z):
+    try:
+        return series(a, b, c, z)
+    except ValueError as exc:
+        return str(exc)
 
 
 def _log_of(v):
@@ -282,6 +337,48 @@ def _log_of(v):
 def test_degenerate_sets_cover_integer_mu():
     assert any(m == 1 for _, _, m in ONE_MINUS_Z_SETS)
     assert {1, 2} <= {ell for _, _, ell in INV_Z_SETS}
+
+
+@pytest.mark.parametrize("abc", PARAM_SETS)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_maclaurin_bit_identical(abc, warm):
+    a, b, c = abc
+    for z in Z_SERIES + Z_STALLED:
+        _clear_tables()
+        if warm:  # a farther point grows the table past what z needs
+            hyp._maclaurin(a, b, c, complex(Z_SERIES[-1]))
+        got = _maclaurin_or_error(hyp._maclaurin, a, b, c, complex(z))
+        ref = _maclaurin_or_error(_reference_maclaurin, a, b, c, complex(z))
+        assert isinstance(got, complex) == (z not in Z_STALLED), f"z={z}"
+        assert got == ref, f"z={z}"
+
+
+def test_maclaurin_after_a_stall_reads_a_full_table():
+    _clear_tables()
+    a, b, c = PARAM_SETS[0]
+    for z in Z_STALLED:
+        with pytest.raises(ValueError, match="stalled"):
+            hyp._maclaurin(a, b, c, z)
+    assert len(hyp._maclaurin_terms(a, b, c).rows) == hyp._SERIES_TERMS
+    for z in Z_SERIES:
+        assert hyp._maclaurin(a, b, c, complex(z)) == _reference_maclaurin(a, b, c, complex(z))
+
+
+@pytest.mark.parametrize("abc", PARAM_SETS[:4])
+def test_nondegenerate_connections_bit_identical(abc):
+    """The cached Gamma prefixes multiply in the per-point order."""
+    a, b, c = abc
+    assert not hyp._near_int(c - a - b) and not hyp._near_int(b - a)
+    for w in W_POINTS:
+        _clear_tables()
+        got = hyp._one_minus_z_nondegenerate(a, b, c, complex(w), _log_of(w))
+        ref = _reference_one_minus_z_nondegenerate(a, b, c, complex(w), _log_of(w))
+        assert got == ref, f"w={w}"
+    for t in T_POINTS:
+        _clear_tables()
+        got = hyp._inv_z_nondegenerate(a, b, c, complex(t), _log_of(-1.0 / t))
+        ref = _reference_inv_z_nondegenerate(a, b, c, complex(t), _log_of(-1.0 / t))
+        assert got == ref, f"t={t}"
 
 
 @pytest.mark.parametrize("abm", ONE_MINUS_Z_SETS)
@@ -314,17 +411,30 @@ def test_inv_z_log_bit_identical(acl, warm):
 
 def test_tables_grow_only_as_far_as_a_series_reaches():
     _clear_tables()
+    table = hyp._one_minus_z_set(0.5, 0.5, 1)[-1]
     hyp._one_minus_z_log_parts(0.5, 0.5, 1, 0.05 + 0j, cmath.log(0.05))
-    near = hyp._one_minus_z_row.cache_info().currsize
+    near = len(table.rows)
     hyp._one_minus_z_log_parts(0.5, 0.5, 1, 0.7 + 0j, cmath.log(0.7))
-    far = hyp._one_minus_z_row.cache_info().currsize
+    far = len(table.rows)
+    assert 0 < near < far < 500
+    table = hyp._maclaurin_terms(0.5, 0.5, 2.0)
+    hyp._maclaurin(0.5, 0.5, 2.0, 0.05 + 0j)
+    near = len(table.rows)
+    hyp._maclaurin(0.5, 0.5, 2.0, 0.7 + 0j)
+    far = len(table.rows)
     assert 0 < near < far < 500
 
 
 def test_log_series_from_threads_bit_identical():
-    """Threads that miss the cleared caches together still compute the
-    reference loops' bits: a row is a pure function of its key."""
+    """Threads that grow the cleared tables together still compute the
+    reference loops' bits: a row is a pure function of its set and
+    index, and a table is replaced, never appended to."""
     calls = [
+        (series, (*abc, complex(z)))
+        for abc in PARAM_SETS
+        for z in Z_SERIES[::-1]
+        for series in (hyp._maclaurin, _reference_maclaurin)
+    ] + [
         (series, (*key, complex(w), _log_of(w)))
         for key in ONE_MINUS_Z_SETS
         for w in W_POINTS[::-1]
