@@ -22,6 +22,8 @@ records:
 * series_terms: the terms the 2F1 series add to their sums, counted as
   the executions of the lines of specfun/hyp.py that begin with
   `acc += term`, by a line tracer in a run of its own;
+  float_series_terms: those added to a float sum (`acc` a float, where
+  a series runs in float on a real argument), the rest to a complex one;
 * wall_s: the best of three untraced runs, each on a fresh import;
 * stdout_sha256 and matches_golden: the case's output and whether it is
   the golden's byte for byte.
@@ -33,7 +35,9 @@ None but wall_s depends on the machine.
 prints the measurement of the package under DIR/src as one JSON object.
 CI runs it on the checkout itself (`--tree .`): a rename of a name it
 wraps fails there, and so does a case that reaches no density kernel or
-no series term.
+no series term, or, on this checkout, sums no series term in float: the
+densities' arguments are real, so such a case has fallen back to complex
+arithmetic.
 """
 
 import argparse
@@ -106,19 +110,20 @@ def _counted(argv):
 
 
 def _series_terms(argv):
-    """The `acc += term` lines of specfun/hyp.py executed in one run of argv."""
+    """The `acc += term` lines of specfun/hyp.py executed in one run of
+    argv: all of them, and those where `acc` is a float."""
     cli, _, _, hyp = _fresh()
     path = hyp.__file__
     lines = {
         i for i, text in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1)
         if text.strip().startswith("acc += term")
     }
-    terms = 0
+    terms = {"series_terms": 0, "float_series_terms": 0}
 
     def local(frame, event, arg):
-        nonlocal terms
         if event == "line" and frame.f_lineno in lines:
-            terms += 1
+            terms["series_terms"] += 1
+            terms["float_series_terms"] += type(frame.f_locals["acc"]) is float
         return local
 
     sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == path else None)
@@ -142,18 +147,21 @@ def _wall(argv):
 def measure(tree):
     """Every pair-golden case on the package under tree/src."""
     sys.path.insert(0, str(Path(tree) / "src"))
+    this_checkout = Path(tree).resolve() == ROOT
     cases = []
     for golden in json.loads(GOLDEN.read_text(encoding="utf-8")):
         argv = golden["argv"]
         wall, code, out = _wall(argv)
         row = {"argv": argv, "exit_code": code, **_counted(argv),
-               "series_terms": _series_terms(argv), "wall_s": round(wall, 5),
+               **_series_terms(argv), "wall_s": round(wall, 5),
                "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
                "matches_golden": out == golden["stdout"]}
         if not row["kernel_evaluations"]:
             sys.exit(f"{' '.join(argv)}: no weber_schafheitlin._kernel_at call")
         if not row["series_terms"]:
             sys.exit(f"{' '.join(argv)}: no `acc += term` line of specfun/hyp.py ran")
+        if this_checkout and not row["float_series_terms"]:
+            sys.exit(f"{' '.join(argv)}: no 2F1 series term was summed in float")
         cases.append(row)
     return cases
 
@@ -177,7 +185,7 @@ def main():
     if not (args.parent and args.output):
         parser.error("give --tree, or --parent and --output")
     parent, change = run_tree(Path(args.parent).resolve()), run_tree(ROOT)
-    keys = (*COUNTS, "series_terms", "wall_s")
+    keys = (*COUNTS, "series_terms", "float_series_terms", "wall_s")
     summary = [
         {"case": " ".join(p["argv"][1:]),
          **{k: [p[k], c[k]] for k in keys},

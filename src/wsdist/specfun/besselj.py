@@ -133,21 +133,34 @@ def _hankel_band(mag):
     return np.minimum(band.astype(np.intp), len(_HANKEL_EDGES) - 1)
 
 
+def _hankel_sums(orders, w):
+    """_hankel_sum at each q of orders, with 1/w and the band of each |w|
+    formed once for all of them (the band only if some q needs it)."""
+    inv = 1.0 / w
+    bands = None
+    sums = []
+    for q in orders:
+        a, counts = _hankel_table(q)
+        if counts.min() == len(a):  # a terminating list, summed whole
+            sums.append(_poly(a, inv))
+            continue
+        if bands is None:
+            bands = _hankel_band(np.abs(w))
+        n = counts[bands]
+        out = np.empty_like(inv)
+        for m in np.flatnonzero(np.bincount(n)):
+            band = n == m
+            out[band] = _poly(a[:m], inv[band])
+        sums.append(out)
+    return sums
+
+
 def _hankel_sum(q, w):
     """sum_k a_k(q) w^-k over the first n terms, n the count of the band
     of |w| (_hankel_table), by Horner's rule in 1/w: a fixed-length sum
     fixed by the point alone.  Every |w| lies in a band served at order
     q, or every band sums the whole list, which holds at any w."""
-    a, counts = _hankel_table(q)
-    inv = 1.0 / w
-    if counts.min() == len(a):  # a terminating list, summed whole
-        return _poly(a, inv)
-    n = counts[_hankel_band(np.abs(w))]
-    out = np.empty_like(inv)
-    for m in np.flatnonzero(np.bincount(n)):
-        band = n == m
-        out[band] = _poly(a[:m], inv[band])
-    return out
+    return _hankel_sums((q,), w)[0]
 
 
 def _jy_asymptotic(nu, x):

@@ -44,7 +44,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from .besselj import _as_array, _hankel_sum, _poly, _recur_up
+from .besselj import _as_array, _hankel_sums, _poly, _recur_up
 
 # Temme's series on |w| + Re w <= 4: its terms fall like 4^i/(i!)^2, and
 # the first one left out after 16 is below 1e-17 of the sum everywhere
@@ -220,15 +220,16 @@ def _k_pair_horner(mu0, w, need=(0, 1)):
     |mu0| = 1/2), by the asymptotic K_q(w) ~ sqrt(pi/2w) e^-w sum a_k/w^k
     at the number of terms of the band of |w| (besselj._hankel_sum),
     summed by Horner's rule in 1/w: a point's value is its own, and no
-    step tests convergence.  At half-integer order the series terminates,
-    so it is summed whole at every |w|: the closed form."""
+    step tests convergence.  The members of a block share its 1/w, its
+    prefactor and the band of each |w|.  At half-integer order the series
+    terminates, so it is summed whole at every |w|: the closed form."""
     out = tuple(np.empty(w.shape, dtype=complex) for _ in need)
     for start in range(0, w.size, _K_BLOCK):
         block = slice(start, start + _K_BLOCK)
         wb = w[block]
         pref = np.sqrt(0.5 * math.pi / wb) * np.exp(-wb)
-        for j, res in zip(need, out):
-            res[block] = pref * _hankel_sum(mu0 + j, wb)
+        for res, s in zip(out, _hankel_sums([mu0 + j for j in need], wb)):
+            res[block] = pref * s
     return out
 
 

@@ -35,8 +35,11 @@ ratios; the logarithmic series keep a header, keyed on (a, b, m) for the
 1-z series and (a, c, ell) for the 1/z series, with the Gamma constants
 in front and the first term, and rows of digamma values and term-ratio
 factors; the non-degenerate connection formulas keep their Gamma
-products.  A series reads its rows from a _Terms table that grows by one
-row each time a series reaches past its end, so a row is computed only
+products.  The digammas at integer arguments in those rows, psi(k+1),
+psi(k+m+1) and psi(k+ell+1), come from one table (_digamma_int) that
+every parameter set shares: the same function at the same float.  A
+series reads its rows from a _Terms table that grows by one row each
+time a series reaches past its end, so a row is computed only
 when some series reaches its term: a term's digamma raises exactly where
 the per-point loop would (and at no term it never reaches), and a set's
 table holds at most the 500 terms one series can reach.  A table is
@@ -54,6 +57,26 @@ expressions already multiply first; t2 of the 1-z formula starts with
 exp(m log w), so it reads its Gamma values one by one.  The stop tests
 bound |acc| below by 1e-280 with a conditional expression, which keeps
 max()'s NaN behaviour.
+
+A real argument (z, w = 1-z or t = 1/z with imaginary part +-0, which
+is all that the density kernels reach) runs the same recurrences
+in float: term, and acc and the bracket too where the logarithm is real
+as well.  The bits stay those of the complex loop because in CPython
+3.10-3.13 complex (x) float promotes the float to complex(f, 0.0) and
+multiplies or divides with _Py_c_prod/_Py_c_quot.  With one side's
+imaginary part +-0, each real part reduces exactly to the float
+operation (x*y - (+-0) is x*y; only an exactly zero product can differ,
+in its sign, and a zero term ends a series) and each imaginary part
+stays a signed zero; abs((x, +-0)) is hypot(x, 0) = |x| exactly (C99 F.9.4.3), so the
+stop tests see the same numbers.  The complex loop's acc starts at
++0.0j and +0.0 + (-0.0) is +0.0, so its imaginary part is +0.0 at the
+end, and the float path returns complex(acc), imaginary part +0.0.  Two
+things stay complex: t**ell (float ** calls C pow, which rounds
+differently from complex **'s repeated products) and abs(acc) wherever
+acc is complex (math.hypot has its own algorithm, not libm's).  Python
+3.14 multiplies a float into a complex without the promotion, as
+(f*re, f*im): the real parts are the same float operations, so only the
+sign of an exactly zero product could differ.  CI runs 3.10-3.12.
 """
 
 import cmath
@@ -153,6 +176,14 @@ class _Terms:
             yield rows[k]
 
 
+@functools.lru_cache(maxsize=None)
+def _digamma_int(n):
+    """digamma at the positive integer n, one table for every parameter
+    set: the rows of the logarithmic series read psi(k+1), psi(k+m+1)
+    and psi(k+ell+1) from it."""
+    return digamma(float(n))
+
+
 @functools.lru_cache(maxsize=_SETS)
 def _maclaurin_terms(a, b, c):
     """Row k of the Maclaurin series at (a, b, c): (a+k)(b+k), (c+k)(k+1)."""
@@ -160,14 +191,15 @@ def _maclaurin_terms(a, b, c):
 
 
 def _maclaurin(a, b, c, z):
-    term = 1.0 + 0.0j
-    acc = 1.0 + 0.0j
+    real = z.imag == 0.0  # a real z sums in float, to the same bits (Bit-identity rule)
+    x = z.real if real else z
+    term = acc = 1.0 if real else 1.0 + 0.0j
     for num, den in _maclaurin_terms(a, b, c):
-        term = term * num / den * z
+        term = term * num / den * x
         acc += term
         r = abs(acc)
         if abs(term) < 1e-18 * (1e-280 if r < 1e-280 else r):
-            return acc
+            return complex(acc)
     raise ValueError(f"2F1 series stalled at z={z}")
 
 
@@ -212,8 +244,8 @@ def _one_minus_z_set(a, b, m):
 
     def row(k):
         return (
-            digamma(k + 1.0),
-            digamma(k + m + 1.0),
+            _digamma_int(k + 1),
+            _digamma_int(k + m + 1),
             digamma(a + m + k),
             digamma(b + m + k),
             (a + m + k) * (b + m + k),
@@ -238,18 +270,26 @@ def _one_minus_z_log_parts(a, b, m, w, logw):
     pair (FIN, TAIL) so callers can form F - F(1) without cancellation.
     """
     coef, pref, term0, terms = _one_minus_z_set(a, b, m)
+    # a real w carries the terms in float, and with a real log the whole
+    # series, to the same bits (Bit-identity rule)
+    real = w.imag == 0.0
+    real_log = real and logw.imag == 0.0
+    if real:
+        w, term0 = w.real, term0.real
+    if real_log:
+        logw = logw.real
     fin = 0.0 + 0.0j
     if m > 0:
-        term = 1.0 + 0.0j
-        acc = 0.0 + 0.0j
+        term = 1.0 if real else 1.0 + 0.0j
+        acc = 0.0 if real else 0.0 + 0.0j
         for k in range(m):
             acc += term * math.factorial(m - k - 1)
             if k < m - 1:
                 term = term * ((a + k) * (b + k)) / (k + 1.0) * (-w)
-        fin = coef * acc
+        fin = coef * complex(acc)
 
     term = term0
-    acc = 0.0 + 0.0j
+    acc = 0.0 if real_log else 0.0 + 0.0j
     for k, (psi_k, psi_km, psi_a, psi_b, num, den) in enumerate(terms):
         bracket = logw - psi_k - psi_km + psi_a + psi_b
         acc += term * bracket
@@ -257,7 +297,7 @@ def _one_minus_z_log_parts(a, b, m, w, logw):
         if abs(term) * (abs(bracket) + k + 10.0) < 1e-18 * (1e-280 if r < 1e-280 else r):
             break
         term = term * num / den * w
-    return fin, pref * acc
+    return fin, pref * complex(acc)
 
 
 def _one_minus_z(a, b, c, z, logw=None):
@@ -308,8 +348,8 @@ def _inv_z_set(a, c, ell):
     def row(k):
         q = c - a - ell - k
         return (
-            digamma(k + 1.0),
-            digamma(k + ell + 1.0),
+            _digamma_int(k + 1),
+            _digamma_int(k + ell + 1),
             digamma(a + k + ell),
             _rgamma(q),
             _psi_over_gamma(q),
@@ -332,26 +372,34 @@ def _inv_z_log(a, c, ell, t, lognegz):
     t = 1/z.  Poles of psi(c-a-ell-k) are cancelled by 1/Gamma via the
     finite psi/Gamma limit."""
     fin_rgamma, gamma_a_ell, gamma_a, gamma_c, term0, terms = _inv_z_set(a, c, ell)
+    # the recurrences' argument and log, in float where real, to the same
+    # bits (Bit-identity rule); t**ell and the last line keep t and lognegz
+    real = t.imag == 0.0
+    real_log = real and lognegz.imag == 0.0
+    x = t.real if real else t
+    log_x = lognegz.real if real_log else lognegz
+    if real:
+        term0 = term0.real
     out = 0.0 + 0.0j
     if ell > 0:
-        acc = 0.0 + 0.0j
-        term = 1.0 + 0.0j
+        acc = 0.0 if real else 0.0 + 0.0j
+        term = 1.0 if real else 1.0 + 0.0j
         for k in range(ell):
             acc += term * math.factorial(ell - k - 1) * fin_rgamma[k]
             if k < ell - 1:
-                term = term * (a + k) / (k + 1.0) * t
-        out += acc / gamma_a_ell
-    acc = 0.0 + 0.0j
+                term = term * (a + k) / (k + 1.0) * x
+        out += complex(acc) / gamma_a_ell
+    acc = 0.0 if real_log else 0.0 + 0.0j
     term = term0
     for k, row in enumerate(terms):
         psi_k, psi_kl, psi_a, rgamma_q, psi_over_gamma_q, num, den = row
-        bracket = (lognegz + psi_k + psi_kl - psi_a) * rgamma_q - psi_over_gamma_q
+        bracket = (log_x + psi_k + psi_kl - psi_a) * rgamma_q - psi_over_gamma_q
         acc += term * bracket
         r = abs(acc)
         if abs(term) * (abs(bracket) + k + 10.0) < 1e-18 * (1e-280 if r < 1e-280 else r):
             break
-        term = term * num / den * (-t)
-    out += acc * (t**ell) / gamma_a
+        term = term * num / den * (-x)
+    out += complex(acc) * (t**ell) / gamma_a
     return gamma_c * cmath.exp(-a * lognegz) * out
 
 

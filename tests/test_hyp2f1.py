@@ -1,7 +1,10 @@
 import cmath
+import json
 import math
+import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -197,30 +200,30 @@ def _reference_maclaurin(a, b, c, z):
 
 def _reference_one_minus_z_nondegenerate(a, b, c, w, logw):
     """The non-degenerate 1-z connection with its Gamma factors formed
-    per point."""
+    per point, on the complex Maclaurin loop."""
     m = c - a - b
     t1 = (
         gamma(c) * gamma(m) * hyp._rgamma(c - a) * hyp._rgamma(c - b)
-        * hyp._maclaurin(a, b, 1.0 - m, w)
+        * _reference_maclaurin(a, b, 1.0 - m, w)
     )
     t2 = (
         cmath.exp(m * logw) * gamma(c) * gamma(-m) * hyp._rgamma(a) * hyp._rgamma(b)
-        * hyp._maclaurin(c - a, c - b, 1.0 + m, w)
+        * _reference_maclaurin(c - a, c - b, 1.0 + m, w)
     )
     return t1 + t2
 
 
 def _reference_inv_z_nondegenerate(a, b, c, t, lognegz):
     """The non-degenerate 1/z connection with its Gamma factors formed
-    per point."""
+    per point, on the complex Maclaurin loop."""
     ell = b - a
     t1 = (
         gamma(c) * gamma(ell) * hyp._rgamma(b) * hyp._rgamma(c - a)
-        * cmath.exp(-a * lognegz) * hyp._maclaurin(a, a - c + 1.0, 1.0 - ell, t)
+        * cmath.exp(-a * lognegz) * _reference_maclaurin(a, a - c + 1.0, 1.0 - ell, t)
     )
     t2 = (
         gamma(c) * gamma(-ell) * hyp._rgamma(a) * hyp._rgamma(c - b)
-        * cmath.exp(-b * lognegz) * hyp._maclaurin(b, b - c + 1.0, 1.0 + ell, t)
+        * cmath.exp(-b * lognegz) * _reference_maclaurin(b, b - c + 1.0, 1.0 + ell, t)
     )
     return t1 + t2
 
@@ -289,18 +292,38 @@ def _reference_inv_z_log(a, c, ell, t, lognegz):
 
 def _clear_tables():
     for cached in (hyp._maclaurin_terms, hyp._one_minus_z_set, hyp._inv_z_set,
-                   hyp._one_minus_z_gammas, hyp._inv_z_gammas):
+                   hyp._one_minus_z_gammas, hyp._inv_z_gammas, hyp._digamma_int):
         cached.cache_clear()
     ws._gamma_prefactor.cache_clear()
 
 
+def _golden_sets():
+    """The (a, b, c) of every 2F1 that the densities of the pair and
+    density goldens reach: prop 1's, and for prop 2 also its own on s < 1.
+    A terminating one (a or b a non-positive integer) sums no series."""
+    sets = set()
+    for name in ("pair_golden.json", "density_golden.json"):
+        for case in json.loads((Path(__file__).parent / "data" / name).read_text(encoding="utf-8")):
+            opts = dict(zip(case["argv"][1::2], case["argv"][2::2]))
+            mu, nu = float(opts["--mu"]), float(opts["--nu"])
+            sets.add(((nu + mu) / 2.0, (nu - mu) / 2.0, nu + 1.0))
+            if opts.get("--prop") == "2":
+                sets.add(((mu + nu) / 2.0, (mu - nu) / 2.0, mu + 1.0))
+    return sorted(abc for abc in sets if not (hyp._is_nonpos_int(abc[0]) or hyp._is_nonpos_int(abc[1])))
+
+
+# PARAM_SETS and the sets the goldens' densities reach, whose series see
+# real arguments only
+SERIES_SETS = PARAM_SETS + _golden_sets()
+
+
 def _degenerate_sets():
     """(a, b, m) of every 1-z log series and (a, c, ell) of every 1/z log
-    series that PARAM_SETS reaches, keyed the way the dispatch keys them
+    series that SERIES_SETS reach, keyed the way the dispatch keys them
     (Euler transform for m < 0, a and b swapped for ell < 0), plus
     m = 0, m = 2 and ell = 3."""
     one_minus_z, inv_z = {(0.7, 1.1, 0), (0.3, 0.45, 2)}, {(0.6, 4.1, 3)}
-    for a, b, c in PARAM_SETS:
+    for a, b, c in SERIES_SETS:
         if hyp._near_int(c - a - b):
             m = round(c - a - b)
             one_minus_z.add((a, b, m) if m >= 0 else (c - a, c - b, -m))
@@ -319,13 +342,28 @@ T_POINTS = [0.02, -0.1 + 0.05j, 0.3, 0.2 - 0.5j, 0.74]
 # where 500 terms do not reach the stop, and a NaN, which never stops
 Z_SERIES = [0.05, -0.3 + 0.2j, 0.6 - 0.4j, -0.7 - 0.1j, 0.74]
 Z_STALLED = [0.999 + 0.0j, complex(math.nan, 0.0)]
+# more real arguments, which the series sum in float: of both signs (so
+# with a real and with a from-below logarithm), with a -0.0 imaginary
+# part, and a NaN
+Z_REAL = [-0.3, complex(0.6, -0.0), -0.7]
+W_REAL = [0.4, complex(-0.3, -0.0), 0.74, complex(math.nan, 0.0)]
+T_REAL = [-0.1, complex(-0.5, -0.0), -0.74, complex(math.nan, 0.0)]
 
 
-def _maclaurin_or_error(series, a, b, c, z):
+def _bits(value):
+    """value with each complex as the bytes of its two doubles, so that ==
+    tells -0.0 from +0.0 and compares NaNs by their bits."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return struct.pack("<dd", value.real, value.imag)
+
+
+def _outcome(series, *args):
+    """The bits of series(*args), or the type and message of its error."""
     try:
-        return series(a, b, c, z)
-    except ValueError as exc:
-        return str(exc)
+        return _bits(series(*args))
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _log_of(v):
@@ -339,18 +377,29 @@ def test_degenerate_sets_cover_integer_mu():
     assert {1, 2} <= {ell for _, _, ell in INV_Z_SETS}
 
 
-@pytest.mark.parametrize("abc", PARAM_SETS)
+def test_real_points_cover_both_logarithms():
+    assert {0, 1, 2} <= {m for _, _, m in ONE_MINUS_Z_SETS}
+    for points in (W_POINTS + W_REAL, [-1.0 / t for t in T_POINTS + T_REAL]):
+        logs = [_log_of(v) for v in points if isinstance(v, float)]
+        assert any(g.imag == 0.0 for g in logs) and any(g.imag == math.pi for g in logs)
+
+
+@pytest.mark.parametrize("abc", SERIES_SETS)
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_maclaurin_bit_identical(abc, warm):
     a, b, c = abc
-    for z in Z_SERIES + Z_STALLED:
+    for z in Z_SERIES + Z_REAL + Z_STALLED:
         _clear_tables()
         if warm:  # a farther point grows the table past what z needs
             hyp._maclaurin(a, b, c, complex(Z_SERIES[-1]))
-        got = _maclaurin_or_error(hyp._maclaurin, a, b, c, complex(z))
-        ref = _maclaurin_or_error(_reference_maclaurin, a, b, c, complex(z))
-        assert isinstance(got, complex) == (z not in Z_STALLED), f"z={z}"
+        got = _outcome(hyp._maclaurin, a, b, c, complex(z))
+        ref = _outcome(_reference_maclaurin, a, b, c, complex(z))
+        assert isinstance(got, bytes) == (z not in Z_STALLED), f"z={z}"
         assert got == ref, f"z={z}"
+    # a stall names the complex argument, as the complex loop does
+    assert _outcome(hyp._maclaurin, a, b, c, 0.999 + 0.0j) == (
+        "ValueError: 2F1 series stalled at z=(0.999+0j)"
+    )
 
 
 def test_maclaurin_after_a_stall_reads_a_full_table():
@@ -364,49 +413,71 @@ def test_maclaurin_after_a_stall_reads_a_full_table():
         assert hyp._maclaurin(a, b, c, complex(z)) == _reference_maclaurin(a, b, c, complex(z))
 
 
-@pytest.mark.parametrize("abc", PARAM_SETS[:4])
-def test_nondegenerate_connections_bit_identical(abc):
+@pytest.mark.parametrize("abc", SERIES_SETS)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_nondegenerate_connections_bit_identical(abc, warm):
     """The cached Gamma prefixes multiply in the per-point order."""
     a, b, c = abc
-    assert not hyp._near_int(c - a - b) and not hyp._near_int(b - a)
-    for w in W_POINTS:
-        _clear_tables()
-        got = hyp._one_minus_z_nondegenerate(a, b, c, complex(w), _log_of(w))
-        ref = _reference_one_minus_z_nondegenerate(a, b, c, complex(w), _log_of(w))
-        assert got == ref, f"w={w}"
-    for t in T_POINTS:
-        _clear_tables()
-        got = hyp._inv_z_nondegenerate(a, b, c, complex(t), _log_of(-1.0 / t))
-        ref = _reference_inv_z_nondegenerate(a, b, c, complex(t), _log_of(-1.0 / t))
-        assert got == ref, f"t={t}"
+    if not hyp._near_int(c - a - b):
+        for w in W_POINTS + W_REAL:
+            _clear_tables()
+            if warm:
+                far = W_POINTS[-1]
+                hyp._one_minus_z_nondegenerate(a, b, c, complex(far), _log_of(far))
+            args = (a, b, c, complex(w), _log_of(w))
+            got = _outcome(hyp._one_minus_z_nondegenerate, *args)
+            assert got == _outcome(_reference_one_minus_z_nondegenerate, *args), f"w={w}"
+    if not hyp._near_int(b - a):
+        for t in T_POINTS + T_REAL:
+            _clear_tables()
+            if warm:
+                far = T_POINTS[-1]
+                hyp._inv_z_nondegenerate(a, b, c, complex(far), _log_of(-1.0 / far))
+            args = (a, b, c, complex(t), _log_of(-1.0 / t))
+            got = _outcome(hyp._inv_z_nondegenerate, *args)
+            assert got == _outcome(_reference_inv_z_nondegenerate, *args), f"t={t}"
 
 
 @pytest.mark.parametrize("abm", ONE_MINUS_Z_SETS)
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_one_minus_z_log_parts_bit_identical(abm, warm):
     a, b, m = abm
-    for w in W_POINTS:
+    for w in W_POINTS + W_REAL:
         _clear_tables()
         if warm:  # a farther point grows the table past what w needs
             far = W_POINTS[-1]
             hyp._one_minus_z_log_parts(a, b, m, complex(far), _log_of(far))
-        got = hyp._one_minus_z_log_parts(a, b, m, complex(w), _log_of(w))
-        ref = _reference_one_minus_z_log_parts(a, b, m, complex(w), _log_of(w))
-        assert got == ref, f"w={w}"
+        args = (a, b, m, complex(w), _log_of(w))
+        got = _outcome(hyp._one_minus_z_log_parts, *args)
+        assert got == _outcome(_reference_one_minus_z_log_parts, *args), f"w={w}"
 
 
 @pytest.mark.parametrize("acl", INV_Z_SETS)
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_inv_z_log_bit_identical(acl, warm):
     a, c, ell = acl
-    for t in T_POINTS:
+    for t in T_POINTS + T_REAL:
         _clear_tables()
         if warm:
             far = T_POINTS[-1]
             hyp._inv_z_log(a, c, ell, complex(far), _log_of(-1.0 / far))
-        got = hyp._inv_z_log(a, c, ell, complex(t), _log_of(-1.0 / t))
-        ref = _reference_inv_z_log(a, c, ell, complex(t), _log_of(-1.0 / t))
-        assert got == ref, f"t={t}"
+        args = (a, c, ell, complex(t), _log_of(-1.0 / t))
+        got = _outcome(hyp._inv_z_log, *args)
+        assert got == _outcome(_reference_inv_z_log, *args), f"t={t}"
+
+
+def test_integer_digammas_one_table_for_every_set():
+    _clear_tables()
+    keys = [(0.7, 1.1), (0.3, 0.45)]
+    for a, b in keys:
+        hyp._one_minus_z_log_parts(a, b, 1, complex(0.4), _log_of(0.4))
+    tables = [hyp._one_minus_z_set(a, b, 1)[-1].rows for a, b in keys]
+    # psi(k+1) and psi(k+2) for k below the longest table: psi(1..n+1), each once
+    assert hyp._digamma_int.cache_info().currsize == max(map(len, tables)) + 1
+    for rows in tables:
+        assert [row[:2] for row in rows] == [
+            (digamma(k + 1.0), digamma(k + 2.0)) for k in range(len(rows))
+        ]
 
 
 def test_tables_grow_only_as_far_as_a_series_reaches():
