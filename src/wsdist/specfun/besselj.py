@@ -23,11 +23,14 @@ rescales.  Neighbouring routes agree to about 1e-14 across each switch;
 see tests.
 
 Y, a reference for H1 that only selftest and tests read, takes the
-Hankel series and the upward order recurrence past x = 15, and below it
-its integer-order logarithmic series in long double or the reflection
-of J at non-integer order.  The order recurrence (_recur_up) is shared
-with K in besselk, which climbs it the other way, and so are the Hankel
-series and its Horner sum (_poly).
+Hankel series and the upward order recurrence past x = 15.  Below it, at
+integer order, it climbs the same recurrence from Y_0 and Y_1, which
+Neumann's expansions in J_k give from one backward sweep of the ratios
+J_k+1/J_k, started where Miller's recurrence starts for x <= 15 (_y01);
+at non-integer order it is the reflection of J.  Every route is in
+double precision.  The order recurrence (_recur_up) is shared with K in
+besselk, which climbs it the other way, and so are the Hankel series and
+its Horner sum (_poly).
 """
 
 import functools
@@ -48,18 +51,10 @@ _HANKEL_EDGES = tuple(_HANKEL_MIN_X * _HANKEL_RATIO ** i for i in range(24))
 _HANKEL_MAX_TERMS = 80  # coefficients per order; no band at |q| <= 50 sums over 40
 MAX_ORDER_J = 50.0  # |nu| of J; also the nu range of OrderPair
 
-_LD = np.longdouble
-
 
 def _as_array(x, dtype):
     arr = np.asarray(x, dtype=dtype)
     return arr, (arr.ndim == 0)
-
-
-def _max_abs(x):
-    """Largest modulus in a long-double array, as a double: a stopping
-    test needs no more."""
-    return float(np.abs(x).max())  # the method skips np.max's dispatch
 
 
 @functools.lru_cache(maxsize=None)
@@ -178,6 +173,13 @@ def _jy_asymptotic(nu, x):
     return j, y
 
 
+def _miller_start(top):
+    """The even order at which Miller's recurrence starts for orders and
+    arguments up to top: 86 at top = 15, where J_86 is about 1e-55."""
+    start = int(top + 17.0 * top ** (1.0 / 3.0) + 30)
+    return start + start % 2
+
+
 def _miller(nu, x, edge):
     """J_nu(x) by Miller's backward recurrence in the order (Gautschi,
     SIAM Rev. 9 (1967) 24), normalized with the Neumann identity
@@ -189,9 +191,7 @@ def _miller(nu, x, edge):
     J is the dominant solution."""
     a0 = nu - math.floor(nu)
     m = int(round(nu - a0))
-    top = max(edge, nu)
-    start = int(top + 17.0 * top ** (1.0 / 3.0) + 30)
-    start += start % 2
+    start = _miller_start(max(edge, nu))
 
     # Neumann weights w_j for orders a0 + 2j, built without 0/0 at a0=0
     half = start // 2
@@ -215,68 +215,61 @@ def _miller(nu, x, edge):
     return np.power(0.5 * x, a0) / s * y_target
 
 
-def _log_sweep(z):
-    """The four sums of the integer-order logarithmic series of Y_0 and
-    Y_1 at z = -x^2/4, accumulated in long double like z:
-
-        c0 = sum z^k / (k!)^2,
-        s0 = sum H_k z^k / (k!)^2,
-        c1 = sum z^k / (k! (k+1)!),
-        s1 = sum [psi(k+1) + psi(k+2)] z^k / (k! (k+1)!).
-    """
-    gam = _LD(EULER_GAMMA)
-    t0 = np.ones_like(z)
-    c0 = np.ones_like(z)
-    s0 = np.zeros_like(z)
-    t1 = np.ones_like(z)
-    c1 = np.ones_like(z)
-    h = _LD(0.0)
-    psi_a = -gam
-    psi_b = _LD(1.0) - gam
-    s1 = np.full_like(z, psi_a + psi_b)
-    # max |t0| is zmax^k / (k!)^2, which bounds |t1| too: the stop needs no
-    # pass over the arrays
-    zmax = _max_abs(z)
-    t0max = 1.0
-    for k in range(1, 300):
-        t0 = t0 * z / z.dtype.type(k * k)
-        t0max *= zmax / (k * k)
-        c0 += t0
-        h += _LD(1.0) / _LD(k)
-        s0 += t0 * h
-        t1 = t1 * z / z.dtype.type(k * (k + 1))
-        c1 += t1
-        psi_a += _LD(1.0) / _LD(k)
-        psi_b += _LD(1.0) / _LD(k + 1)
-        s1 += t1 * (psi_a + psi_b)
-        if t0max < 1e-26:
-            break
-    return c0, s0, c1, s1
+@functools.lru_cache(maxsize=None)
+def _neumann_weights():
+    """Row k: the weights of J_k in _y01's three sums (the normalization,
+    S_0 and S_1; none below k = 2), shaped to broadcast over (3, points),
+    up to the order _miller_start(15)."""
+    w = np.zeros((_miller_start(_HANKEL_MIN_X) + 1, 3, 1))
+    for k in range(2, w.shape[0]):
+        j = k // 2
+        if k % 2 == 0:
+            w[k, :2, 0] = 2.0, (-1) ** j / j
+        else:
+            w[k, 2, 0] = (-1) ** j * k / (j * (j + 1))
+    return w
 
 
-def _y_int_base(x):
-    """Y_0 and Y_1 by their logarithmic series (DLMF 10.8.1)."""
-    xl = x.astype(_LD)
-    j0, s0, j1, s1 = _log_sweep(-0.25 * xl * xl)
-    lf = np.log(0.5 * xl)
-    gam = _LD(EULER_GAMMA)
-    two_over_pi = _LD(2.0 / math.pi)
-    y0 = two_over_pi * ((lf + gam) * j0 - s0)
-    j1_full = 0.5 * xl * j1
-    y1 = (
-        two_over_pi * lf * j1_full
-        - two_over_pi / xl
-        - (xl / (2.0 * math.pi)) * s1
-    )
-    return y0.astype(float), y1.astype(float)
+def _y01(x):
+    """Y_0 and Y_1 on 0 < x <= 15 by Neumann's expansions in J_k (A&S
+    9.1.88-89):
+
+        Y_0 = (2/pi)(ln(x/2) + gamma) J_0 - (4/pi) S_0,
+        S_0 = sum_{j>=1} (-1)^j J_2j / j,
+        Y_1 = -2 J_0/(pi x) + (2/pi)(ln(x/2) - 1 + gamma) J_1 - (2/pi) S_1,
+        S_1 = sum_{j>=1} (-1)^j (2j+1) J_2j+1 / (j(j+1)),
+
+    with J_0 from 1 = J_0 + 2 sum_{j>=1} J_2j.  One backward sweep of the
+    ratios rho_k = J_k+1/J_k from 0 at J's start order for x <= 15
+    (Miller's algorithm in ratio form, which stays finite down to x =
+    1e-300) sums all three by Horner's rule, as multiples of J_1, in a
+    fixed number of steps: a point's value does not depend on its batch
+    mates."""
+    w = _neumann_weights()
+    inv_x = 1.0 / x
+    rho = np.zeros_like(x)
+    acc = np.zeros((3,) + x.shape)
+    for k in range(w.shape[0] - 1, 0, -1):
+        acc = w[k] + rho * acc
+        rho = 1.0 / ((2.0 * k) * inv_x - rho)
+    norm, s0, s1 = acc
+    j0 = 1.0 / (1.0 + rho * norm)
+    j1 = rho * j0
+    log_term = np.log(0.5 * x) + EULER_GAMMA
+    y0 = (2.0 / math.pi) * (log_term * j0 - 2.0 * j1 * s0)
+    y1 = (2.0 / math.pi) * ((log_term - 1.0) * j1 - j0 * inv_x - j1 * s1)
+    return y0, y1
 
 
 def _bessel_y(nu, x):
     """Bessel Y_nu(x) for nu >= 0 (internal: a reference for H1 that
-    selftest and tests read; J does not use it).  On x <= 15 at a
-    non-integer order it is the reflection (J_nu cos(nu pi) - J_-nu) /
-    sin(nu pi) of double-precision J, so near an integer order it loses
-    about 1e-16/|sin(pi nu)|; no caller reads it there."""
+    selftest and tests read; J does not use it).  On x <= 15 at integer
+    order it climbs the order recurrence from _y01's Y_0 and Y_1, within
+    about 2e-15 of Y (relative to max(|Y|, sqrt(2/(pi x)))) from x =
+    1e-300 on; a value past the double range raises DomainError.  On x <=
+    15 at a non-integer order it is the reflection (J_nu cos(nu pi) -
+    J_-nu) / sin(nu pi) of J, so near an integer order it loses about
+    1e-16/|sin(pi nu)|; no caller reads it there."""
     arr, scalar = _as_array(x, float)
     if np.any(arr <= 0.0):
         raise DomainError("bessel_y requires x > 0")
@@ -289,7 +282,7 @@ def _bessel_y(nu, x):
         xs = arr[small]
         if is_int:
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                y0, y1 = _y_int_base(xs)
+                y0, y1 = _y01(xs)
                 ys = _recur_up(y0, y1, 0.0, n_int, xs, -1.0)
             if not np.isfinite(ys).all():
                 raise DomainError(f"Y_{nu:g}(x) is outside the double range")
@@ -330,7 +323,7 @@ def bessel_j(nu, x):
     where J_nu - (-1)^n J_n is a small multiple of Y_n, up to about
     1e-15/|sin(pi nu)|.
     """
-    if abs(nu) > MAX_ORDER_J:
+    if not abs(nu) <= MAX_ORDER_J:  # a NaN fails it too
         raise DomainError(f"order |nu|={abs(nu)} outside supported range <= {MAX_ORDER_J:g}")
     arr, scalar = _as_array(x, float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):

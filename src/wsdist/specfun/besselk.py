@@ -311,7 +311,7 @@ def _k_core(mu, w):
     public functions gate it).  A value outside the double range raises
     DomainError."""
     mu = abs(float(mu))
-    if mu > MAX_ORDER_K:
+    if not mu <= MAX_ORDER_K:  # a NaN fails it too
         raise DomainError(f"order |mu|={mu} outside supported range <= {MAX_ORDER_K:g}")
     n = int(round(mu))
     mu0 = mu - n  # in [-1/2, 1/2]

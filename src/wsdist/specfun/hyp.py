@@ -102,6 +102,8 @@ class HypParams:
     c: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.c)):
+            raise ParamError(f"a={self.a}, b={self.b}, c={self.c} must be finite")
         if _is_nonpos_int(self.c):
             raise ParamError(f"c={self.c} is a non-positive integer")
 
@@ -111,7 +113,7 @@ class BranchPoint:
     x: float
 
     def __post_init__(self):
-        if self.x < 1.0:
+        if not self.x >= 1.0:  # a NaN fails it too
             raise DomainError(f"branch point x={self.x} must be >= 1")
 
 
@@ -472,6 +474,8 @@ def hyp2f1(params, z):
     """
     a, b, c = params.a, params.b, params.c
     z = complex(z)
+    if cmath.isnan(z):
+        raise DomainError(f"2F1 argument z={z} is NaN")
     if _is_nonpos_int(a) or _is_nonpos_int(b):
         return _polynomial(a, b, c, z)
     if z.imag == 0.0 and z.real >= 1.0:

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import warnings
 
 import mpmath as mp
@@ -147,6 +148,25 @@ def test_y_against_scipy(nu):
     assert err.max() < 5e-11
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 30])
+def test_y_integer_order_against_mpmath(n):
+    # Neumann's expansions of Y_0 and Y_1 summed by one ratio sweep, then
+    # the upward order recurrence; a value past the double range raises
+    mp.mp.dps = 30
+    tiny = [1e-300, 1e-200, 1e-100, 1e-30, 1e-12, 1e-6, 1e-3]
+    xs = np.concatenate([tiny, np.linspace(0.01, 15.0, 161)])
+    refs = [float(mp.bessely(n, mp.mpf(float(x)))) for x in xs]
+    served = np.isfinite(refs)
+    assert served.sum() >= 160
+    for x in xs[~served]:
+        with pytest.raises(DomainError):
+            _bessel_y(float(n), x)
+    xs, ref = xs[served], np.array(refs)[served]
+    envelope = np.sqrt(2.0 / (math.pi * xs))
+    err = np.abs(_bessel_y(float(n), xs) - ref) / np.maximum(np.abs(ref), envelope)
+    assert err.max() <= 1e-14
+
+
 def _served(nu, xs):
     counts = _hankel_table(nu)[1]
     return xs[counts[besselj._hankel_band(xs)] > 0]
@@ -172,12 +192,18 @@ def test_asymptotic_sums_of_a_point_do_not_depend_on_its_batch_mates():
             assert (bessel_j(nu, xs[i]), _bessel_y(nu, xs[i])) == (j[i], y[i])
     # so do J's ascending series and Miller's recurrence, whose start is
     # fixed by the order and the point's band: J on (0, 20], and on the
-    # bands past 15 that the Hankel series does not serve
+    # bands past 15 that the Hankel series does not serve; and Y on x <= 15,
+    # whose ratio sweep runs a fixed number of steps
     near = np.linspace(5e-4, 20.0, 40000)
     for nu in (0.0, 1.0, 1.5, -1.3, 7.3, 40.0, -30.3):
         j = bessel_j(nu, near)
         for i in range(0, near.size, 4999):
             assert bessel_j(nu, near[i]) == j[i]
+    small = near[near <= 15.0]
+    for nu in (0.0, 1.0, 2.0, 7.0):
+        y = _bessel_y(nu, small)
+        for i in range(0, small.size, 3999):
+            assert _bessel_y(nu, small[i]) == y[i]
     for nu in (7.3, 40.0, -30.3):
         far = np.setdiff1d(xs, _served(nu, xs))
         assert far.size >= 4000
@@ -254,12 +280,8 @@ def test_j_at_the_lower_edge_of_every_miller_band_is_finite():
         assert np.all(np.isfinite(bessel_j(nu, xs))), nu
 
 
-def test_j_reads_no_long_double(monkeypatch):
-    # where numpy's longdouble is the 64-bit double (MSVC, macOS arm64), J
-    # gives the same bits: no route of J runs in long double
-    xs = np.linspace(0.01, 20.0, 4002)[1:]
-    orders = (0.0, 1.0, 1.5, -1.3)
-    refs = [bessel_j(nu, xs) for nu in orders]
-    monkeypatch.setattr(besselj, "_LD", np.float64)
-    for nu, ref in zip(orders, refs):
-        assert np.array_equal(bessel_j(nu, xs), ref), nu
+def test_no_module_names_long_double():
+    # numpy's longdouble is the 64-bit double on MSVC and macOS arm64, so a
+    # route in it would give other digits there: J and Y run in double
+    src = pathlib.Path(besselj.__file__).parents[1]
+    assert not [p for p in src.rglob("*.py") if "longdouble" in p.read_text(encoding="utf-8")]

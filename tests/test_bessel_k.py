@@ -320,6 +320,10 @@ def test_k_domain_errors():
     (hankel1_complex, 0.0, math.nan),
     (hankel1_complex, 0.0, math.inf),
     (hankel1_complex, 0.0, np.array([1.0, math.nan])),
+    # a NaN order
+    (bessel_k_complex, math.nan, 1.0),
+    (hankel1_complex, math.nan, 1.0),
+    (bessel_j, math.nan, 1.0),
     # true values near 1e408, past the double range
     (bessel_k_complex, 10.0, 1e-40),
     (hankel1_complex, 10.0, 1e-40),

@@ -67,6 +67,17 @@ def test_param_validation():
         HypParams(0.5, 0.5, 0.0)
     with pytest.raises(ParamError):
         HypParams(0.5, 0.5, -3.0)
+    for abc in ((math.nan, 0.9, 1.93), (0.4, math.inf, 1.93), (0.4, 0.9, -math.inf)):
+        with pytest.raises(ParamError, match="finite"):
+            HypParams(*abc)
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.5, math.nan), complex(math.nan, math.nan)])
+def test_nan_argument_is_a_domain_error(z):
+    with pytest.raises(DomainError, match="NaN"):
+        hyp2f1(HypParams(0.4, 0.9, 1.93), z)
+    with pytest.raises(DomainError, match="NaN"):
+        hyp2f1(HypParams(-2.0, 0.9, 1.93), z)  # a terminating series too
 
 
 def test_cut_error():
@@ -178,8 +189,9 @@ def test_euler_transform_identity():
 
 
 def test_branch_point_validation():
-    with pytest.raises(DomainError):
-        BranchPoint(0.8)
+    for x in (0.8, math.nan):
+        with pytest.raises(DomainError):
+            BranchPoint(x)
 
 
 # --- the tabled series against the per-term loops ---------------------------
