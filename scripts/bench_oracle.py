@@ -12,17 +12,25 @@ evaluations, and per case the points of K's base pair per route (each
 `_k_pair_*` function of `specfun.besselk`: Temme's series, the Taylor
 lattice, CF2 and Horner, or whatever routes the tree has; here CF2 counts
 only the Taylor nodes it seeds, and at half-integer order every point
-counts under Horner), the points of `bessel_j`, in all and per route
+counts under Horner), the points of `bessel_j`, in all, on distinct k
+(`j_distinct_k`; the rest, `j_repeated_points`, are J values computed
+again at a k already met in the case) and per route
 (`J_ROUTES`: `specfun.besselj`'s ascending series `_j_series` on
 x^2/4 <= |nu| + 1, the Hankel asymptotic series `_jy_asymptotic` on the
 bands past x = 15 that it serves, and Miller's recurrence `_miller` on
 the rest), and the calls of the semi-infinite engine's Wynn epsilon
 table (each `quadrature._wynn_*` function: one per block of panels, or
 one per panel in a tree that rebuilt the table after every panel); none
-of these depend on the machine.  It also records the wall time of each pairing, which
-does.  The eps_trace digest of each case shows whether the
-two trees agree bit for bit, and its largest absolute difference how far
-apart they are when they do not.
+of these depend on the machine.  The cases run in that order in one
+process, and a tree that keeps K's CF2 base pairs per order for the
+process (`besselk._lattice_pairs`) seeds a node once for all of them, so
+a case's CF2 count depends on the cases run before it: (0.5, 1.5)
+reaches no CF2 (its half-integer order takes Horner everywhere), and the
+later cases with K at mu0 = 0, prop 2 (1, 1) and (0, 1), count only the
+nodes that prop 1 (0, 1) did not meet.  It also records the wall time
+of each pairing, which does.  The eps_trace digest of each case shows
+whether the two trees agree bit for bit, and its largest absolute
+difference how far apart they are when they do not.
 
     python scripts/bench_oracle.py --tree DIR
 
@@ -32,7 +40,8 @@ wraps (`oracle._direct_rows`, `oracle._pairing_at_eps`,
 `oracle.integrate_semiinfinite_damped`, `oracle.bessel_j`) fails there,
 and so does a case in which no `besselk._k_pair_*` route or no
 `quadrature._wynn_*` table function is called, or, on this checkout, a
-case in which J reaches no point on one of `J_ROUTES`.
+case in which J reaches no point on one of `J_ROUTES` or computes J twice
+at the same k.
 """
 
 import argparse
@@ -44,6 +53,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = [(1, 0.0, 1.0), (1, 0.5, 1.5), (2, 1.0, 1.0), (2, 0.0, 1.0)]
@@ -76,7 +87,14 @@ def measure(tree):
 
     for name in [n for n in vars(besselk) if n.startswith("_k_pair_")]:
         setattr(besselk, name, counted("k_" + name[len("_k_pair_"):], getattr(besselk, name)))
-    oracle.bessel_j = counted("j", oracle.bessel_j)
+    j_nodes = []  # every k at which the oracle computes J, per case
+    bessel_j = oracle.bessel_j
+
+    def recorded_j(nu, k):
+        j_nodes.append(np.ravel(k).copy())
+        return bessel_j(nu, k)
+
+    oracle.bessel_j = counted("j", recorded_j)
     for route, name in J_ROUTES.items():
         setattr(besselj, name, counted("j_" + route, getattr(besselj, name)))
     calls = {}
@@ -91,21 +109,21 @@ def measure(tree):
     for name in [n for n in vars(quadrature) if n.startswith("_wynn_")]:
         setattr(quadrature, name, called(getattr(quadrature, name)))
 
-    def counted_rows(orders, s, eps, tol):
+    def counted_rows(*args):  # (orders, s, eps, tol, ...)
         steps[-1]["direct_rows_calls"] += 1
-        steps[-1]["rows"] += len(s)
-        return direct_rows(orders, s, eps, tol)
+        steps[-1]["rows"] += len(args[1])
+        return direct_rows(*args)
 
     def counted_engine(*args, **kwargs):
         res = engine(*args, **kwargs)
         steps[-1]["semiinfinite_evaluations"] += res.evaluations
         return res
 
-    def timed_pairing(orders, g, eps, inner_tol, outer_tol):
-        steps.append({"eps": eps, "direct_rows_calls": 0, "rows": 0,
+    def timed_pairing(*args):  # (orders, g, eps, inner_tol, outer_tol, ...)
+        steps.append({"eps": args[2], "direct_rows_calls": 0, "rows": 0,
                       "semiinfinite_evaluations": 0})
         t0 = time.perf_counter()
-        val = pairing(orders, g, eps, inner_tol, outer_tol)
+        val = pairing(*args)
         steps[-1]["wall_s"] = round(time.perf_counter() - t0, 4)
         return val
 
@@ -118,15 +136,23 @@ def measure(tree):
         steps.clear()
         points.clear()
         calls.clear()
+        j_nodes.clear()
         t0 = time.perf_counter()
         report = run(OrderPair(mu, nu), TestFunction(*BUMP), DEFAULT_EPS_SCHEDULE)
         wall = time.perf_counter() - t0
         if not any(k.startswith("k_") for k in points):
             sys.exit(f"case prop {prop} ({mu}, {nu}): no besselk._k_pair_* route was called")
+        this_checkout = Path(tree).resolve() == ROOT
         for route, name in J_ROUTES.items():
             # an older tree may predate a route: its Miller served no oracle point
-            if Path(tree).resolve() == ROOT and not points.get("j_" + route):
+            if this_checkout and not points.get("j_" + route):
                 sys.exit(f"case prop {prop} ({mu}, {nu}): J never reached besselj.{name}")
+        distinct_k = np.unique(np.concatenate(j_nodes)).size if j_nodes else 0
+        repeated = points.get("j", 0) - distinct_k
+        # an older tree may compute J again on the k-nodes rows share
+        if this_checkout and repeated:
+            sys.exit(f"case prop {prop} ({mu}, {nu}): J computed {repeated} times "
+                     "at a k already met")
         if not calls:
             sys.exit(f"case prop {prop} ({mu}, {nu}): no quadrature._wynn_* function was called")
         per_eps = [dict(s) for s in steps]
@@ -137,6 +163,8 @@ def measure(tree):
             "semiinfinite_evaluations": sum(s["semiinfinite_evaluations"] for s in per_eps),
             "k_points": {k[2:]: v for k, v in sorted(points.items()) if k.startswith("k_")},
             "j_points": points.get("j", 0),
+            "j_distinct_k": distinct_k,
+            "j_repeated_points": repeated,
             "j_route_points": {r: points.get("j_" + r, 0) for r in J_ROUTES},
             "wynn_calls": calls["wynn"],
             "wall_s": round(wall, 4),
@@ -177,6 +205,8 @@ def main():
                                          c["semiinfinite_evaluations"]],
             "k_points": [p["k_points"], c["k_points"]],
             "j_points": [p["j_points"], c["j_points"]],
+            "j_distinct_k": [p["j_distinct_k"], c["j_distinct_k"]],
+            "j_repeated_points": [p["j_repeated_points"], c["j_repeated_points"]],
             "j_route_points": [p["j_route_points"], c["j_route_points"]],
             "wynn_calls": [p["wynn_calls"], c["wynn_calls"]],
             "wall_s": [p["wall_s"], c["wall_s"]],

@@ -18,8 +18,15 @@ one step of that rule run as one row-batched semi-infinite quadrature,
 so every Bessel evaluation covers the k-panels of all those nodes at
 once.  A step is the initial panels, or one round of bisections: the
 greedy worst-first refinement is replayed panel by panel, but the
-halves it will need are evaluated ahead, a round at a time.  A schedule
-whose smallest eps lies below _EPS_FLOOR is refused up front.
+halves it will need are evaluated ahead, a round at a time.
+
+The k-panels of a row have width pi / 2^j, j >= 0 the least with
+s / 2^j <= 2: pi for every s <= 2.  The engine forms a row's k-nodes
+from its panel width alone, so the rows of one octave j share their
+nodes in every call and at every eps, and J_nu, which does not depend
+on s or eps, is computed once per distinct node of a run (_j_nodes) and
+read by every row, call and eps of that run.  A schedule whose smallest
+eps lies below _EPS_FLOOR is refused up front.
 """
 
 import math
@@ -38,13 +45,16 @@ from .quadrature import (
     richardson,
 )
 from .specfun import bessel_j, hankel1_complex
+from .specfun.memo import Memo
 from .weber_schafheitlin import prop1_distribution, prop2_distribution
 
 _OUTER_PANELS = 64
 _OUTER_REFINE_BUDGET = 40
 _INNER_TOL = 1e-7
-# below this eps the s = 1 row's e^{-eps k} does not reach sqrt(_INNER_TOL),
-# the engine's panel-magnitude stop, within its panel cap (of width pi)
+# below this eps a row of panel width pi (every s <= 2, s = 1 among them)
+# does not damp to sqrt(_INNER_TOL), the engine's panel-magnitude stop, by
+# its e^{-eps k} within its panel cap; a row past s = 2, of width pi / 2^j,
+# reaches k = _MAX_OSC_PANELS pi / 2^j, more than _MAX_OSC_PANELS pi / s
 _EPS_FLOOR = math.log(1.0 / math.sqrt(_INNER_TOL)) / (_MAX_OSC_PANELS * math.pi)
 
 
@@ -74,28 +84,51 @@ class OracleReport:
         }
 
 
+def _j_nodes(nu):
+    """J_nu at the k-nodes met so far, each computed once: one table per
+    oracle run, which every row, call and eps of the run reads."""
+    return Memo(lambda k: bessel_j(nu, k), np.empty(0), np.empty(0))
+
+
 def I_direct(orders, pt, tol=1e-7):
     """Direct oscillatory quadrature of int_0^inf k H1_mu((s+i eps)k)
     J_nu(k) dk at the RegularizedPoint pt = s + i eps; the order
     constraint makes the integrand integrable at k = 0 and the i eps
     damps it like e^{-eps k} at infinity."""
-    return complex(_direct_rows(orders, np.array([pt.s]), pt.eps, tol)[0])
+    rows = _direct_rows(orders, np.array([pt.s]), pt.eps, tol, _j_nodes(orders.nu))
+    return complex(rows[0])
 
 
-def _direct_rows(orders, s, eps, tol):
+def _direct_rows(orders, s, eps, tol, j_nodes):
     """I_direct at every point s + i eps of the array s, as one
-    row-batched semi-infinite quadrature (one row per point)."""
+    row-batched semi-infinite quadrature (one row per point), reading J
+    from j_nodes, a table of J at order orders.nu (_j_nodes)."""
     orders.require_hankel_bessel()
     z = s + 1j * eps
-    mu, nu = orders.mu, orders.nu
-    spacing = math.pi / np.maximum(s, 1.0)
+    mu = orders.mu
+    # panels of width pi / 2^j, j >= 0 the least with s / 2^j <= 2 (from
+    # s / 2 = m 2^e, 1/2 <= m < 1): a panel spans at most 3 pi of the
+    # integrand's phase (s + 1) k, where 15 Gauss points are still exact
+    # to rounding, and the width depends on s alone
+    m, e = np.frexp(0.5 * s)
+    octave = np.maximum(e - (m == 0.5), 0)
+    octaves = np.unique(octave)
+    spacing = np.ldexp(math.pi, -octave)
+
+    def j_rows(k, rows):
+        # the engine forms a row's nodes from its spacing and the panel
+        # index that all live rows share, so the rows of an octave have
+        # the same k: J is read on one of them
+        jk = np.empty(k.shape)
+        for j in octaves:
+            of_j = octave[rows] == j
+            if of_j.any():
+                jk[of_j] = j_nodes(k[of_j.argmax()])
+        return jk
 
     def f(k, rows):
-        # the engine forms a row's nodes from its spacing and the panel
-        # index that all live rows share, so rows of equal spacing (every
-        # s <= 1) have the same k: J once per distinct spacing
-        _, first, back = np.unique(spacing[rows], return_index=True, return_inverse=True)
-        return k * hankel1_complex(mu, z[rows, None] * k) * bessel_j(nu, k[first])[back]
+        # J's rows are formed after H1's call, so they do not add to its peak
+        return k * hankel1_complex(mu, z[rows, None] * k) * j_rows(k, rows)
 
     res = integrate_semiinfinite_damped(f, eps, spacing, tol)
     if not res.converged:
@@ -107,7 +140,7 @@ def _direct_rows(orders, s, eps, tol):
     return res.value
 
 
-def _pairing_at_eps(orders, g, eps, inner_tol, outer_tol):
+def _pairing_at_eps(orders, g, eps, inner_tol, outer_tol, j_nodes):
     """int I(s + i eps) g(s) ds over supp g by a 64-panel composite
     Gauss rule; the panel with the worst embedded error estimate (ties
     to the leftmost) is bisected, one at a time, until the summed
@@ -124,7 +157,8 @@ def _pairing_at_eps(orders, g, eps, inner_tol, outer_tol):
     order), so only a budget cap can leave a half unused; the loop then
     takes the halves in its own order and sums in the same order.  The
     rows of a call are independent integrals, so the pairing is that of
-    one call per bisection, bit for bit on the acceptance cases."""
+    one call per bisection, bit for bit on the acceptance cases.  Every
+    call reads J from j_nodes (_j_nodes)."""
     lo, hi = g.support
     n4, w4 = gauss_legendre(4)
     n2, w2 = gauss_legendre(2)
@@ -134,7 +168,7 @@ def _pairing_at_eps(orders, g, eps, inner_tol, outer_tol):
         """(estimate, a, b, value) of each panel [a_i, b_i]."""
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         x = (mid[:, None] + half[:, None] * nodes).ravel()
-        gi = (_direct_rows(orders, x, eps, inner_tol) * g(x)).reshape(len(a), 6)
+        gi = (_direct_rows(orders, x, eps, inner_tol, j_nodes) * g(x)).reshape(len(a), 6)
         v4 = half * (gi[:, :4] @ w4)
         v2 = half * (gi[:, 4:] @ w2)
         return list(zip(np.abs(v4 - v2).tolist(), a.tolist(), b.tolist(), v4.tolist()))
@@ -185,9 +219,10 @@ def _oracle_report(orders, g, schedule, dist, part):
         )
     closed = pair(dist, g, Measure.LEBESGUE, tol=1e-9)
     scale = max(1.0, abs(closed))
+    j_nodes = _j_nodes(orders.nu)  # J once per k-node of the run, at every eps
     trace = []
     for eps in schedule.values:
-        val = _pairing_at_eps(orders, g, eps, _INNER_TOL, 1e-6 * scale)
+        val = _pairing_at_eps(orders, g, eps, _INNER_TOL, 1e-6 * scale, j_nodes)
         trace.append((eps, val))
     limit, extrap_err = richardson(trace)
     residuals = [abs(v - limit) for _, v in trace]

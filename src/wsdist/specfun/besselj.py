@@ -180,6 +180,22 @@ def _miller_start(top):
     return start + start % 2
 
 
+@functools.lru_cache(maxsize=64)
+def _miller_weights(a0, start):
+    """Neumann weights w_j of _miller's normalization for the orders
+    a0 + 2j, j <= start / 2, built without 0/0 at a0 = 0; read-only, as
+    every call shares them."""
+    half = start // 2
+    w = np.empty(half + 1)
+    w[0] = gamma(a0 + 1.0)
+    g = gamma(a0 + 1.0)  # Gamma(a0+j)/j! at j=1
+    for j in range(1, half + 1):
+        w[j] = (a0 + 2.0 * j) * g
+        g = g * (a0 + j) / (j + 1.0)
+    w.flags.writeable = False
+    return w
+
+
 def _miller(nu, x, edge):
     """J_nu(x) by Miller's backward recurrence in the order (Gautschi,
     SIAM Rev. 9 (1967) 24), normalized with the Neumann identity
@@ -192,15 +208,7 @@ def _miller(nu, x, edge):
     a0 = nu - math.floor(nu)
     m = int(round(nu - a0))
     start = _miller_start(max(edge, nu))
-
-    # Neumann weights w_j for orders a0 + 2j, built without 0/0 at a0=0
-    half = start // 2
-    w = np.empty(half + 1)
-    w[0] = gamma(a0 + 1.0)
-    g = gamma(a0 + 1.0)  # Gamma(a0+j)/j! at j=1
-    for j in range(1, half + 1):
-        w[j] = (a0 + 2.0 * j) * g
-        g = g * (a0 + j) / (j + 1.0)
+    w = _miller_weights(a0, start)
 
     inv_x = 1.0 / x
     y_up = np.zeros_like(x)

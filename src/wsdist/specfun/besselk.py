@@ -23,8 +23,10 @@ chosen by where w sits, at every order:
   from the base pair at w0 by Steed's continued fraction CF2 with
   Temme's normalization (Temme, loc. cit.; Thompson & Barnett,
   J. Comput. Phys. 64 (1986) 490; the x >= 2 branch of bessik) at a
-  fixed 150 steps: each point of a call costs a Horner sum, each node in
-  use one CF2.
+  fixed 150 steps: each point of a call costs a Horner sum, and each
+  node one CF2 per process, not per call.  The base pairs of the nodes
+  met so far are kept in a table per mu0 (_lattice_pairs), for the
+  _PAIR_SETS orders most recently used.
 * the e^{-w} asymptotic series for |w| >= 24, the one J and Y sum at
   w = -ix (besselj._hankel_sum), by Horner's rule at the term count the
   order fixes for the band of |w| (edges a ratio 1.25 apart from 15 on:
@@ -39,12 +41,14 @@ the call.  hankel1_complex needs exactly this half-plane: its sector
 0 <= arg z <= pi is Re(-iz) >= 0.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from ..errors import DomainError
 from .besselj import _as_array, _hankel_sums, _poly, _recur_up
+from .memo import Memo
 
 # Temme's series on |w| + Re w <= 4: its terms fall like 4^i/(i!)^2, and
 # the first one left out after 16 is below 1e-17 of the sum everywhere
@@ -57,12 +61,15 @@ _K_HORNER_MIN = 24.0
 # numpy's 256 KiB threshold for reusing a temporary in place, whose loops
 # round differently, so a value does not depend on how many points share
 # the call, and a call's memory does not grow with its size.  CF2 runs on
-# the Taylor nodes of one call, at most _TAYLOR_ROWS x _TAYLOR_COLS = 4753
-# (76 KB of complex data), so it needs no blocks
+# the Taylor nodes of one call not met before, at most _TAYLOR_ROWS x
+# _TAYLOR_COLS = 4753 (76 KB of complex data), so it needs no blocks
 _K_BLOCK = 8192
 # CF2 steps at every node: the slowest nodes, +-2i, converge in 141, and
 # the step coefficient c grows like (i-1)!, past the double range after 170
 _CF2_STEPS = 150
+# orders mu0 whose lattice base pairs stay cached (40 bytes per node met),
+# as hyp keeps the operands of its _SETS most recent parameter sets
+_PAIR_SETS = 8
 # Taylor nodes on the lattice _K_TAYLOR_STEP (Z + iZ) between Temme's
 # series and the asymptotic series, 0 <= Re w0 <= 24 and |Im w0| <= 24.
 # Every node in use has |w0| >= 2 and |w - w0| <= 0.36, so |(w - w0)/w0|
@@ -263,23 +270,39 @@ def _taylor_coefficients(q, w0, y0, y1):
     return a[2:]
 
 
+def _lattice_node(index):
+    """The node of _K_TAYLOR_STEP (Z + iZ) at each index of _lattice_index."""
+    row, col = np.divmod(index, _TAYLOR_COLS)
+    return _K_TAYLOR_STEP * (row + 1j * (col - _TAYLOR_HALF))
+
+
+@functools.lru_cache(maxsize=_PAIR_SETS)
+def _lattice_pairs(mu0):
+    """The base pairs (K_mu0, K_mu0+1) at the nodes of the Taylor lattice
+    met so far, by node index, each from _k_pair_cf2 once."""
+    return Memo(lambda index: np.array(_k_pair_cf2(mu0, _lattice_node(index))),
+                np.empty(0, dtype=np.intp), np.empty((2, 0), dtype=complex))
+
+
 def _k_pair_taylor(mu0, w, need=(0, 1)):
     """K_mu0+j, j in need, |mu0| < 1/2, Re w >= 0, |w| + Re w > 4 and
     |w| < _K_HORNER_MIN, by the Taylor series about the nearest node w0
     of the lattice _K_TAYLOR_STEP (Z + iZ), summed by Horner's rule at a
     fixed _K_TAYLOR_TERMS terms in h = w - w0, which is exact.  A node's
-    coefficients come from its own base pair (_k_pair_cf2) and
-    derivatives K_q' = q K_q / w - K_q+1 = -K_q-1 - q K_q / w, so a
-    point's value is its own, however many points share the call."""
+    coefficients come from its own base pair and derivatives K_q' =
+    q K_q / w - K_q+1 = -K_q-1 - q K_q / w, so a point's value is its
+    own, however many points share the call.  The pair is read from the
+    order's table (_lattice_pairs); a node not in it yet gets it from
+    _k_pair_cf2, which fixes it by the node alone, so a warm table gives
+    the bits of a cold one."""
     cell = _lattice_index(w)
     used = np.zeros(_TAYLOR_ROWS * _TAYLOR_COLS, dtype=bool)
     used[cell] = True
     nodes = np.flatnonzero(used)
     slot = np.zeros(used.size, dtype=np.intp)
     slot[nodes] = np.arange(nodes.size)
-    row, col = np.divmod(nodes, _TAYLOR_COLS)
-    w0 = _K_TAYLOR_STEP * (row + 1j * (col - _TAYLOR_HALF))
-    y0, y1 = _k_pair_cf2(mu0, w0)
+    w0 = _lattice_node(nodes)
+    y0, y1 = _lattice_pairs(mu0)(nodes)
     slopes = ((mu0 * y0 - w0 * y1) / w0, -y0 - (mu0 + 1.0) * y1 / w0)
     coef = [_taylor_coefficients(mu0 + j, w0, (y0, y1)[j], slopes[j]) for j in need]
     out = tuple(np.empty(w.shape, dtype=complex) for _ in need)

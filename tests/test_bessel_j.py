@@ -82,6 +82,15 @@ def test_method_overlap_agreement():
         assert np.max(np.abs(series - miller) / np.maximum(np.abs(series), envelope)) < 1e-14, nu
 
 
+def test_miller_weights_are_built_once_per_order_and_start():
+    # a batch of any size reads the same weights, which no call may change
+    besselj._miller(0.3, np.array([9.0]), 15.0)
+    w = besselj._miller_weights(0.3, besselj._miller_start(15.0))
+    assert w is besselj._miller_weights(0.3, besselj._miller_start(15.0))
+    assert not w.flags.writeable
+    assert w[0] == besselj.gamma(1.3)
+
+
 def test_vectorized_matches_scalar():
     xs = np.linspace(0.3, 80.0, 23)
     arr = bessel_j(1.5, xs)

@@ -279,6 +279,40 @@ def test_cf2_fixed_steps_at_the_taylor_nodes(mu0):
             assert abs(g - ref) <= 2e-15 * abs(ref), f"order {mu0 + j}, w={w}"
 
 
+def test_cf2_seeds_each_node_once_per_process(monkeypatch):
+    # orders 0, 1 and 2 share mu0 = 0; 2.3 has its own table
+    besselk._lattice_pairs.cache_clear()
+    seen = []
+    cf2 = besselk._k_pair_cf2
+
+    def spy(mu0, w):
+        seen.extend((mu0, complex(x)) for x in w)
+        return cf2(mu0, w)
+
+    monkeypatch.setattr(besselk, "_k_pair_cf2", spy)
+    ws = np.array(_taylor_points())
+    for mu in (0.0, 1.0, 2.0, 2.3):
+        for part in (ws[::2], ws, ws[::-3]):
+            _k_core(mu, part)
+    assert seen and len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0, 0.3, 3.3])
+def test_k_from_a_warm_node_table_equals_a_cold_call(mu):
+    ws = np.array(_taylor_points())
+    # calls with other mates warm the table first: the nodes of ws, of
+    # their mirror images and of ws moved by 0.1 get their pairs there
+    _k_core(mu, np.conj(ws))
+    _k_core(mu, ws[1::2] + 0.1)
+    _k_core(mu, ws[::2])
+    warm = _k_core(mu, ws)
+    cold = []
+    for w in ws:
+        besselk._lattice_pairs.cache_clear()
+        cold.append(complex(_k_core(mu, np.array([w]))[0]))
+    assert warm.tolist() == cold  # bit for bit
+
+
 @pytest.mark.parametrize("mu", [0.0, 2 + 5e-11, 0.4999, 3.3])
 def test_temme_edge_both_sides(monkeypatch, mu):
     # the edge |w| + Re w = 4 runs from w = 2 to w = +-4i: x + iy with

@@ -11,6 +11,7 @@ from wsdist.oracle import (
     I_direct,
     OracleReport,
     _direct_rows,
+    _j_nodes,
     jj_pairing_oracle,
     pairing_oracle,
 )
@@ -54,9 +55,62 @@ def test_batched_direct_matches_per_node_loop(mu, nu):
     s = np.linspace(0.55, 1.45, 16)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        batched = _direct_rows(orders, s, 0.05, 1e-7)
+        batched = _direct_rows(orders, s, 0.05, 1e-7, _j_nodes(orders.nu))
         loop = np.array([I_direct(orders, RegularizedPoint(float(x), 0.05), 1e-7) for x in s])
     assert np.all(np.abs(batched - loop) <= 1e-12 * np.abs(loop))
+
+
+# s in the octaves j = 0 (0.3, 1 and 1.9: panels of width pi below, at and
+# above s = 1), 1 (2.1 and 3.5) and 2 (6) of the k-panels, width pi / 2^j
+OCTAVE_POINTS = np.array([0.3, 1.0, 1.9, 2.1, 3.5, 6.0])
+
+
+def test_rows_of_every_octave_equal_their_lone_calls(monkeypatch):
+    orders = OrderPair(0.0, 1.0)
+    spacings = []
+    engine = oracle.integrate_semiinfinite_damped
+
+    def spy(f, damping, zero_spacing, tol):
+        spacings.append(zero_spacing.tolist())
+        return engine(f, damping, zero_spacing, tol)
+
+    monkeypatch.setattr(oracle, "integrate_semiinfinite_damped", spy)
+    batched = _direct_rows(orders, OCTAVE_POINTS, 0.05, 1e-7, _j_nodes(orders.nu))
+    lone = [I_direct(orders, RegularizedPoint(float(s), 0.05), 1e-7) for s in OCTAVE_POINTS]
+    assert batched.tolist() == lone  # bit for bit
+    pi = math.pi
+    assert spacings[0] == [pi, pi, pi, pi / 2, pi / 2, pi / 4]
+    assert spacings[1:] == [[w] for w in spacings[0]]
+    # an octave ends at s = 2^(j+1), inclusive
+    _direct_rows(orders, np.array([2.0, 4.0, np.nextafter(4.0, 5.0)]), 0.2, 1e-7,
+                 _j_nodes(orders.nu))
+    assert spacings[-1] == [pi, pi / 2, pi / 4]
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.025])
+def test_rows_of_every_octave_match_the_closed_form(eps):
+    orders = OrderPair(0.0, 1.0)
+    got = _direct_rows(orders, OCTAVE_POINTS, eps, 1e-7, _j_nodes(orders.nu))
+    for s, vd in zip(OCTAVE_POINTS, got):
+        vc = regularized_I(orders, RegularizedPoint(float(s), eps))
+        assert abs(vd - vc) / max(1.0, abs(vc)) <= 1e-6, s
+
+
+def test_one_oracle_run_computes_j_once_per_k(monkeypatch):
+    # the bump 1.8,0.3 puts rows in octaves 0 and 1; the nodes of a run
+    # repeat across its _direct_rows calls and its eps
+    seen = []
+    bessel_j = oracle.bessel_j
+
+    def spy(nu, k):
+        seen.extend(np.ravel(k).tolist())
+        return bessel_j(nu, k)
+
+    monkeypatch.setattr(oracle, "bessel_j", spy)
+    report = pairing_oracle(OrderPair(0.0, 1.0), TestFunction(1.8, 0.3, 1.0), SHORT_SCHEDULE)
+    assert len(seen) > 1000
+    assert len(set(seen)) == len(seen)
+    assert report.rel_deviation <= 5e-3
 
 
 def _one_bisection_per_call(orders, g, eps, inner_tol, outer_tol):
@@ -66,12 +120,13 @@ def _one_bisection_per_call(orders, g, eps, inner_tol, outer_tol):
     n2, w2 = gauss_legendre(2)
     nodes = np.concatenate((n4, n2))
     calls = []
+    j_nodes = _j_nodes(orders.nu)
 
     def eval_panels(a, b):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         x = (mid[:, None] + half[:, None] * nodes).ravel()
         calls.append(len(x))
-        gi = (_direct_rows(orders, x, eps, inner_tol) * g(x)).reshape(len(a), 6)
+        gi = (_direct_rows(orders, x, eps, inner_tol, j_nodes) * g(x)).reshape(len(a), 6)
         v4 = half * (gi[:, :4] @ w4)
         v2 = half * (gi[:, 4:] @ w2)
         return list(zip(np.abs(v4 - v2).tolist(), a.tolist(), b.tolist(), v4.tolist()))
@@ -102,12 +157,12 @@ def test_batched_bisection_rounds_equal_one_bisection_per_call(
     ref, ref_calls = _one_bisection_per_call(orders, g, eps, 1e-7, outer_tol)
     calls = []
 
-    def spy(orders, s, eps, tol):
+    def spy(orders, s, eps, tol, j_nodes):
         calls.append(len(s))
-        return _direct_rows(orders, s, eps, tol)
+        return _direct_rows(orders, s, eps, tol, j_nodes)
 
     monkeypatch.setattr(oracle, "_direct_rows", spy)
-    got = oracle._pairing_at_eps(orders, g, eps, 1e-7, outer_tol)
+    got = oracle._pairing_at_eps(orders, g, eps, 1e-7, outer_tol, _j_nodes(orders.nu))
     assert got == ref  # bit for bit
     assert len(ref_calls) == 1 + splits
     assert calls[0] == ref_calls[0] == 6 * 64 and 1 < len(calls) <= max_calls
