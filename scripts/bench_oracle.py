@@ -7,8 +7,10 @@ and (0, 1), bump 1,0.5, the default eps schedule) in-process, once on the
 package of this checkout and once on the package under DIR/src (a
 checkout of the commit to compare with, e.g. made by `git archive`), each
 in its own interpreter.  Per case and per eps it records the
-`_direct_rows` calls and rows and the semi-infinite quadrature
-evaluations, and per case the points of K's base pair per route (each
+`_direct_rows` calls and rows, the semi-infinite quadrature
+evaluations (the integrand's, on the panels) and the points of the
+closed-form Hankel tail's exponential integrals (`oracle.expn`; 0 in a
+tree without it), and per case the points of K's base pair per route (each
 `_k_pair_*` function of `specfun.besselk`: Temme's series, the Taylor
 lattice, CF2 and Horner, or whatever routes the tree has; here CF2 counts
 only the Taylor nodes it seeds, and at half-integer order every point
@@ -18,10 +20,7 @@ again at a k already met in the case) and per route
 (`J_ROUTES`: `specfun.besselj`'s ascending series `_j_series` on
 x^2/4 <= |nu| + 1, the Hankel asymptotic series `_jy_asymptotic` on the
 bands past x = 15 that it serves, and Miller's recurrence `_miller` on
-the rest), and the calls of the semi-infinite engine's Wynn epsilon
-table (each `quadrature._wynn_*` function: one per block of panels, or
-one per panel in a tree that rebuilt the table after every panel); none
-of these depend on the machine.  The cases run in that order in one
+the rest); none of these depend on the machine.  The cases run in that order in one
 process, and a tree that keeps K's CF2 base pairs per order for the
 process (`besselk._lattice_pairs`) seeds a node once for all of them, so
 a case's CF2 count depends on the cases run before it: (0.5, 1.5)
@@ -38,10 +37,9 @@ prints the measurement of the package under DIR/src as one JSON object.
 CI runs it on the checkout itself (`--tree .`): a rename of a name it
 wraps (`oracle._direct_rows`, `oracle._pairing_at_eps`,
 `oracle.integrate_semiinfinite_damped`, `oracle.bessel_j`) fails there,
-and so does a case in which no `besselk._k_pair_*` route or no
-`quadrature._wynn_*` table function is called, or, on this checkout, a
-case in which J reaches no point on one of `J_ROUTES` or computes J twice
-at the same k.
+and so does a case in which no `besselk._k_pair_*` route is called, or,
+on this checkout, a case in which J reaches no point on one of `J_ROUTES`,
+computes J twice at the same k, or no row adds a Hankel tail.
 """
 
 import argparse
@@ -66,7 +64,7 @@ J_ROUTES = {"series": "_j_series", "asymptotic": "_jy_asymptotic", "miller": "_m
 def measure(tree):
     """The four cases on the package under tree/src, counted per eps."""
     sys.path.insert(0, str(Path(tree) / "src"))
-    from wsdist import oracle, quadrature
+    from wsdist import oracle
     from wsdist.specfun import besselj, besselk
     from wsdist.distributions import TestFunction
     from wsdist.quadrature import DEFAULT_EPS_SCHEDULE
@@ -97,19 +95,17 @@ def measure(tree):
     oracle.bessel_j = counted("j", recorded_j)
     for route, name in J_ROUTES.items():
         setattr(besselj, name, counted("j_" + route, getattr(besselj, name)))
-    calls = {}
+    if hasattr(oracle, "expn"):
+        expn = oracle.expn
 
-    def called(fn):
-        """fn, counting its calls in calls["wynn"]."""
-        def wrapper(*args):
-            calls["wynn"] = calls.get("wynn", 0) + 1
-            return fn(*args)
-        return wrapper
+        def counted_expn(n, x):
+            """expn, adding its (n, x) pairs to points["expn"]."""
+            points["expn"] = points.get("expn", 0) + np.broadcast(n, x).size
+            return expn(n, x)
 
-    for name in [n for n in vars(quadrature) if n.startswith("_wynn_")]:
-        setattr(quadrature, name, called(getattr(quadrature, name)))
+        oracle.expn = counted_expn
 
-    def counted_rows(*args):  # (orders, s, eps, tol, ...)
+    def counted_rows(*args):  # (orders, s, eps, ...)
         steps[-1]["direct_rows_calls"] += 1
         steps[-1]["rows"] += len(args[1])
         return direct_rows(*args)
@@ -119,7 +115,7 @@ def measure(tree):
         steps[-1]["semiinfinite_evaluations"] += res.evaluations
         return res
 
-    def timed_pairing(*args):  # (orders, g, eps, inner_tol, outer_tol, ...)
+    def timed_pairing(*args):  # (orders, g, eps, ...)
         steps.append({"eps": args[2], "direct_rows_calls": 0, "rows": 0,
                       "semiinfinite_evaluations": 0})
         t0 = time.perf_counter()
@@ -135,7 +131,6 @@ def measure(tree):
         run = oracle.pairing_oracle if prop == 1 else oracle.jj_pairing_oracle
         steps.clear()
         points.clear()
-        calls.clear()
         j_nodes.clear()
         t0 = time.perf_counter()
         report = run(OrderPair(mu, nu), TestFunction(*BUMP), DEFAULT_EPS_SCHEDULE)
@@ -153,20 +148,20 @@ def measure(tree):
         if this_checkout and repeated:
             sys.exit(f"case prop {prop} ({mu}, {nu}): J computed {repeated} times "
                      "at a k already met")
-        if not calls:
-            sys.exit(f"case prop {prop} ({mu}, {nu}): no quadrature._wynn_* function was called")
+        if this_checkout and not points.get("expn"):
+            sys.exit(f"case prop {prop} ({mu}, {nu}): no row added a Hankel tail")
         per_eps = [dict(s) for s in steps]
         cases.append({
             "prop": prop, "mu": mu, "nu": nu,
             "direct_rows_calls": sum(s["direct_rows_calls"] for s in per_eps),
             "rows": sum(s["rows"] for s in per_eps),
             "semiinfinite_evaluations": sum(s["semiinfinite_evaluations"] for s in per_eps),
+            "tail_expn_points": points.get("expn", 0),
             "k_points": {k[2:]: v for k, v in sorted(points.items()) if k.startswith("k_")},
             "j_points": points.get("j", 0),
             "j_distinct_k": distinct_k,
             "j_repeated_points": repeated,
             "j_route_points": {r: points.get("j_" + r, 0) for r in J_ROUTES},
-            "wynn_calls": calls["wynn"],
             "wall_s": round(wall, 4),
             "rel_deviation": report.rel_deviation,
             "eps_trace_sha256": hashlib.sha256(repr(report.eps_trace).encode()).hexdigest(),
@@ -203,12 +198,12 @@ def main():
             "rows": [p["rows"], c["rows"]],
             "semiinfinite_evaluations": [p["semiinfinite_evaluations"],
                                          c["semiinfinite_evaluations"]],
+            "tail_expn_points": [p.get("tail_expn_points", 0), c["tail_expn_points"]],
             "k_points": [p["k_points"], c["k_points"]],
             "j_points": [p["j_points"], c["j_points"]],
             "j_distinct_k": [p["j_distinct_k"], c["j_distinct_k"]],
             "j_repeated_points": [p["j_repeated_points"], c["j_repeated_points"]],
             "j_route_points": [p["j_route_points"], c["j_route_points"]],
-            "wynn_calls": [p["wynn_calls"], c["wynn_calls"]],
             "wall_s": [p["wall_s"], c["wall_s"]],
             "eps_trace_identical": p["eps_trace_sha256"] == c["eps_trace_sha256"],
             "eps_trace_max_abs_diff": max(

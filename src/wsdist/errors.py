@@ -38,10 +38,10 @@ class PoleOnBoundaryError(WsdistError):
 
 
 class NonConvergenceError(WsdistError):
-    """A quadrature did not converge: a semi-infinite panel sequence
-    failed the decay test, or the oracle's direct quadrature stalled or
-    was given an eps too small for its panel budget.  No special function
-    raises it."""
+    """A quadrature did not converge: the tanh-sinh first k-panel of an
+    oracle direct integral did not settle within its levels.  The rest of
+    a direct integral is a fixed rule, so no eps is too small for it.  No
+    special function raises it."""
 
 
 class InsufficientDataError(WsdistError):

@@ -6,17 +6,17 @@ Four devices cover everything the closed forms and their oracles need:
   error estimate (`integrate_finite`),
 * tanh-sinh (double exponential) quadrature for panels with integrable
   endpoint singularities (`tanh_sinh`),
-* a panel-plus-acceleration scheme for semi-infinite oscillatory
-  integrands with exponential damping (`integrate_semiinfinite_damped`:
-  15-point Gauss panels, each checked against the interpolatory rule on
-  13 of its own nodes, and Wynn's epsilon table extended once per block
-  of panels from its carried last antidiagonal),
+* fixed panels for semi-infinite oscillatory integrands, each row to its
+  own end, plus an optional closed-form tail from there on
+  (`integrate_semiinfinite_damped`: tanh-sinh on the first panel,
+  15-point Gauss panels after it, each checked against the
+  interpolatory rule on 13 of its own nodes),
 * symmetric-subtraction Cauchy principal values (`integrate_pv`),
 
 plus Richardson extrapolation of epsilon-indexed sequences to 0.
 
 Every engine takes the integrand as a plain callable and the interval,
-pole or damping as arguments; none reads attributes off the integrand.
+pole or row ends as arguments; none reads attributes off the integrand.
 Integrands take a numpy array of abscissae and return an array of
 values of the same shape; the row-batched engines call them as
 f(x, rows), one row of x per integral.  Error estimates are absolute.
@@ -29,15 +29,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    InsufficientDataError,
-    NonConvergenceError,
-    PoleOnBoundaryError,
-)
+from .errors import InsufficientDataError, PoleOnBoundaryError
 
 _MAX_PANELS = 4096
 _TANH_SINH_LEVELS = 12  # step halvings after the unit step
-_MAX_OSC_PANELS = 4000
+_FIRST_PANEL_TOL = 1e-9  # integrate_semiinfinite_damped's tanh-sinh panel
 
 
 @dataclass(frozen=True)
@@ -236,189 +232,58 @@ def tanh_sinh(f, a, b, tol):
     return QuadratureResult(result, err, evaluations, bool(np.all(converged)))
 
 
-def _wynn_extend(diag, last_tiny, panels, n):
-    """Extend each row's Wynn epsilon table by nb new partial sums.
+def integrate_semiinfinite_damped(f, zero_spacing, end, tail=None):
+    """Integrate f over [0, inf) by fixed panels up to each row's own end,
+    plus an optional closed-form tail.
 
-    diag (15, rows) is the table's last antidiagonal e_0 .. e_14 at the
-    partial sum S_n: e_k = eps_k^(n-k), e_0 = S_n, nan where the table
-    has no entry yet.  last_tiny (14, rows) holds, per column c, the
-    index of the last partial sum whose arrival made a difference in
-    column c smaller than 1e-300 (-1 if none).  panels (rows, nb) are
-    the next nb panel values.  Only the nb new antidiagonals are formed,
-    column by column, each entry from the rhombus rule
+    Each entry of the 1-D array zero_spacing is one integral, a row, cut
+    into panels of that width (half an oscillation for the intended
+    Bessel-product kernels) up to its end, the row's entry of end (an
+    array, or one number for every row) rounded up to its panel grid.
+    The first panel takes tanh-sinh to _FIRST_PANEL_TOL, since the
+    integrand may have an integrable singularity at 0; every other panel
+    takes the 15-point Gauss rule.  tail(ends), when given, is called once
+    with the array of row ends and returns each row's integral from its
+    end on, which is added to its panel sum; without it the integral stops
+    at the end, so f must have decayed there (an end at 40 / damping for
+    a decay like e^{-damping k}).
 
-        eps_{k+1}^(i) = eps_{k-1}^(i+1) + 1 / (eps_k^(i+1) - eps_k^(i)),
-
-    and an entry depends only on S_i .. S_{i+k+1}, never on which sums
-    are kept.  For every new partial sum S_m the table is read as the
-    table on the window of the last min(m + 1, 16) sums: a column
-    counts as broken when it meets a difference below 1e-300 inside the
-    window; the estimate is the last entry of the highest even column
-    formed in the window, at most the first broken one, and the change
-    from the previous even column is the acceleration error estimate, 0
-    in a row with a broken column (its later columns hold inf/nan and
-    are not read).
-
-    Returns the new diag and last_tiny, and (rows, nb) arrays of the
-    estimate and change at S_{n+1} .. S_{n+nb}.
-    """
-    rows, nb = panels.shape
-    table = np.empty((15, rows, nb + 1), dtype=complex)
-    table[:, :, 0] = diag
-    table[0] = np.add.accumulate(np.column_stack((diag[0], panels)), axis=1)
-    tiny = np.empty((14, rows, nb + 1), dtype=int)
-    tiny[:, :, 0] = last_tiny
-    sums = np.arange(n + 1, n + nb + 1)  # index of each new partial sum
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(14):
-            diff = table[k, :, 1:] - table[k, :, :-1]
-            tiny[k, :, 1:] = np.where(np.abs(diff) < 1e-300, sums, -1)
-            inv = 1.0 / diff
-            table[k + 1, :, 1:] = inv if k == 0 else table[k - 1, :, :-1] + inv
-        np.maximum.accumulate(tiny, axis=2, out=tiny)
-        width = np.minimum(sums + 1, 16)
-        cols = np.arange(14)[:, None]
-        # at S_m, column c of the window holds the differences whose
-        # last sum is m - width + c + 2 or later, and is checked only
-        # when c <= width - 3
-        broken = (tiny[:, :, 1:] >= (sums - width + 2 + cols)[:, None]) & (
-            cols <= width - 3
-        )[:, None]
-        any_broken = broken.any(axis=0)
-        top = np.where(any_broken, broken.argmax(axis=0), width - 2)
-        top -= top % 2
-        new = table[:, :, 1:]
-        est = np.take_along_axis(new, top[None], axis=0)[0]
-        below = np.take_along_axis(new, np.maximum(top - 2, 0)[None], axis=0)[0]
-        below = np.where(top >= 2, below, table[0, :, :-1])
-        change = np.where(any_broken, 0.0, np.abs(est - below))
-    return table[:, :, -1].copy(), tiny[:, :, -1].copy(), est, change
-
-
-def integrate_semiinfinite_damped(f, damping, zero_spacing, tol):
-    """Integrate f over [0, inf) for oscillatory f with e^{-damping*k} decay.
-
-    The half-line is cut into panels of width zero_spacing (half an
-    oscillation for the intended Bessel-product kernels), each panel is
-    integrated by the 15-point Gauss rule, and the sequence of partial
-    sums is accelerated by Wynn's epsilon algorithm, which both speeds
-    up convergence and supplies the truncation error estimate.  Each
-    row carries its table's last antidiagonal, and a block of panels
-    forms only the block's new antidiagonals (`_wynn_extend`); the
-    estimate at every panel is that of the table on the last 16 partial
-    sums.  A panel's error estimate compares its Gauss value with the
-    degree-13 interpolatory rule on 13 of the same 15 nodes, so a panel
-    costs 15 evaluations; only error_estimate reads it, never the stop
-    test.
-    The first panel uses tanh-sinh since the integrand may have an
-    integrable singularity at 0.
-
-    Each entry of the 1-D array zero_spacing is one integral, a row; all
-    share damping and tol.  f(k, rows) gets a (len(rows), n) array of
-    abscissae for the rows still running, rows their indices into
-    zero_spacing, and a row leaves the batch when it stops; no row gets
-    an abscissa past its cap of panels, which it ends unconverged.
-
-    Raises NonConvergenceError when the panel magnitudes of a row fail
-    to decay (wrong damping / spacing hints).
+    No step tests convergence: a row's panels follow from its spacing and
+    end alone, and its panel values are summed in order, so a row of a
+    batch has the bits of its lone call.  f(k, rows) gets a (len(rows),
+    15) array of abscissae per Gauss panel, for the rows whose end lies
+    past the panel, rows their indices into zero_spacing: the rows of one
+    spacing share their abscissae.  error_estimate adds to the first
+    panel's tanh-sinh estimate, per Gauss panel, a tenth of the change
+    from its Gauss value to the degree-13 interpolatory rule on 13 of
+    the same 15 nodes, so a panel costs 15 evaluations; neither the tail
+    nor the cut at the end is estimated.  converged reports the first
+    panels.
     """
     spacing = np.asarray(zero_spacing, dtype=float)
-    if damping <= 0.0 or tol <= 0.0 or spacing.ndim != 1 or not np.all(spacing > 0.0):
-        raise ValueError("damping, zero_spacing (1-D) and tol must be positive")
-    n_rows = len(spacing)
-    k_max = max(50.0, 40.0 / damping)
-    n_panels = np.minimum(np.ceil(k_max / spacing), _MAX_OSC_PANELS).astype(int)
+    ends = np.broadcast_to(np.asarray(end, dtype=float), spacing.shape)
+    if spacing.ndim != 1 or not (np.all(spacing > 0.0) and np.all(np.isfinite(ends))):
+        raise ValueError("need a 1-D zero_spacing > 0 and finite row ends")
+    n_panels = np.maximum(np.ceil(ends / spacing), 1.0).astype(int)
 
     n15, w15 = gauss_legendre(15)
     w13 = _g15_comparator()
-    first = tanh_sinh(f, np.zeros(n_rows), spacing, tol * 1e-2)
+    first = tanh_sinh(f, np.zeros(len(spacing)), spacing, _FIRST_PANEL_TOL)
+    value, error = first.value, first.error_estimate
     evaluations = first.evaluations
-
-    value = np.empty(n_rows, dtype=complex)
-    error = np.empty(n_rows)
-    converged = np.zeros(n_rows, dtype=bool)
-    # state of the running rows; `rows` maps them to their input index
-    rows = np.arange(n_rows)
-    panel_err = first.error_estimate.copy()
-    # the epsilon table's last antidiagonal, and per column the last sum
-    # at which it met a tiny difference (see _wynn_extend)
-    diag = np.full((15, n_rows), complex(np.nan, np.nan))
-    diag[0] = first.value
-    last_tiny = np.full((14, n_rows), -1)
-    mags = np.abs(first.value)[:, None]  # the last 4 panel magnitudes
-    head = np.zeros(n_rows)  # largest magnitude of panels 1-4
-    best = first.value.copy()
-    best_change = np.abs(first.value)
-    stable = np.zeros(n_rows, dtype=int)
-    block = 8  # panels per integrand call; specfun batches amortize
-
-    def finish(sel, err, ok):
-        value[rows[sel]] = best[sel]
-        error[rows[sel]] = err[sel]
-        converged[rows[sel]] = ok
-
-    j = 1
-    while rows.size:
-        # a row out of panels ends unconverged, with its last estimate
-        spent = n_panels[rows] <= j
-        finish(spent, best_change + panel_err + mags[:, -1], False)
-        running = ~spent
-        if running.all():  # else the spent rows leave before the next block
-            # blocks keep to a grid of `block` panels from panel 1 and end
-            # early at the smallest panel cap, so no row is evaluated past
-            # its own
-            off = (j - 1) % block
-            nb = min(block - off, int(n_panels[rows].min()) - j)
-            half = 0.5 * spacing[rows, None]
-            mids = (np.arange(j, j + nb) + 0.5) * spacing[rows, None]
-            xs = (mids[:, :, None] + half[:, :, None] * n15).reshape(rows.size, -1)
-            vals = f(xs, rows).reshape(rows.size, nb, 15)
-            evaluations += xs.size
-            if nb < block:
-                # matmul rounds a panel by its place among `block` panels:
-                # a short block takes its places on the grid, as in a lone
-                # row's call, so a row's panels keep their bits however
-                # the blocks of its batch fall
-                vals = np.pad(vals, ((0, 0), (off, block - off - nb), (0, 0)))
-            v15 = half * (vals @ w15)[:, off:off + nb]
-            v13 = half * (vals @ w13)[:, off:off + nb]
-            diag, last_tiny, ests, changes = _wynn_extend(diag, last_tiny, v15, j - 1)
-            for i in range(nb):
-                jj = j + i
-                panel_err = panel_err + np.abs(v15[:, i] - v13[:, i]) * 0.1
-                mags = np.column_stack((mags[:, -3:], np.abs(v15[:, i])))
-                if jj == 4:
-                    head = mags.max(axis=1)
-                if jj >= 6:
-                    est, change = ests[:, i], changes[:, i]
-                    scale = np.maximum(np.abs(est), 1e-300)
-                    steady = (np.abs(est - best) <= 0.5 * tol * scale) & (
-                        change <= tol * scale
-                    )
-                    stable = np.where(steady, stable + 1, 0)
-                    best, best_change = est, change
-                    done = (
-                        running
-                        & (stable >= 2)
-                        & (mags[:, -1] <= math.sqrt(tol) * scale)
-                    )
-                    finish(done, best_change + panel_err + mags[:, -1] * tol, True)
-                    running &= ~done
-                if jj >= 12 and jj % 12 == 0:
-                    tail = mags.max(axis=1)
-                    if np.any(running & (tail > 4.0 * head + 1e-300) & (tail > 1e-12)):
-                        raise NonConvergenceError(
-                            "panel magnitudes are growing; check damping/zero_spacing"
-                        )
-                if not running.any():
-                    break
-            j += nb
-        rows = rows[running]
-        panel_err, mags, head = panel_err[running], mags[running], head[running]
-        diag, last_tiny = diag[:, running], last_tiny[:, running]
-        best, best_change, stable = best[running], best_change[running], stable[running]
-
-    return QuadratureResult(value, error, evaluations, bool(np.all(converged)))
+    for j in range(1, int(n_panels.max(initial=1))):
+        rows = np.flatnonzero(n_panels > j)
+        half = 0.5 * spacing[rows, None]
+        vals = f((2 * j + 1 + n15) * half, rows)
+        evaluations += vals.size
+        # a row sum, never a matmul, whose kernels round a row by its place
+        v15 = half[:, 0] * np.sum(vals * w15, axis=1)
+        v13 = half[:, 0] * np.sum(vals * w13, axis=1)
+        value[rows] += v15
+        error[rows] += 0.1 * np.abs(v15 - v13)
+    if tail is not None:
+        value = value + tail(n_panels * spacing)
+    return QuadratureResult(value, error, evaluations, first.converged)
 
 
 def pole_guard(pole):

@@ -2,12 +2,14 @@
 
 Gamma and digamma on the real line, Bessel J of real order, the
 modified Bessel function K of complex argument, the Hankel function
-H1 through the K identity, and the Gauss hypergeometric function with
-an explicit boundary-value convention on the cut [1, inf).
+H1 through the K identity, the generalized exponential integral E_n of
+complex argument, and the Gauss hypergeometric function with an
+explicit boundary-value convention on the cut [1, inf).
 """
 
 from .besselj import bessel_j
 from .besselk import bessel_k_complex, hankel1_complex
+from .expint import expn
 from .gammafn import EULER_GAMMA, digamma, gamma
 from .hyp import BranchPoint, HypParams, hyp2f1, hyp2f1_boundary
 
@@ -18,6 +20,7 @@ __all__ = [
     "bessel_j",
     "bessel_k_complex",
     "hankel1_complex",
+    "expn",
     "HypParams",
     "BranchPoint",
     "hyp2f1",

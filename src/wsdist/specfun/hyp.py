@@ -76,7 +76,7 @@ differently from complex **'s repeated products) and abs(acc) wherever
 acc is complex (math.hypot has its own algorithm, not libm's).  Python
 3.14 multiplies a float into a complex without the promotion, as
 (f*re, f*im): the real parts are the same float operations, so only the
-sign of an exactly zero product could differ.  CI runs 3.10-3.12.
+sign of an exactly zero product could differ.  CI runs 3.10-3.13.
 """
 
 import cmath

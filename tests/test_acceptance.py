@@ -86,7 +86,6 @@ def test_criterion_05_closed_form_vs_direct_quadrature():
         pairs=[(0.0, 0.0), (0.0, 1.0), (1.0, 2.0), (0.5, 1.5)],
         ss=(0.3, 0.7, 1.0, 1.5, 3.0),
         epss=(0.05, 0.2),
-        inner_tol=1e-7,
     )
     elapsed = time.perf_counter() - t0
     assert _report(5, "direct_vs_closed_form", worst, 1e-6, elapsed)
