@@ -8,9 +8,12 @@ package of this checkout and once on the package under DIR/src (a
 checkout of the commit to compare with, e.g. made by `git archive`), each
 in its own interpreter.  Per case and per eps it records the
 `_direct_rows` calls and rows, the semi-infinite quadrature
-evaluations (the integrand's, on the panels) and the points of the
-closed-form Hankel tail's exponential integrals (`oracle.expn`; 0 in a
-tree without it), and per case the points of K's base pair per route (each
+evaluations (the integrand's, on the panels), and per case the E_n
+values of the closed-form Hankel tail (`tail_expn_points`, the entries
+that `oracle.expn` returns; 0 in a tree without it) and how many of
+them were computed directly (`tail_expn_direct`: the points of
+`specfun.expint`'s `_series` and `_continued_fraction`; the rest come
+from the recurrence), and the points of K's base pair per route (each
 `_k_pair_*` function of `specfun.besselk`: Temme's series, the Taylor
 lattice, CF2 and Horner, or whatever routes the tree has; here CF2 counts
 only the Taylor nodes it seeds, and at half-integer order every point
@@ -39,7 +42,8 @@ wraps (`oracle._direct_rows`, `oracle._pairing_at_eps`,
 `oracle.integrate_semiinfinite_damped`, `oracle.bessel_j`) fails there,
 and so does a case in which no `besselk._k_pair_*` route is called, or,
 on this checkout, a case in which J reaches no point on one of `J_ROUTES`,
-computes J twice at the same k, or no row adds a Hankel tail.
+computes J twice at the same k, no row adds a Hankel tail, or the tail
+computes more than one E_n directly per row and sign.
 """
 
 import argparse
@@ -59,6 +63,8 @@ CASES = [(1, 0.0, 1.0), (1, 0.5, 1.5), (2, 1.0, 1.0), (2, 0.0, 1.0)]
 BUMP = (1.0, 0.5, 1.0)
 # J's routes, by the name of the function of specfun.besselj that serves each
 J_ROUTES = {"series": "_j_series", "asymptotic": "_jy_asymptotic", "miller": "_miller"}
+# the functions of specfun.expint that compute an E_n directly
+EXPN_ROUTES = ("_series", "_continued_fraction")
 
 
 def measure(tree):
@@ -95,13 +101,18 @@ def measure(tree):
     oracle.bessel_j = counted("j", recorded_j)
     for route, name in J_ROUTES.items():
         setattr(besselj, name, counted("j_" + route, getattr(besselj, name)))
+    expint = sys.modules.get("wsdist.specfun.expint")  # None in a tree before the tail
+    for name in EXPN_ROUTES:
+        if hasattr(expint, name):
+            setattr(expint, name, counted("expn_direct", getattr(expint, name)))
     if hasattr(oracle, "expn"):
         expn = oracle.expn
 
-        def counted_expn(n, x):
-            """expn, adding its (n, x) pairs to points["expn"]."""
-            points["expn"] = points.get("expn", 0) + np.broadcast(n, x).size
-            return expn(n, x)
+        def counted_expn(*args):
+            """expn, adding the E_n values it returns to points["expn"]."""
+            out = expn(*args)
+            points["expn"] = points.get("expn", 0) + out.size
+            return out
 
         oracle.expn = counted_expn
 
@@ -151,12 +162,18 @@ def measure(tree):
         if this_checkout and not points.get("expn"):
             sys.exit(f"case prop {prop} ({mu}, {nu}): no row added a Hankel tail")
         per_eps = [dict(s) for s in steps]
+        rows = sum(s["rows"] for s in per_eps)
+        direct = points.get("expn_direct", 0)
+        if this_checkout and direct > 2 * rows:
+            sys.exit(f"case prop {prop} ({mu}, {nu}): {direct} direct E_n evaluations, "
+                     f"more than one per row and sign ({2 * rows})")
         cases.append({
             "prop": prop, "mu": mu, "nu": nu,
             "direct_rows_calls": sum(s["direct_rows_calls"] for s in per_eps),
-            "rows": sum(s["rows"] for s in per_eps),
+            "rows": rows,
             "semiinfinite_evaluations": sum(s["semiinfinite_evaluations"] for s in per_eps),
             "tail_expn_points": points.get("expn", 0),
+            "tail_expn_direct": direct,
             "k_points": {k[2:]: v for k, v in sorted(points.items()) if k.startswith("k_")},
             "j_points": points.get("j", 0),
             "j_distinct_k": distinct_k,
@@ -199,6 +216,7 @@ def main():
             "semiinfinite_evaluations": [p["semiinfinite_evaluations"],
                                          c["semiinfinite_evaluations"]],
             "tail_expn_points": [p.get("tail_expn_points", 0), c["tail_expn_points"]],
+            "tail_expn_direct": [p.get("tail_expn_direct", 0), c["tail_expn_direct"]],
             "k_points": [p["k_points"], c["k_points"]],
             "j_points": [p["j_points"], c["j_points"]],
             "j_distinct_k": [p["j_distinct_k"], c["j_distinct_k"]],

@@ -11,11 +11,14 @@ from wsdist.oracle import (
     I_direct,
     OracleReport,
     _direct_rows,
+    _hankel_head,
+    _hankel_tail,
     _j_nodes,
     jj_pairing_oracle,
     pairing_oracle,
 )
 from wsdist.quadrature import EpsSchedule, gauss_legendre
+from wsdist.specfun.expint import _direct
 from wsdist.weber_schafheitlin import (
     OrderPair,
     RegularizedPoint,
@@ -67,6 +70,44 @@ def test_rows_with_the_hankel_tail_match_the_closed_form(mu, nu, bound, eps):
     for s, vd in zip(HANKEL_TAIL_S, got):
         vc = regularized_I(orders, RegularizedPoint(float(s), eps))
         assert abs(vd - vc) / max(1.0, abs(vc)) <= bound, s
+
+
+def _hankel_tail_reference(mu, nu, z, k0):
+    """_hankel_tail row by row: the Cauchy product by np.convolve, each
+    E_n(x), n >= 1, by its own direct route, E_0 = e^-x / x."""
+    a_mu, _ = _hankel_head(mu)
+    a_nu, _ = _hankel_head(nu)
+    n_terms = max(len(a_mu), len(a_nu))
+    out = []
+    for zr, kr in zip(z, k0):
+        total = 0.0
+        for sign in (1.0, -1.0):
+            c = np.convolve(a_mu * (1j / (zr * kr)) ** np.arange(len(a_mu)),
+                            a_nu * (sign * 1j / kr) ** np.arange(len(a_nu)))[:n_terms]
+            x = -1j * (zr + sign) * kr
+            e_n = np.concatenate(([np.exp(-x) / x],
+                                  _direct(np.arange(1, n_terms), np.full(n_terms - 1, x))))
+            phase = -(0.5 * mu + 0.25) * math.pi - sign * (0.5 * nu + 0.25) * math.pi
+            total += complex(math.cos(phase), math.sin(phase)) * np.sum(c * e_n)
+        out.append(kr / (math.pi * np.sqrt(zr)) * total)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("mu,nu", [(0.0, 1.0), (0.5, 1.5), (1.0, 1.0), (3.3, 8.0), (0.0, 12.0),
+                                   (2.0, 30.0)])
+@pytest.mark.parametrize("eps", [0.2, 0.025, 1e-3])
+def test_hankel_tail_matches_one_direct_e_n_per_term(mu, nu, eps):
+    # the tail's E_n come from one direct E_m per row and sign and the
+    # recurrence; at (2, 30) k0 = 534, so the + sign starts every row at
+    # m = N - 1 = 17 with |x| > 500
+    s = np.linspace(0.5, 3.0, 11)
+    z = s + 1j * eps
+    k0 = np.maximum(_hankel_head(nu)[1], _hankel_head(mu)[1] / np.abs(z))
+    spacing = np.where(s <= 2.0, math.pi, 0.5 * math.pi)
+    k0 = np.ceil(k0 / spacing) * spacing  # on the row's panel grid, as in _direct_rows
+    got = _hankel_tail(mu, nu, z, k0)
+    ref = _hankel_tail_reference(mu, nu, z, k0)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
 
 @pytest.mark.parametrize("mu,nu", [(0.0, 1.0), (1.0, 1.0)])
