@@ -42,8 +42,9 @@ wraps (`oracle._direct_rows`, `oracle._pairing_at_eps`,
 `oracle.integrate_semiinfinite_damped`, `oracle.bessel_j`) fails there,
 and so does a case in which no `besselk._k_pair_*` route is called, or,
 on this checkout, a case in which J reaches no point on one of `J_ROUTES`,
-computes J twice at the same k, no row adds a Hankel tail, or the tail
-computes more than one E_n directly per row and sign.
+computes J twice at the same k, no row adds a Hankel tail, the tail
+computes more than one E_n directly per row and sign, or one eps makes
+more than one `_direct_rows` call (the s-rule is one fixed rule per eps).
 """
 
 import argparse
@@ -82,10 +83,10 @@ def measure(tree):
     steps = []
     points = {}
 
-    def counted(key, fn):
-        """fn, adding the size of its second argument to points[key]."""
+    def counted(key, fn, at=1):
+        """fn, adding the size of its argument at index `at` to points[key]."""
         def wrapper(*args):
-            points[key] = points.get(key, 0) + args[1].size
+            points[key] = points.get(key, 0) + args[at].size
             return fn(*args)
         return wrapper
 
@@ -104,7 +105,8 @@ def measure(tree):
     expint = sys.modules.get("wsdist.specfun.expint")  # None in a tree before the tail
     for name in EXPN_ROUTES:
         if hasattr(expint, name):
-            setattr(expint, name, counted("expn_direct", getattr(expint, name)))
+            # x is each route's last argument (the series takes x alone)
+            setattr(expint, name, counted("expn_direct", getattr(expint, name), at=-1))
     if hasattr(oracle, "expn"):
         expn = oracle.expn
 
@@ -162,6 +164,10 @@ def measure(tree):
         if this_checkout and not points.get("expn"):
             sys.exit(f"case prop {prop} ({mu}, {nu}): no row added a Hankel tail")
         per_eps = [dict(s) for s in steps]
+        # an older tree may refine its s-rule over several calls per eps
+        calls = max(s["direct_rows_calls"] for s in per_eps)
+        if this_checkout and calls > 1:
+            sys.exit(f"case prop {prop} ({mu}, {nu}): {calls} _direct_rows calls at one eps")
         rows = sum(s["rows"] for s in per_eps)
         direct = points.get("expn_direct", 0)
         if this_checkout and direct > 2 * rows:

@@ -21,9 +21,10 @@ error (an unknown flag or --only module, a number that does not parse,
 a non-finite --mu, --nu, --s-min, --s-max or --alpha, a --tol that is
 not finite and positive, or an --eps-schedule that is not finite and
 positive or does not at least halve, with the reason on the usage
-line), 3 quadrature non-convergence (not a small eps: the oracle's
-direct integrals are fixed rules, and it warns on stderr where its
-s-rule spends its bisections above tolerance), 4 oracle deviation beyond
+line), 3 quadrature non-convergence (never for a small eps: the
+oracle's direct integrals and its s-rule are fixed rules; it warns on
+stderr where its pairings' residuals are not monotone along the
+schedule), 4 oracle deviation beyond
 tolerance, 5 any other typed error (a DomainError such as a non-finite
 --bump, a pairing that is not finite or a grid point s <= 0 or beyond
 the double range, SupportError, PoleError, ParamError,

@@ -13,12 +13,13 @@ pairings
 
 are computed by a composite Gauss rule in s, Richardson-extrapolated
 to eps = 0, and compared with the closed-form pairing of the limit
-distribution.  The direct integrals I(s + i eps) of all the s-nodes of
-one step of that rule run as one row-batched semi-infinite quadrature,
-so every Bessel evaluation covers the k-panels of all those nodes at
-once.  A step is the initial panels, or one round of bisections: the
-greedy worst-first refinement is replayed panel by panel, but the
-halves it will need are evaluated ahead, a round at a time.
+distribution.  That rule is fixed by eps and the support of g alone:
+8-point Gauss panels whose widths grow from eps/8 at s = 1, where
+I(s + i eps) has its near-pole of width eps, by doubling up to a 32nd of
+the support (_s_edges), with no error estimate and no refinement.  The
+direct integrals I(s + i eps) of all its s-nodes run as one row-batched
+semi-infinite quadrature, so every Bessel evaluation covers the k-panels
+of all those nodes at once.
 
 Each direct integral is one fixed rule fixed by (orders, s, eps) alone,
 with no convergence test.  Its k-panels have width pi / 2^j, j >= 0 the
@@ -53,9 +54,6 @@ from .specfun import bessel_j, expn, hankel1_complex
 from .specfun.besselj import _HANKEL_EDGES, _hankel_table
 from .specfun.memo import Memo
 from .weber_schafheitlin import prop1_distribution, prop2_distribution
-
-_OUTER_PANELS = 64
-_OUTER_REFINE_BUDGET = 40
 
 
 @dataclass(frozen=True)
@@ -185,78 +183,36 @@ def _direct_rows(orders, s, eps, j_nodes):
     return res.value
 
 
-def _pairing_at_eps(orders, g, eps, outer_tol, j_nodes):
-    """int I(s + i eps) g(s) ds over supp g by a 64-panel composite
-    Gauss rule; the panel with the worst embedded error estimate (ties
-    to the leftmost) is bisected, one at a time, until the summed
-    estimate passes outer_tol (deterministic, bounded refinement
-    budget; a budget spent above outer_tol warns).
+def _s_edges(lo, hi, eps):
+    """Panel edges of the s-rule on [lo, hi], graded toward the pole at
+    s = 1: from c = clip(1, lo, hi) the panels on each side have widths
+    eps/8, eps/4, ... doubling outward, each at most (hi - lo)/32, the
+    last one cut at the support's end."""
+    c = min(max(1.0, lo), hi)
+    cap = (hi - lo) / 32
+    left, right, width = [c], [c], eps / 8
+    while left[-1] > lo or right[-1] < hi:
+        step = min(width, cap)
+        if left[-1] > lo:
+            left.append(max(left[-1] - step, lo))
+        if right[-1] < hi:
+            right.append(min(right[-1] + step, hi))
+        width *= 2
+    return np.array(left[:0:-1] + right)
 
-    The bisections run in batched rounds.  A round starts when the
-    panel to bisect next has no evaluated halves; one `_direct_rows`
-    call then evaluates the halves of every panel in the shortest
-    prefix of the worst-first order whose removal brings the summed
-    estimate to outer_tol, at most the splits left in the budget.  The
-    greedy loop bisects each of those panels before it could stop (it
-    never splits an original panel before one ahead of it in that
-    order), so only a budget cap can leave a half unused; the loop then
-    takes the halves in its own order and sums in the same order.  The
-    rows of a call are independent integrals, so the pairing is that of
-    one call per bisection, bit for bit on the acceptance cases.  Every
-    call reads J from j_nodes (_j_nodes)."""
-    lo, hi = g.support
-    n4, w4 = gauss_legendre(4)
-    n2, w2 = gauss_legendre(2)
-    nodes = np.concatenate((n4, n2))
 
-    def eval_panels(a, b):
-        """(estimate, a, b, value) of each panel [a_i, b_i]."""
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        x = (mid[:, None] + half[:, None] * nodes).ravel()
-        gi = (_direct_rows(orders, x, eps, j_nodes) * g(x)).reshape(len(a), 6)
-        v4 = half * (gi[:, :4] @ w4)
-        v2 = half * (gi[:, 4:] @ w2)
-        return list(zip(np.abs(v4 - v2).tolist(), a.tolist(), b.tolist(), v4.tolist()))
-
-    def bisect_round(panels, total_est, budget):
-        """The halves of the worst-first prefix of panels, keyed by
-        (a, b) of the panel they split."""
-        ends, rest = [], total_est
-        for est, a, b, _ in panels[:budget]:
-            if (a, b) not in halves:
-                ends.append((a, b))
-            rest -= est
-            if rest <= outer_tol:
-                break
-        a, b = np.array(ends).T
-        mid = 0.5 * (a + b)
-        new = eval_panels(np.column_stack((a, mid)).ravel(), np.column_stack((mid, b)).ravel())
-        return {ab: (new[2 * i], new[2 * i + 1]) for i, ab in enumerate(ends)}
-
-    edges = np.linspace(lo, hi, _OUTER_PANELS + 1)
-    panels = eval_panels(edges[:-1], edges[1:])
-    halves = {}
-
-    splits = 0
-    while splits < _OUTER_REFINE_BUDGET:
-        total_est = sum(p[0] for p in panels)
-        if total_est <= outer_tol:
-            break
-        panels.sort(key=lambda p: (-p[0], p[1]))
-        _, a, b, _ = panels[0]
-        if (a, b) not in halves:
-            halves.update(bisect_round(panels, total_est, _OUTER_REFINE_BUDGET - splits))
-        panels.pop(0)
-        panels += halves.pop((a, b))
-        splits += 1
-    total_est = sum(p[0] for p in panels)
-    if total_est > outer_tol:
-        warnings.warn(
-            f"the s-quadrature at eps={eps:g} spent its {_OUTER_REFINE_BUDGET} splits with "
-            f"its error estimate {total_est:.2e} still above {outer_tol:.2e}",
-            stacklevel=4,
-        )
-    return sum(p[3] for p in panels)
+def _pairing_at_eps(orders, g, eps, j_nodes):
+    """int I(s + i eps) g(s) ds over supp g by one fixed composite rule:
+    8-point Gauss panels on _s_edges, fixed by eps and the support alone.
+    The direct integrals of all its nodes are one `_direct_rows` call,
+    which reads J from j_nodes (_j_nodes); a panel's Gauss sum is a row
+    sum, never a matmul."""
+    nodes, weights = gauss_legendre(8)
+    edges = _s_edges(*g.support, eps)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    x = (mid[:, None] + half[:, None] * nodes).ravel()
+    gi = (_direct_rows(orders, x, eps, j_nodes) * g(x)).reshape(len(mid), len(nodes))
+    return complex(np.sum(half * np.sum(gi * weights, axis=1)))
 
 
 def _oracle_report(orders, g, schedule, dist, part):
@@ -264,11 +220,10 @@ def _oracle_report(orders, g, schedule, dist, part):
     compared with the closed-form pairing of dist; `part` maps both
     values to the compared quantity."""
     closed = pair(dist, g, Measure.LEBESGUE, tol=1e-9)
-    scale = max(1.0, abs(closed))
     j_nodes = _j_nodes(orders.nu)  # J once per k-node of the run, at every eps
     trace = []
     for eps in schedule.values:
-        val = _pairing_at_eps(orders, g, eps, 1e-6 * scale, j_nodes)
+        val = _pairing_at_eps(orders, g, eps, j_nodes)
         trace.append((eps, val))
     limit, extrap_err = richardson(trace)
     residuals = [abs(v - limit) for _, v in trace]

@@ -20,10 +20,10 @@ recurrence, which then runs on numbers with fewer bits, lose more.
 The direct E_m takes one of two routes, each of a fixed length, so a
 value is fixed by (m, x) alone:
 
-* the ascending series in x and log x where |x| + Re x <= 2,
-  _SERIES_TERMS terms.  Its terms cancel by about e^{|x| + Re x}, like
-  those of K's Temme series: on the real axis the bound |x| <= 2 alone
-  would lose 1.5e-14 at x = 1.99, n = 4.
+* the ascending series of E_1 in x and log x where |x| + Re x <= 2,
+  _SERIES_TERMS terms; Re x > 0 makes |x| < 2 there, so m = 1.  Its
+  terms cancel by about e^{|x| + Re x}, like those of K's Temme series,
+  hence the bound on |x| + Re x rather than on |x| alone.
 * the continued fraction, in the even form of Numerical Recipes §6.3,
   summed from its _CF_STEPS-th level down, everywhere else; 80 levels
   reach 1e-14 down to |x| = 2 near the imaginary axis and to |x| = 1 on
@@ -59,28 +59,25 @@ def _continued_fraction(n, x):
     return np.exp(-x) / t
 
 
-def _series(n, x):
-    top = int(n.max())
-    steps = np.arange(1.0, top)
-    factorial = np.concatenate(([1.0], np.cumprod(steps)))  # (n - 1)!
-    psi = np.concatenate(([0.0], np.cumsum(1.0 / steps))) - EULER_GAMMA  # psi(n)
-    out = (-x) ** (n - 1) / factorial[n - 1] * (psi[n - 1] - np.log(x))
+def _series(x):
+    """E_1(x) = -gamma - log x - sum_{k >= 1} (-x)^k / (k k!)."""
+    out = -EULER_GAMMA - np.log(x)
     term = np.ones_like(x)  # (-x)^k / k!
-    for k in range(_SERIES_TERMS):
-        if k:
-            term = term * -x / k
-        d = k + 1 - n
-        out -= np.divide(term, d, out=np.zeros_like(term), where=d != 0)
+    for k in range(1, _SERIES_TERMS):
+        term = term * -x / k
+        out -= term / k
     return out
 
 
 def _direct(n, x):
-    """E_n(x) at every pair of the 1-d arrays n (integers >= 1) and x."""
+    """E_n(x) at every pair of the 1-d arrays n (integers >= 1) and x,
+    n = 1 wherever |x| + Re x <= 2 (the series serves E_1 alone; _table's
+    m = clip(floor(|x|), 1, N - 1) is 1 there)."""
     series = np.abs(x) + x.real <= _SERIES_EDGE
     out = np.empty(x.shape, dtype=complex)
     out[~series] = _continued_fraction(n[~series], x[~series])
     if series.any():
-        out[series] = _series(n[series], x[series])
+        out[series] = _series(x[series])
     return out
 
 

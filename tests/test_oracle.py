@@ -2,8 +2,10 @@ import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from wsdist import oracle
 from wsdist.distributions import TestFunction
@@ -17,8 +19,8 @@ from wsdist.oracle import (
     jj_pairing_oracle,
     pairing_oracle,
 )
-from wsdist.quadrature import EpsSchedule, gauss_legendre
-from wsdist.specfun.expint import _direct
+from wsdist.quadrature import EpsSchedule
+from wsdist.specfun.expint import _SERIES_EDGE, _direct
 from wsdist.weber_schafheitlin import (
     OrderPair,
     RegularizedPoint,
@@ -74,7 +76,8 @@ def test_rows_with_the_hankel_tail_match_the_closed_form(mu, nu, bound, eps):
 
 def _hankel_tail_reference(mu, nu, z, k0):
     """_hankel_tail row by row: the Cauchy product by np.convolve, each
-    E_n(x), n >= 1, by its own direct route, E_0 = e^-x / x."""
+    E_n(x), n >= 1, by its own direct route (mpmath where that route is
+    the series of E_1), E_0 = e^-x / x."""
     a_mu, _ = _hankel_head(mu)
     a_nu, _ = _hankel_head(nu)
     n_terms = max(len(a_mu), len(a_nu))
@@ -85,8 +88,12 @@ def _hankel_tail_reference(mu, nu, z, k0):
             c = np.convolve(a_mu * (1j / (zr * kr)) ** np.arange(len(a_mu)),
                             a_nu * (sign * 1j / kr) ** np.arange(len(a_nu)))[:n_terms]
             x = -1j * (zr + sign) * kr
-            e_n = np.concatenate(([np.exp(-x) / x],
-                                  _direct(np.arange(1, n_terms), np.full(n_terms - 1, x))))
+            n = np.arange(1, n_terms)
+            if abs(x) + x.real <= _SERIES_EDGE:  # _direct's series serves E_1 alone
+                e_direct = np.array([complex(mpmath.expint(int(k), x)) for k in n])
+            else:
+                e_direct = _direct(n, np.full(n_terms - 1, x))
+            e_n = np.concatenate(([np.exp(-x) / x], e_direct))
             phase = -(0.5 * mu + 0.25) * math.pi - sign * (0.5 * nu + 0.25) * math.pi
             total += complex(math.cos(phase), math.sin(phase)) * np.sum(c * e_n)
         out.append(kr / (math.pi * np.sqrt(zr)) * total)
@@ -174,48 +181,41 @@ def test_one_oracle_run_computes_j_once_per_k(monkeypatch):
     assert report.rel_deviation <= 5e-3
 
 
-def _one_bisection_per_call(orders, g, eps, outer_tol):
-    """The greedy s-refinement with one _direct_rows call per bisection;
-    returns the pairing and the rows of each call."""
-    n4, w4 = gauss_legendre(4)
-    n2, w2 = gauss_legendre(2)
-    nodes = np.concatenate((n4, n2))
-    calls = []
-    j_nodes = _j_nodes(orders.nu)
+def _pairing_reference(orders, g, eps):
+    """P(eps) = int I(s + i eps) g(s) ds by scipy's adaptive quad of the
+    closed-form regularized_I, split at the pole s = 1."""
+    lo, hi = g.support
 
-    def eval_panels(a, b):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        x = (mid[:, None] + half[:, None] * nodes).ravel()
-        calls.append(len(x))
-        gi = (_direct_rows(orders, x, eps, j_nodes) * g(x)).reshape(len(a), 6)
-        v4 = half * (gi[:, :4] @ w4)
-        v2 = half * (gi[:, 4:] @ w2)
-        return list(zip(np.abs(v4 - v2).tolist(), a.tolist(), b.tolist(), v4.tolist()))
+    def part(s, which):
+        v = complex(regularized_I(orders, RegularizedPoint(s, eps))) * float(g(s))
+        return (v.real, v.imag)[which]
 
-    edges = np.linspace(*g.support, 65)
-    panels = eval_panels(edges[:-1], edges[1:])
-    for _ in range(40):
-        if sum(p[0] for p in panels) <= outer_tol:
-            break
-        panels.sort(key=lambda p: (-p[0], p[1]))
-        _, a, b, _ = panels.pop(0)
-        mid = 0.5 * (a + b)
-        panels += eval_panels(np.array([a, mid]), np.array([mid, b]))
-    return sum(p[3] for p in panels), calls
+    points = [1.0] if lo < 1.0 < hi else None
+    with warnings.catch_warnings():
+        # quad reports roundoff at (3.3, 8), where its value moves by less
+        # than 1e-14 between epsrel 1e-12 and 1e-13
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return complex(*(quad(part, lo, hi, args=(which,), points=points, limit=500,
+                              epsabs=1e-14, epsrel=1e-13)[0] for which in (0, 1)))
 
 
-@pytest.mark.parametrize(
-    "eps, outer_tol, splits, max_calls",
-    [
-        (0.05, 1e-6, 10, 5),  # the refinement stops on outer_tol
-        (0.2, 1e-13, 40, 4),  # the split budget binds
-    ],
+PAIRING_CASES = (
+    # the acceptance orders and bumps on the default schedule
+    [(o, b, eps) for o in ((0.0, 1.0), (0.5, 1.5), (1.0, 1.0))
+     for b in ((1.0, 0.5), (1.8, 0.3)) for eps in (0.2, 0.1, 0.05, 0.025)]
+    # small eps, bumps narrow at, next to, below and far past s = 1 or
+    # with an end on it, and orders whose rows start their tail late
+    + [((0.0, 1.0), (1.0, 0.5), 6.25e-3), ((0.0, 1.0), (1.0, 0.5), 1e-3),
+       ((0.5, 1.5), (1.0, 0.5), 1e-3), ((0.0, 1.0), (1.0, 0.05), 0.025),
+       ((0.0, 1.0), (1.02, 0.01), 0.025), ((0.0, 1.0), (0.3, 0.25), 0.025),
+       ((0.0, 1.0), (3.0, 2.5), 0.025), ((0.0, 1.0), (1.5, 0.5), 0.025),
+       ((3.3, 8.0), (1.0, 0.5), 0.2), ((3.3, 8.0), (1.0, 0.5), 0.025)]
 )
-def test_batched_bisection_rounds_equal_one_bisection_per_call(
-    monkeypatch, eps, outer_tol, splits, max_calls
-):
-    orders, g = OrderPair(0.0, 1.0), TestFunction(1.0, 0.5, 1.0)
-    ref, ref_calls = _one_bisection_per_call(orders, g, eps, outer_tol)
+
+
+@pytest.mark.parametrize("o, b, eps", PAIRING_CASES)
+def test_pairing_matches_quad_of_the_closed_form(monkeypatch, o, b, eps):
+    orders, g = OrderPair(*o), TestFunction(*b, 1.0)
     calls = []
 
     def spy(orders, s, eps, j_nodes):
@@ -223,27 +223,31 @@ def test_batched_bisection_rounds_equal_one_bisection_per_call(
         return _direct_rows(orders, s, eps, j_nodes)
 
     monkeypatch.setattr(oracle, "_direct_rows", spy)
-    # a budget spent above outer_tol warns; a refinement that meets it does not
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got = oracle._pairing_at_eps(orders, g, eps, outer_tol, _j_nodes(orders.nu))
-    assert len(caught) == (1 if splits == 40 else 0)
-    assert got == ref  # bit for bit
-    assert len(ref_calls) == 1 + splits
-    assert calls[0] == ref_calls[0] == 6 * 64 and 1 < len(calls) <= max_calls
-    if splits < 40:
-        # every half a round evaluates is one the greedy loop takes
-        assert sum(calls) == sum(ref_calls)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = oracle._pairing_at_eps(orders, g, eps, _j_nodes(orders.nu))
+    ref = _pairing_reference(orders, g, eps)
+    assert abs(got - ref) <= 5e-11 * max(1.0, abs(ref))
+    assert len(calls) == 1  # one fixed rule: every node in one call
 
 
-def test_pairing_warns_when_its_split_budget_runs_out(monkeypatch):
-    # with no split left the 64 panels stand, their summed estimate far
-    # above 1e-15; the sum is still returned
-    orders, g = OrderPair(0.0, 1.0), TestFunction(1.0, 0.5, 1.0)
-    monkeypatch.setattr(oracle, "_OUTER_REFINE_BUDGET", 0)
-    with pytest.warns(UserWarning, match="spent its 0 splits with its error estimate"):
-        got = oracle._pairing_at_eps(orders, g, 0.2, 1e-15, _j_nodes(orders.nu))
-    assert math.isfinite(abs(got))
+def test_s_edges_grade_toward_s_equal_one():
+    # from s = 1 the widths are eps/8, eps/4, ... up to a 32nd of the
+    # support, the last panel on each side cut at its end
+    edges = oracle._s_edges(0.5, 1.5, 0.025)
+    widths = np.diff(edges)
+    assert edges[0] == 0.5 and edges[-1] == 1.5 and np.all(widths > 0)
+    c = int(np.flatnonzero(edges == 1.0)[0])
+    assert np.allclose(widths[c:c + 5], [0.003125, 0.00625, 0.0125, 0.025, 1 / 32],
+                       rtol=0, atol=1e-15)
+    assert np.allclose(widths[:c][::-1], widths[c:], rtol=0, atol=1e-15)
+    assert len(edges) - 1 == 38  # 304 nodes, 1,136 over the default schedule
+    # a support that misses s = 1 grades from its end next to it
+    edges = oracle._s_edges(1.5, 4.5, 0.1)
+    assert edges[0] == 1.5 and edges[1] == 1.5 + 0.1 / 8 and edges[-1] == 4.5
+    edges = oracle._s_edges(0.05, 0.55, 0.05)
+    assert edges[-1] == 0.55 and edges[-2] == 0.55 - 0.05 / 8
+    assert np.all(np.diff(edges) <= 0.5 / 32)
 
 
 def test_uniform_convergence_surrogate():
