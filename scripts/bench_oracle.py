@@ -23,7 +23,13 @@ again at a k already met in the case) and per route
 (`J_ROUTES`: `specfun.besselj`'s ascending series `_j_series` on
 x^2/4 <= |nu| + 1, the Hankel asymptotic series `_jy_asymptotic` on the
 bands past x = 15 that it serves, and Miller's recurrence `_miller` on
-the rest); none of these depend on the machine.  The cases run in that order in one
+the rest), the rows whose integral from 0 to their start is the
+closed-form head (`head_rows`, the rows `oracle._series_head` takes; 0
+in a tree without it) and the calls of `quadrature.tanh_sinh` made by
+the direct integrals (`tanh_sinh_calls`: the calls that look the name up
+in `quadrature` or `oracle`; the closed-form pairing's `pair` binds it
+in `distributions` and is not counted); none of these depend on the
+machine.  The cases run in that order in one
 process, and a tree that keeps K's CF2 base pairs per order for the
 process (`besselk._lattice_pairs`) seeds a node once for all of them, so
 a case's CF2 count depends on the cases run before it: (0.5, 1.5)
@@ -42,9 +48,11 @@ wraps (`oracle._direct_rows`, `oracle._pairing_at_eps`,
 `oracle.integrate_semiinfinite_damped`, `oracle.bessel_j`) fails there,
 and so does a case in which no `besselk._k_pair_*` route is called, or,
 on this checkout, a case in which J reaches no point on one of `J_ROUTES`,
-computes J twice at the same k, no row adds a Hankel tail, the tail
-computes more than one E_n directly per row and sign, or one eps makes
-more than one `_direct_rows` call (the s-rule is one fixed rule per eps).
+computes J twice at the same k, no row adds a Hankel tail or takes the
+closed-form head, a direct integral calls `tanh_sinh` (the k-integral is
+one fixed rule from 0 to infinity), the tail computes more than one E_n
+directly per row and sign, or one eps makes more than one `_direct_rows`
+call (the s-rule is one fixed rule per eps).
 """
 
 import argparse
@@ -71,7 +79,7 @@ EXPN_ROUTES = ("_series", "_continued_fraction")
 def measure(tree):
     """The four cases on the package under tree/src, counted per eps."""
     sys.path.insert(0, str(Path(tree) / "src"))
-    from wsdist import oracle
+    from wsdist import oracle, quadrature
     from wsdist.specfun import besselj, besselk
     from wsdist.distributions import TestFunction
     from wsdist.quadrature import DEFAULT_EPS_SCHEDULE
@@ -84,9 +92,10 @@ def measure(tree):
     points = {}
 
     def counted(key, fn, at=1):
-        """fn, adding the size of its argument at index `at` to points[key]."""
+        """fn, adding the size of its argument at index `at` to points[key],
+        or 1 per call if at is None."""
         def wrapper(*args):
-            points[key] = points.get(key, 0) + args[at].size
+            points[key] = points.get(key, 0) + (1 if at is None else args[at].size)
             return fn(*args)
         return wrapper
 
@@ -117,6 +126,12 @@ def measure(tree):
             return out
 
         oracle.expn = counted_expn
+
+    for module in (quadrature, oracle):
+        if hasattr(module, "tanh_sinh"):
+            module.tanh_sinh = counted("tanh_sinh_calls", module.tanh_sinh, at=None)
+    if hasattr(oracle, "_series_head"):  # (mu, nu, z, start)
+        oracle._series_head = counted("head_rows", oracle._series_head, at=2)
 
     def counted_rows(*args):  # (orders, s, eps, ...)
         steps[-1]["direct_rows_calls"] += 1
@@ -163,6 +178,11 @@ def measure(tree):
                      "at a k already met")
         if this_checkout and not points.get("expn"):
             sys.exit(f"case prop {prop} ({mu}, {nu}): no row added a Hankel tail")
+        if this_checkout and not points.get("head_rows"):
+            sys.exit(f"case prop {prop} ({mu}, {nu}): no row took the closed-form head")
+        if this_checkout and points.get("tanh_sinh_calls"):
+            sys.exit(f"case prop {prop} ({mu}, {nu}): the direct integrals called "
+                     f"tanh_sinh {points['tanh_sinh_calls']} times")
         per_eps = [dict(s) for s in steps]
         # an older tree may refine its s-rule over several calls per eps
         calls = max(s["direct_rows_calls"] for s in per_eps)
@@ -180,6 +200,8 @@ def measure(tree):
             "semiinfinite_evaluations": sum(s["semiinfinite_evaluations"] for s in per_eps),
             "tail_expn_points": points.get("expn", 0),
             "tail_expn_direct": direct,
+            "head_rows": points.get("head_rows", 0),
+            "tanh_sinh_calls": points.get("tanh_sinh_calls", 0),
             "k_points": {k[2:]: v for k, v in sorted(points.items()) if k.startswith("k_")},
             "j_points": points.get("j", 0),
             "j_distinct_k": distinct_k,
@@ -223,6 +245,8 @@ def main():
                                          c["semiinfinite_evaluations"]],
             "tail_expn_points": [p.get("tail_expn_points", 0), c["tail_expn_points"]],
             "tail_expn_direct": [p.get("tail_expn_direct", 0), c["tail_expn_direct"]],
+            "head_rows": [p.get("head_rows", 0), c["head_rows"]],
+            "tanh_sinh_calls": [p.get("tanh_sinh_calls", 0), c["tanh_sinh_calls"]],
             "k_points": [p["k_points"], c["k_points"]],
             "j_points": [p["j_points"], c["j_points"]],
             "j_distinct_k": [p["j_distinct_k"], c["j_distinct_k"]],

@@ -5,7 +5,6 @@ from .errors import (
     CutError,
     DomainError,
     InsufficientDataError,
-    NonConvergenceError,
     OrderError,
     ParamError,
     PoleError,
@@ -32,7 +31,6 @@ __all__ = [
     "SupportError",
     "ToleranceError",
     "PoleOnBoundaryError",
-    "NonConvergenceError",
     "InsufficientDataError",
     "__version__",
 ]

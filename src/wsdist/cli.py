@@ -21,15 +21,17 @@ error (an unknown flag or --only module, a number that does not parse,
 a non-finite --mu, --nu, --s-min, --s-max or --alpha, a --tol that is
 not finite and positive, or an --eps-schedule that is not finite and
 positive or does not at least halve, with the reason on the usage
-line), 3 quadrature non-convergence (never for a small eps: the
-oracle's direct integrals and its s-rule are fixed rules; it warns on
-stderr where its pairings' residuals are not monotone along the
-schedule), 4 oracle deviation beyond
-tolerance, 5 any other typed error (a DomainError such as a non-finite
---bump, a pairing that is not finite or a grid point s <= 0 or beyond
-the double range, SupportError, PoleError, ParamError,
-InsufficientDataError, ...) or an --output path that cannot be written
-(an OSError such as FileNotFoundError), reported as one line on stderr.
+line), 3 a closed-form pairing that does not reach its tolerance (a
+ToleranceError of `pair`, or of the closed-form side of `oracle`; the
+oracle's direct integrals and its s-rule are fixed rules with no
+tolerance, so no eps makes them exit 3, and `oracle` warns on stderr
+where its pairings' residuals are not monotone along the schedule), 4
+oracle deviation beyond tolerance, 5 any other typed error (a
+DomainError such as a non-finite --bump, a pairing that is not finite
+or a grid point s <= 0 or beyond the double range, SupportError,
+PoleError, ParamError, InsufficientDataError, ...) or an --output path
+that cannot be written (an OSError such as FileNotFoundError), reported
+as one line on stderr.
 """
 
 import argparse
@@ -43,7 +45,6 @@ import numpy as np
 from .distributions import Measure, TestFunction, pair
 from .errors import (
     DomainError,
-    NonConvergenceError,
     OrderError,
     ToleranceError,
     WsdistError,
@@ -254,7 +255,7 @@ def main(argv=None):
     except OrderError as exc:
         print(f"order constraint violated: {exc}", file=sys.stderr)
         return EXIT_ORDER
-    except (ToleranceError, NonConvergenceError) as exc:
+    except ToleranceError as exc:
         print(f"quadrature did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONV
     except (WsdistError, OSError) as exc:  # OSError: an --output path that cannot be written

@@ -30,18 +30,14 @@ class SupportError(WsdistError):
 
 
 class ToleranceError(WsdistError):
-    """An inner quadrature failed to reach the requested tolerance."""
+    """An inner quadrature of a closed-form pairing (`pair`, and the
+    closed-form side of the oracle) failed to reach the requested
+    tolerance.  The oracle's direct integrals and its s-rule are fixed
+    rules with no tolerance, so they raise no convergence error."""
 
 
 class PoleOnBoundaryError(WsdistError):
     """Principal-value pole coincides with a support endpoint."""
-
-
-class NonConvergenceError(WsdistError):
-    """A quadrature did not converge: the tanh-sinh first k-panel of an
-    oracle direct integral did not settle within its levels.  The rest of
-    a direct integral is a fixed rule, so no eps is too small for it.  No
-    special function raises it."""
 
 
 class InsufficientDataError(WsdistError):

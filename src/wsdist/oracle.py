@@ -21,15 +21,22 @@ direct integrals I(s + i eps) of all its s-nodes run as one row-batched
 semi-infinite quadrature, so every Bessel evaluation covers the k-panels
 of all those nodes at once.
 
-Each direct integral is one fixed rule fixed by (orders, s, eps) alone,
-with no convergence test.  Its k-panels have width pi / 2^j, j >= 0 the
-least with s / 2^j <= 2: pi for every s <= 2.  They run up to k0, the
-first k where the Hankel series of besselj._hankel_table serves both
-J_nu(k) and H1_mu((s + i eps) k), rounded up to the panel grid; from k0
-on both factors are their Hankel series, and the integral of their
-product is a sum of exponential integrals E_n in closed form
-(_hankel_tail; Lucas & Stone, J. Comput. Appl. Math. 64 (1995) 217).  A
-row's cost does not grow as eps falls.  The engine forms a row's k-nodes
+Each direct integral is one fixed rule from 0 to infinity, fixed by
+(orders, s, eps) alone, with no convergence test and no tolerance, and
+in closed form at both ends.  From 0 to the row's start, where
+(|z| + eps) start <= 4, H1_mu(zk) is Temme's series for K and J_nu(k)
+its ascending series, and their product integrates term by term
+(_series_head; Temme, J. Comput. Phys. 19 (1975) 324), so the
+integrand's k^(nu + 1 - |mu|) at k = 0 meets no quadrature node.  Its
+k-panels have width pi / 2^j, j >= 0 the least with s / 2^j <= 2: pi
+for every s <= 2, and the start is that width halved i >= 0 times;
+15-point Gauss panels [start, 2 start], ... reach the width, and panels
+of the width run on up to k0, the first k where the Hankel series of
+besselj._hankel_table serves both J_nu(k) and H1_mu((s + i eps) k),
+rounded up to the panel grid; from k0 on both factors are their Hankel
+series, and the integral of their product is a sum of exponential
+integrals E_n in closed form (_hankel_tail; Lucas & Stone, J. Comput.
+Appl. Math. 64 (1995) 217).  A row's cost does not grow as eps falls.  The engine forms a row's k-nodes
 from its panel width alone, so the rows of one octave j share their
 nodes in every call and at every eps, and J_nu, which does not depend
 on s or eps, is computed once per distinct node of a run (_j_nodes) and
@@ -43,15 +50,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Measure, pair
-from .errors import NonConvergenceError
 from .quadrature import (
     DEFAULT_EPS_SCHEDULE,
     gauss_legendre,
     integrate_semiinfinite_damped,
     richardson,
 )
-from .specfun import bessel_j, expn, hankel1_complex
-from .specfun.besselj import _HANKEL_EDGES, _hankel_table
+from .specfun import bessel_j, expn, gamma, hankel1_complex
+from .specfun.besselj import _HANKEL_EDGES, _hankel_table, _series_coefs
+from .specfun.besselk import _K_TEMME_MAX, _temme_gammas, _temme_polynomials
 from .specfun.memo import Memo
 from .weber_schafheitlin import prop1_distribution, prop2_distribution
 
@@ -97,7 +104,7 @@ def I_direct(orders, pt):
     return complex(rows[0])
 
 
-def _hankel_head(q):
+def _hankel_coefficients(q):
     """The Hankel coefficients a_m(q) that the first band served at order
     q sums (_hankel_table), and that band's lower edge."""
     a, counts = _hankel_table(q)
@@ -117,14 +124,14 @@ def _hankel_tail(mu, nu, z, k0):
     J = (H1 + H2)/2).  Each term integrates to k0^{1-n} E_n(-i(z +- 1) k0),
     Re = eps k0 > 0, and expn gives E_0 ... E_{N-1} of a row and sign as
     one table: one direct E_n, the rest by the recurrence.  The product
-    keeps its first N = max(len a(mu), len a(nu)) terms; the whole product
-    moves no row by more than 5e-16 of max(1, |I|) at orders (0, 1) to
-    (2, 30), eps from 1e-3 to 0.2.  It runs on arrays of shape (N, rows),
+    is carried whole, N = len a(mu) + len a(nu) - 1 terms: a half-integer
+    order's series terminates, and at two of them a shorter cut drops
+    terms that are not small.  It runs on arrays of shape (N, rows),
     so each of its steps covers a contiguous run of rows, and a row's sum
     over n is a row sum (np.sum over axis 1), never a matmul."""
-    a_mu, _ = _hankel_head(mu)
-    a_nu, _ = _hankel_head(nu)
-    n_terms = max(len(a_mu), len(a_nu))
+    a_mu, _ = _hankel_coefficients(mu)
+    a_nu, _ = _hankel_coefficients(nu)
+    n_terms = len(a_mu) + len(a_nu) - 1
     h_mu = a_mu[:, None] * (1j / (z * k0)) ** np.arange(len(a_mu))[:, None]
     signs = (1.0, -1.0)
     e_n = expn(n_terms, -1j * (z + np.array(signs)[:, None]) * k0)  # both signs in one call
@@ -133,11 +140,77 @@ def _hankel_tail(mu, nu, z, k0):
         h_nu = a_nu[:, None] * (sign * 1j / k0) ** np.arange(len(a_nu))[:, None]
         c = np.zeros((n_terms, len(z)), dtype=complex)  # c_n k0^-n
         for m in range(len(a_mu)):
-            width = min(len(a_nu), n_terms - m)
-            c[m:m + width] += h_mu[m] * h_nu[:width]
+            c[m:m + len(a_nu)] += h_mu[m] * h_nu
         phase = -(0.5 * mu + 0.25) * math.pi - sign * (0.5 * nu + 0.25) * math.pi
         total = total + complex(math.cos(phase), math.sin(phase)) * np.sum(c.T * e_sign, axis=1)
     return k0 / (math.pi * np.sqrt(z)) * total
+
+
+def _series_head(mu, nu, z, start):
+    """int_0^start k H1_mu(zk) J_nu(k) dk at each z and start of the
+    arrays z and start, (|z| + Im z) start <= _K_TEMME_MAX, in closed form.
+
+    H1_mu(zk) = (2/(i pi)) e^{-i mu pi/2} K_|mu|(ck), c = -iz, and on that
+    range K is Temme's series at mu0 = |mu| - n, n = ceil(|mu| - 1/2), so
+    mu0 is in (-1/2, 1/2]: K_mu0 and K_mu0+1 as the polynomials of
+    besselk._temme_polynomials weighted by f0, p0 and q0, climbed to
+    K_|mu| by K_{q+1} = K_{q-1} + (q/u) K_q on the coefficients of u^p,
+    u = ck/2.  Times J_nu's ascending series (besselj._series_coefs),
+    each term is k^{Q-1} times a weight; with L = log(c start/2) and
+    x = mu0 L, it integrates to start^Q times e^-x/(Q - mu0) (p0),
+    e^x/(Q + mu0) (q0) or fact [g1 (Q cosh x - mu0 sinh x) + g2 (cosh x -
+    Q L sinh(x)/x)]/(Q^2 - mu0^2) (f0, fact = pi mu0/sin(pi mu0), g1 and
+    g2 Temme's gammas), with no 1/mu0 to cancel near an integer order.
+    Every term that is not an exact zero has Q - mu0 >= nu + 2 - |mu| > 0
+    and Q + mu0 > 0.  Each weight's integral is a few factors of the row
+    (cosh x, sinh x, L sinh(x)/x, e^-x, e^x) times a polynomial in u^2
+    at k = start whose coefficients depend on the row's start alone, so
+    the double sum over K's and J's terms runs once per distinct start,
+    and a row has the bits of its lone call."""
+    if nu == -1.0:
+        return -_series_head(mu, 1.0, z, start)  # J_-1 = -J_1
+    n = math.ceil(abs(mu) - 0.5)
+    mu0 = abs(mu) - n
+    gam1, gam2 = _temme_gammas(mu0)
+    polys = _temme_polynomials(mu0)
+    # K_mu0 and u K_mu0+1 as coefficients of u^-n ... u^32, rows f0, p0, q0;
+    # a shift by one place divides by u
+    k_pair = np.zeros((2, 3, n + 2 * len(polys[0]) - 1))
+    k_pair[:, :, n::2] = polys.reshape(2, 3, -1)
+    lo, hi = k_pair[0], np.roll(k_pair[1], -1, axis=1)
+    for j in range(n):
+        lo, hi = hi, lo + (mu0 + j + 1) * np.roll(hi, -1, axis=1)
+    coef = lo[:, ::2]  # K_|mu| at u^-n, u^(2-n), ...
+    b = np.array(_series_coefs(nu))
+    q = 2.0 + nu - n + 2.0 * np.arange(coef.shape[1] + len(b) - 1)
+    # at n >= 1 the f0 and q0 parts have no u^-n term, and Q + mu0 may
+    # vanish there
+    inv = np.divide(1.0, q * q - mu0 * mu0, out=np.zeros_like(q),
+                    where=np.arange(len(q)) >= min(n, 1))
+    fact = math.pi * mu0 / math.sin(math.pi * mu0) if mu0 else 1.0
+    # each weight's integral as row factors (below) times functions of Q
+    g = np.array([fact * (gam1 * q + gam2) * inv, -fact * gam1 * mu0 * inv,
+                  -fact * gam2 * q * inv, 0.5 / (gam2 - mu0 * gam1) / (q - mu0),
+                  0.5 / (gam2 + mu0 * gam1) * (q - mu0) * inv])  # p0, q0: Gamma(1 +- mu0)/2
+    weight = (0, 0, 0, 1, 2)  # the f0, p0 or q0 row of coef each one takes
+    # the head is u^-n sum_i (u^2)^i v_i, with v_i = coef_i sum_m b_m
+    # (-start^2/4)^m g(Q_{i+m}) fixed by the row's start
+    starts, of_start = np.unique(start, return_inverse=True)
+    j = np.add.outer(np.arange(coef.shape[1]), np.arange(len(b)))
+    v = np.array([coef[weight, :] * np.sum(g[:, j] * b * (-0.25 * st * st) ** np.arange(len(b)),
+                                           axis=2) for st in starts])[of_start]
+    u = -0.5j * z * start
+    lam = np.log(u)
+    x = mu0 * lam
+    sinhc = np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0.0)
+    rows = np.stack([np.cosh(x), np.sinh(x), lam * sinhc, np.exp(-x), np.exp(x)], axis=1)
+    powers = u[:, None, None] ** np.arange(0, 2 * coef.shape[1], 2)
+    # named operands: numpy may multiply into a large temporary in place,
+    # by a loop that rounds otherwise, and a row must not depend on the batch
+    by_weight = np.sum(v * powers, axis=2)
+    total = u ** -n * np.sum(rows * by_weight, axis=1)
+    pref = 2.0 / (1j * math.pi) * np.exp(-0.5j * math.pi * mu)
+    return pref * start ** 2 * (0.5 * start) ** nu / gamma(nu + 1.0) * total
 
 
 def _direct_rows(orders, s, eps, j_nodes):
@@ -158,8 +231,8 @@ def _direct_rows(orders, s, eps, j_nodes):
 
     def j_rows(k, rows):
         # the engine forms a row's nodes from its spacing and the panel
-        # index that all live rows share, so the rows of an octave have
-        # the same k: J is read on one of them
+        # (index and halving) that all rows of a call share, so the rows
+        # of an octave have the same k: J is read on one of them
         jk = np.empty(k.shape)
         for j in octaves:
             of_j = octave[rows] == j
@@ -171,16 +244,18 @@ def _direct_rows(orders, s, eps, j_nodes):
         # J's rows are formed after H1's call, so they do not add to its peak
         return k * hankel1_complex(mu, z[rows, None] * k) * j_rows(k, rows)
 
+    def head(spacing):
+        # start = spacing / 2^i, i >= 0 the least with (|z| + eps) start
+        # <= _K_TEMME_MAX, where Temme's series serves K on [0, start]
+        m, e = np.frexp((np.abs(z) + eps) * spacing / _K_TEMME_MAX)
+        start = np.ldexp(spacing, -np.maximum(e - (m == 0.5), 0))
+        return start, _series_head(mu, nu, z, start)
+
     # k0: J_nu's series serves k from its band edge on, H1_mu's |z| k
-    k0 = np.maximum(_hankel_head(nu)[1], _hankel_head(mu)[1] / np.abs(z))
-    res = integrate_semiinfinite_damped(f, spacing, k0, lambda ends: _hankel_tail(mu, nu, z, ends))
-    if not res.converged:
-        raise NonConvergenceError(
-            f"direct quadrature's first panel stalled at orders={orders}, eps={eps}, "
-            f"s in [{s.min()}, {s.max()}] "
-            f"(largest estimate {np.max(res.error_estimate):.3e})"
-        )
-    return res.value
+    k0 = np.maximum(_hankel_coefficients(nu)[1], _hankel_coefficients(mu)[1] / np.abs(z))
+    return integrate_semiinfinite_damped(
+        f, spacing, k0, lambda ends: _hankel_tail(mu, nu, z, ends), head
+    ).value
 
 
 def _s_edges(lo, hi, eps):

@@ -6,11 +6,10 @@ Four devices cover everything the closed forms and their oracles need:
   error estimate (`integrate_finite`),
 * tanh-sinh (double exponential) quadrature for panels with integrable
   endpoint singularities (`tanh_sinh`),
-* fixed panels for semi-infinite oscillatory integrands, each row to its
-  own end, plus an optional closed-form tail from there on
-  (`integrate_semiinfinite_damped`: tanh-sinh on the first panel,
-  15-point Gauss panels after it, each checked against the
-  interpolatory rule on 13 of its own nodes),
+* fixed 15-point Gauss panels for semi-infinite oscillatory integrands,
+  each row to its own end, plus an optional closed-form head from 0 to
+  the row's start and tail from its end on
+  (`integrate_semiinfinite_damped`, a fixed rule with no error estimate),
 * symmetric-subtraction Cauchy principal values (`integrate_pv`),
 
 plus Richardson extrapolation of epsilon-indexed sequences to 0.
@@ -33,7 +32,6 @@ from .errors import InsufficientDataError, PoleOnBoundaryError
 
 _MAX_PANELS = 4096
 _TANH_SINH_LEVELS = 12  # step halvings after the unit step
-_FIRST_PANEL_TOL = 1e-9  # integrate_semiinfinite_damped's tanh-sinh panel
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,8 @@ class QuadratureResult:
     """Scalar value and error_estimate from `integrate_finite` and
     `integrate_pv`; per-row arrays from the row-batched `tanh_sinh` and
     `integrate_semiinfinite_damped`, whose evaluations and converged
-    cover all rows."""
+    cover all rows (the latter's error_estimate is NaN: it is a fixed
+    rule, not estimated)."""
 
     value: complex
     error_estimate: float
@@ -83,23 +82,6 @@ def gauss_legendre(n):
     """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return nodes, weights
-
-
-@lru_cache(maxsize=1)
-def _g15_comparator():
-    """Weights, on the 15 Gauss-Legendre nodes, of the interpolatory
-    rule on 13 of them: the symmetric pair at indices 1 and 13 gets
-    weight 0.  The rule's nodes are symmetric, so it integrates degree
-    13 exactly, as the 7-point Gauss rule does, and it costs no
-    evaluation beyond the 15-point rule's."""
-    nodes, _ = gauss_legendre(15)
-    keep = np.delete(np.arange(15), [1, 13])
-    moments = np.zeros(13)
-    moments[0] = 2.0  # int_{-1}^{1} P_n = 2 for n = 0, else 0
-    vander = np.polynomial.legendre.legvander(nodes[keep], 12)
-    weights = np.zeros(15)
-    weights[keep] = np.linalg.solve(vander.T, moments)
-    return weights
 
 
 def _gauss_panel(f, a, b, nodes, weights):
@@ -232,58 +214,62 @@ def tanh_sinh(f, a, b, tol):
     return QuadratureResult(result, err, evaluations, bool(np.all(converged)))
 
 
-def integrate_semiinfinite_damped(f, zero_spacing, end, tail=None):
-    """Integrate f over [0, inf) by fixed panels up to each row's own end,
-    plus an optional closed-form tail.
+def integrate_semiinfinite_damped(f, zero_spacing, end, tail=None, head=None):
+    """Integrate f over [0, inf) by fixed 15-point Gauss panels up to each
+    row's own end, plus an optional closed-form head and tail.
 
     Each entry of the 1-D array zero_spacing is one integral, a row, cut
     into panels of that width (half an oscillation for the intended
     Bessel-product kernels) up to its end, the row's entry of end (an
     array, or one number for every row) rounded up to its panel grid.
-    The first panel takes tanh-sinh to _FIRST_PANEL_TOL, since the
-    integrand may have an integrable singularity at 0; every other panel
-    takes the 15-point Gauss rule.  tail(ends), when given, is called once
-    with the array of row ends and returns each row's integral from its
-    end on, which is added to its panel sum; without it the integral stops
-    at the end, so f must have decayed there (an end at 40 / damping for
-    a decay like e^{-damping k}).
+    Without head, the first panel [0, spacing] is one more Gauss panel, so
+    f must be smooth there.  head(spacing), when given, is called once
+    with the array of spacings and returns each row's start, spacing/2^i
+    with i >= 0, and its integral from 0 to that start, for an integrand
+    singular at 0; the row then takes the panels [start, 2 start], ...,
+    [spacing/2, spacing], which keep 0 a panel width away from every
+    node.  tail(ends), when given, is called once with the array of row
+    ends and returns each row's integral from its end on, which is added
+    to its panel sum; without it the integral stops at the end, so f must
+    have decayed there (an end at 40 / damping for a decay like
+    e^{-damping k}).
 
-    No step tests convergence: a row's panels follow from its spacing and
-    end alone, and its panel values are summed in order, so a row of a
-    batch has the bits of its lone call.  f(k, rows) gets a (len(rows),
-    15) array of abscissae per Gauss panel, for the rows whose end lies
-    past the panel, rows their indices into zero_spacing: the rows of one
-    spacing share their abscissae.  error_estimate adds to the first
-    panel's tanh-sinh estimate, per Gauss panel, a tenth of the change
-    from its Gauss value to the degree-13 interpolatory rule on 13 of
-    the same 15 nodes, so a panel costs 15 evaluations; neither the tail
-    nor the cut at the end is estimated.  converged reports the first
-    panels.
+    No step tests convergence or estimates an error: a row's panels
+    follow from its spacing, start and end alone, and its head and panel
+    values are summed in order, so a row of a batch has the bits of its
+    lone call.  f(k, rows) gets a (len(rows), 15) array of abscissae per
+    panel, for the rows that take it, rows their indices into
+    zero_spacing: the rows of one spacing share their abscissae.
+    error_estimate is NaN (a fixed rule, not estimated) and converged is
+    True.
     """
     spacing = np.asarray(zero_spacing, dtype=float)
     ends = np.broadcast_to(np.asarray(end, dtype=float), spacing.shape)
     if spacing.ndim != 1 or not (np.all(spacing > 0.0) and np.all(np.isfinite(ends))):
         raise ValueError("need a 1-D zero_spacing > 0 and finite row ends")
     n_panels = np.maximum(np.ceil(ends / spacing), 1.0).astype(int)
-
     n15, w15 = gauss_legendre(15)
-    w13 = _g15_comparator()
-    first = tanh_sinh(f, np.zeros(len(spacing)), spacing, _FIRST_PANEL_TOL)
-    value, error = first.value, first.error_estimate
-    evaluations = first.evaluations
-    for j in range(1, int(n_panels.max(initial=1))):
-        rows = np.flatnonzero(n_panels > j)
-        half = 0.5 * spacing[rows, None]
-        vals = f((2 * j + 1 + n15) * half, rows)
+    evaluations = 0
+    value = np.zeros(len(spacing), dtype=complex)
+    # (m, i, live): the panels [m w, (m + 1) w], w = spacing / 2^i, of the
+    # live rows, in the order a row sums them: from the head outward
+    panels = []
+    if head is not None:
+        start, head_value = head(spacing)
+        value += head_value
+        halvings = np.frexp(spacing / start)[1] - 1  # spacing / start = 2^i
+        panels = [(1, i, halvings >= i) for i in range(halvings.max(initial=0), 0, -1)]
+    panels += [(j, 0, n_panels > j) for j in range(head is not None, n_panels.max(initial=1))]
+    for m, i, live in panels:
+        rows = np.flatnonzero(live)
+        half = np.ldexp(0.5 * spacing[rows, None], -i)
+        vals = f((2 * m + 1 + n15) * half, rows)
         evaluations += vals.size
         # a row sum, never a matmul, whose kernels round a row by its place
-        v15 = half[:, 0] * np.sum(vals * w15, axis=1)
-        v13 = half[:, 0] * np.sum(vals * w13, axis=1)
-        value[rows] += v15
-        error[rows] += 0.1 * np.abs(v15 - v13)
+        value[rows] += half[:, 0] * np.sum(vals * w15, axis=1)
     if tail is not None:
         value = value + tail(n_panels * spacing)
-    return QuadratureResult(value, error, evaluations, first.converged)
+    return QuadratureResult(value, math.nan, evaluations, True)
 
 
 def pole_guard(pole):

@@ -418,6 +418,21 @@ def test_oracle_order_minus_one(capsys):
     assert json.loads(out)["report"]["rel_deviation"] <= 1e-4
 
 
+@pytest.mark.parametrize("argv, bound", [
+    # margin nu + 2 - |mu| = 0.05, where the integrand goes like k^-0.95
+    # at k = 0
+    (["--mu", "0", "--nu", "-1.95"], 1e-5),
+    # |mu| = 10, where H1_mu(zk) overflows as k -> 0
+    (["--mu", "10", "--nu", "9", "--eps-schedule", "0.01,0.005,0.0025,0.00125"], 1e-6),
+])
+def test_oracle_at_the_constraint_edge_and_at_mu_10(capsys, argv, bound):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = _run(capsys, ["oracle", *argv])
+    assert code == EXIT_OK
+    assert json.loads(out)["report"]["rel_deviation"] <= bound
+
+
 def test_selftest_full_pass(capsys):
     code, out, _ = _run(capsys, ["selftest"])
     assert code == 0

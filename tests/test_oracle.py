@@ -13,9 +13,10 @@ from wsdist.oracle import (
     I_direct,
     OracleReport,
     _direct_rows,
-    _hankel_head,
+    _hankel_coefficients,
     _hankel_tail,
     _j_nodes,
+    _series_head,
     jj_pairing_oracle,
     pairing_oracle,
 )
@@ -60,7 +61,10 @@ HANKEL_TAIL_S = np.array([0.5, 0.9, 0.99, 1.0, 1.01, 1.3, 1.9, 3.5])
 @pytest.mark.parametrize(
     "mu,nu,bound",
     [(0.0, 1.0, 1e-12), (0.5, 1.5, 1e-12), (1.0, 1.0, 1e-12), (0.0, -1.0, 1e-12),
-     (-0.3, 1.0, 1e-12), (3.3, 8.0, 1e-10)],
+     (-0.3, 1.0, 1e-12), (3.3, 8.0, 1e-10),
+     # two half-integer orders: both Hankel series terminate, and the tail
+     # needs their whole product
+     (3.5, 2.5, 1e-12), (4.5, 4.5, 1e-12), (5.5, 4.5, 1e-12), (7.5, 6.5, 1e-12)],
 )
 @pytest.mark.parametrize("eps", [0.2, 0.025, 1e-3])
 def test_rows_with_the_hankel_tail_match_the_closed_form(mu, nu, bound, eps):
@@ -74,19 +78,82 @@ def test_rows_with_the_hankel_tail_match_the_closed_form(mu, nu, bound, eps):
         assert abs(vd - vc) / max(1.0, abs(vc)) <= bound, s
 
 
+# orders next to the constraint edge nu + 2 > |mu| (margins 0.01 to 0.2)
+# and at |mu| >= 8.3, where an integral that reaches k = 0 by quadrature
+# loses digits or overflows
+EDGE_AND_HIGH_ORDERS = [(0.0, -1.99), (0.5, -1.45), (3.0, 1.01), (3.3, 1.31), (0.5, -1.3),
+                        (2.75, 1.25), (8.3, 6.41), (10.0, 8.01), (-10.0, 8.01), (8.5, 6.6),
+                        (10.0, 9.0)]
+
+
+@pytest.mark.parametrize("mu,nu", EDGE_AND_HIGH_ORDERS)
+@pytest.mark.parametrize("eps", [0.2, 0.025, 1e-3])
+def test_rows_at_the_constraint_edge_and_high_orders_match_the_closed_form(mu, nu, eps):
+    orders = OrderPair(mu, nu)
+    got = _direct_rows(orders, HANKEL_TAIL_S, eps, _j_nodes(nu))
+    for s, vd in zip(HANKEL_TAIL_S, got):
+        vc = regularized_I(orders, RegularizedPoint(float(s), eps))
+        assert abs(vd - vc) / max(1.0, abs(vc)) <= 1e-12, s
+
+
+def _head_start(s, eps):
+    """The head's start for the row at s + i eps, as _direct_rows makes
+    it: its panel width pi / 2^j halved until (|z| + eps) start <= 4."""
+    start = math.pi / 2 ** max(math.ceil(math.log2(s / 2)), 0)
+    while (abs(complex(s, eps)) + eps) * start > 4.0:
+        start /= 2
+    return start
+
+
+# (3e-9, 1), (1 - 1e-7, 0.5) and (2 + 3e-9, 3): mu next to an integer,
+# where Temme's f0 has no 1/mu0 to cancel; (3.5, 2.5): mu0 = 1/2.  The
+# rows test above covers the head next to the constraint edge, and at
+# (2.75, 1.25), where the f0 and q0 parts of K_mu have no u^-n term and
+# Q + mu0 = 0 at that term
+HEAD_ORDERS = [(0.0, 1.0), (0.0, -1.0), (3.5, 2.5), (3e-9, 1.0), (1.0 - 1e-7, 0.5),
+               (2.0 + 3e-9, 3.0)]
+
+
+@pytest.mark.parametrize("mu,nu", HEAD_ORDERS)
+def test_series_head_matches_mpmath_quad(mu, nu):
+    # the closed-form int_0^start k H1_mu(zk) J_nu(k) dk against 30-digit
+    # quadrature of the same integrand
+    for s in (0.5, 1.0, 1.9, 3.5):
+        for eps in (0.2, 1e-3):
+            start = _head_start(s, eps)
+            with mpmath.workdps(30):
+                z = mpmath.mpc(s, eps)
+                ref = complex(mpmath.quad(
+                    lambda k: k * mpmath.hankel1(mu, z * k) * mpmath.besselj(nu, k), [0, start]))
+            got = _series_head(mu, nu, np.array([complex(s, eps)]), np.array([start]))[0]
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (s, eps)
+
+
+def test_series_head_rows_equal_their_lone_calls():
+    # 4,000 rows over octaves 0 to 2: the batch's (rows, 5) complex
+    # temporaries pass numpy's 256 KiB threshold for working in place
+    s = np.linspace(0.05, 6.0, 4000)
+    z = s + 0.01j
+    start = np.array([_head_start(x, 0.01) for x in s])
+    for mu, nu in ((0.0, 1.0), (10.0, 9.0)):
+        batch = _series_head(mu, nu, z, start)
+        lone = [_series_head(mu, nu, z[r:r + 1], start[r:r + 1])[0] for r in range(len(s))]
+        assert batch.tolist() == lone
+
+
 def _hankel_tail_reference(mu, nu, z, k0):
     """_hankel_tail row by row: the Cauchy product by np.convolve, each
     E_n(x), n >= 1, by its own direct route (mpmath where that route is
     the series of E_1), E_0 = e^-x / x."""
-    a_mu, _ = _hankel_head(mu)
-    a_nu, _ = _hankel_head(nu)
-    n_terms = max(len(a_mu), len(a_nu))
+    a_mu, _ = _hankel_coefficients(mu)
+    a_nu, _ = _hankel_coefficients(nu)
+    n_terms = len(a_mu) + len(a_nu) - 1
     out = []
     for zr, kr in zip(z, k0):
         total = 0.0
         for sign in (1.0, -1.0):
             c = np.convolve(a_mu * (1j / (zr * kr)) ** np.arange(len(a_mu)),
-                            a_nu * (sign * 1j / kr) ** np.arange(len(a_nu)))[:n_terms]
+                            a_nu * (sign * 1j / kr) ** np.arange(len(a_nu)))
             x = -1j * (zr + sign) * kr
             n = np.arange(1, n_terms)
             if abs(x) + x.real <= _SERIES_EDGE:  # _direct's series serves E_1 alone
@@ -106,10 +173,10 @@ def _hankel_tail_reference(mu, nu, z, k0):
 def test_hankel_tail_matches_one_direct_e_n_per_term(mu, nu, eps):
     # the tail's E_n come from one direct E_m per row and sign and the
     # recurrence; at (2, 30) k0 = 534, so the + sign starts every row at
-    # m = N - 1 = 17 with |x| > 500
+    # m = N - 1 = 48 with |x| > 500
     s = np.linspace(0.5, 3.0, 11)
     z = s + 1j * eps
-    k0 = np.maximum(_hankel_head(nu)[1], _hankel_head(mu)[1] / np.abs(z))
+    k0 = np.maximum(_hankel_coefficients(nu)[1], _hankel_coefficients(mu)[1] / np.abs(z))
     spacing = np.where(s <= 2.0, math.pi, 0.5 * math.pi)
     k0 = np.ceil(k0 / spacing) * spacing  # on the row's panel grid, as in _direct_rows
     got = _hankel_tail(mu, nu, z, k0)
@@ -139,9 +206,9 @@ def test_rows_of_every_octave_equal_their_lone_calls(monkeypatch):
     spacings = []
     engine = oracle.integrate_semiinfinite_damped
 
-    def spy(f, zero_spacing, end, tail=None):
+    def spy(f, zero_spacing, end, tail=None, head=None):
         spacings.append(zero_spacing.tolist())
-        return engine(f, zero_spacing, end, tail)
+        return engine(f, zero_spacing, end, tail, head)
 
     monkeypatch.setattr(oracle, "integrate_semiinfinite_damped", spy)
     batched = _direct_rows(orders, OCTAVE_POINTS, 0.05, _j_nodes(orders.nu))
@@ -176,7 +243,7 @@ def test_one_oracle_run_computes_j_once_per_k(monkeypatch):
 
     monkeypatch.setattr(oracle, "bessel_j", spy)
     report = pairing_oracle(OrderPair(0.0, 1.0), TestFunction(1.8, 0.3, 1.0), SHORT_SCHEDULE)
-    assert len(seen) > 400  # the nodes of every row end at its k0
+    assert len(seen) >= 195  # the nodes of every row, from its start to its k0
     assert len(set(seen)) == len(seen)
     assert report.rel_deviation <= 5e-3
 

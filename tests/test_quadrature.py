@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from wsdist import quadrature
 from wsdist.distributions import TestFunction
 from wsdist.errors import InsufficientDataError, PoleOnBoundaryError
 from wsdist.quadrature import (
@@ -124,22 +123,29 @@ def _row_integrand(k, rows):
     return np.exp(-_ROW_EPS * k) * np.sin(_ROW_C[rows, None] * k) * power
 
 
+def _tanh_sinh_head(f):
+    """A head for integrate_semiinfinite_damped: tanh-sinh on each row's
+    first panel [0, spacing], for an integrand singular at 0."""
+    return lambda spacing: (spacing, tanh_sinh(f, np.zeros(len(spacing)), spacing, 1e-10).value)
+
+
 def test_row_batch_equals_its_lone_calls_bit_for_bit():
     spacing = math.pi / _ROW_C
     ends = np.array([250.0, 260.0, 300.0, 280.0, 240.0])  # past e^{-40}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        batch = integrate_semiinfinite_damped(_row_integrand, spacing, ends)
-        ones = [
-            integrate_semiinfinite_damped(
-                lambda k, rows, r=r: _row_integrand(k, [r]), spacing[r:r + 1], ends[r:r + 1]
-            )
-            for r in range(len(spacing))
-        ]
+        batch = integrate_semiinfinite_damped(_row_integrand, spacing, ends,
+                                              head=_tanh_sinh_head(_row_integrand))
+        ones = []
+        for r in range(len(spacing)):
+            def one(k, rows, r=r):
+                return _row_integrand(k, [r])
+
+            ones.append(integrate_semiinfinite_damped(one, spacing[r:r + 1], ends[r:r + 1],
+                                                      head=_tanh_sinh_head(one)))
     assert batch.converged is all(o.converged for o in ones) is True
     assert batch.evaluations == sum(o.evaluations for o in ones)
     assert batch.value.tolist() == [o.value[0] for o in ones]
-    assert batch.error_estimate.tolist() == [o.error_estimate[0] for o in ones]
     assert np.all(np.abs(batch.value - _ROW_EXACT) <= 1e-12 * np.maximum(1.0, np.abs(_ROW_EXACT)))
 
 
@@ -158,12 +164,37 @@ def test_each_row_ends_at_its_own_end():
     r = integrate_semiinfinite_damped(spy, spacing, ends)
     last = np.array([5, 8, 12]) * spacing
     assert np.all(seen < last) and np.all(seen > last - 0.5 * spacing)
-    # after tanh-sinh's calls, one call per Gauss panel, of the rows it
-    # reaches, 15 evaluations each
-    assert calls[-11:] == [3] * 4 + [2] * 3 + [1] * 4
-    first = tanh_sinh(lambda k, rows: np.exp(-k) * np.sin(k), np.zeros(3), spacing,
-                      quadrature._FIRST_PANEL_TOL)
-    assert r.evaluations == first.evaluations + 15 * (4 + 7 + 11)
+    # one call per Gauss panel, of the rows it reaches, 15 evaluations each
+    assert calls == [3] * 5 + [2] * 3 + [1] * 4
+    assert r.evaluations == 15 * (5 + 8 + 12)
+    assert r.converged is True and math.isnan(r.error_estimate)
+
+
+def test_a_head_takes_the_panels_from_its_start_to_the_spacing():
+    # rows start at spacing, spacing / 2 and spacing / 8: 0, 1 and 3
+    # panels [start, 2 start], ... before the first spacing
+    spacing = np.full(3, math.pi)
+    start = spacing / np.array([1.0, 2.0, 8.0])
+    heads, calls = [], []
+
+    def exact(a):  # int_0^a e^{-k} sin k dk
+        return 0.5 * (1.0 - np.exp(-a) * (np.sin(a) + np.cos(a)))
+
+    def head(sp):
+        heads.append(sp.tolist())
+        return start, exact(start)
+
+    def f(k, rows):
+        calls.append((rows.tolist(), k.min(axis=1).tolist(), k.max(axis=1).tolist()))
+        return np.exp(-k) * np.sin(k)
+
+    r = integrate_semiinfinite_damped(f, spacing, 40.0, head=head)
+    assert heads == [spacing.tolist()]
+    assert [rows for rows, _, _ in calls[:3]] == [[2], [2], [1, 2]]
+    for (_, lo, hi), a in zip(calls[:3], (math.pi / 8, math.pi / 4, math.pi / 2)):
+        assert all(a < k < 2 * a for k in lo + hi)
+    assert r.evaluations == 15 * (3 * 12 + 1 + 3)  # panels 1 to 12 after the first
+    assert np.all(np.abs(r.value - exact(13 * math.pi)) <= 1e-14)
 
 
 def test_the_tail_is_added_once_at_the_row_ends():
@@ -181,22 +212,6 @@ def test_the_tail_is_added_once_at_the_row_ends():
     assert got[0].tolist() == (np.ceil(30.0 / spacing) * spacing).tolist()
     assert with_tail.value.tolist() == (plain.value + tail(got[0])).tolist()
     assert with_tail.evaluations == plain.evaluations
-
-
-def test_g15_comparator_integrates_legendre_p0_to_p13():
-    w13 = quadrature._g15_comparator()
-    nodes = quadrature.gauss_legendre(15)[0]
-    assert w13[1] == w13[13] == 0.0 and np.count_nonzero(w13) == 13
-    for n in range(14):
-        exact = 2.0 if n == 0 else 0.0
-        p_n = np.polynomial.legendre.Legendre.basis(n)(nodes)
-        assert abs(w13 @ p_n - exact) <= 1e-14
-
-
-def test_damped_error_estimate_bounds_the_error():
-    r = integrate_semiinfinite_damped(_row_integrand, math.pi / _ROW_C, 40.0 / _ROW_EPS)
-    assert r.converged
-    assert np.all(np.abs(r.value - _ROW_EXACT) <= r.error_estimate)
 
 
 def test_row_engines_take_1d_row_arrays_only():
@@ -220,7 +235,8 @@ def test_cross_module_hankel_kernel():
     def f(k, rows):
         return k * hankel1_complex(0.0, z * k) * bessel_j(0.0, k)
 
-    r = integrate_semiinfinite_damped(f, np.array([math.pi / 1.5]), 40.0 / 0.1)
+    r = integrate_semiinfinite_damped(f, np.array([math.pi / 1.5]), 40.0 / 0.1,
+                                      head=_tanh_sinh_head(f))
     ref = regularized_I(OrderPair(0.0, 0.0), RegularizedPoint(1.5, 0.1))
     assert abs(r.value[0] - ref) <= 1e-8 * max(1.0, abs(ref))
 
